@@ -17,6 +17,7 @@ from .config import (
     apply_overrides,
     build_init_plan,
     build_oracle,
+    build_portfolio_spec,
     build_router,
     load_config_file,
     validate_config,
@@ -292,18 +293,14 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
 def _portfolio_spec_from(
     args: argparse.Namespace, cfg: Optional[dict]
 ) -> Optional[PortfolioSpec]:
-    if getattr(args, "portfolio_size", None):
-        return PortfolioSpec(
-            size=args.portfolio_size, beta=args.portfolio_beta or 0.75
-        )
-    if cfg and cfg["objective"].get("portfolio"):
-        pc = cfg["objective"]["portfolio"]
-        return PortfolioSpec(
-            size=int(pc.get("size", 20)),
-            beta=float(pc.get("beta", 0.75)),
-            agg=pc.get("agg", "mean"),
-        )
-    return None
+    """Portfolio flags when ``--portfolio-size`` is given, else the run's config."""
+    if args.portfolio_size is not None:
+        section = {"size": args.portfolio_size}
+        if args.portfolio_beta is not None:
+            section["beta"] = args.portfolio_beta
+    else:
+        section = cfg["objective"].get("portfolio") if cfg else None
+    return build_portfolio_spec(section) if section else None
 
 
 def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:

@@ -95,9 +95,6 @@ def default_config(domain_kind: str = "generic") -> dict:
             "seed_threshold": DEFAULT_SEED_THRESHOLDS[kind],
             "registry_capacity": 20,
             "context": {"context_size": 20, "top_k": 8},
-            "explorer_batch_request": "10-20",
-            "worker_batch_request": "5-10",
-            "planner_task_request": "8-10",
         },
         "backends": {
             "default": {"kind": "mutator", "seed": 0},
@@ -116,7 +113,6 @@ def default_config(domain_kind: str = "generic") -> dict:
             "command": None,
             "url": None,
             "timeout_ms": 60000,
-            "cache": False,
         },
         "init": {
             "source": {
@@ -273,16 +269,7 @@ def validate_config(cfg: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"objective.direction: {exc}") from exc
     portfolio_cfg = merged["objective"].get("portfolio")
-    portfolio = None
-    if portfolio_cfg:
-        try:
-            portfolio = PortfolioSpec(
-                size=int(portfolio_cfg.get("size", 20)),
-                beta=float(portfolio_cfg.get("beta", 0.75)),
-                agg=portfolio_cfg.get("agg", "mean"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"objective.portfolio: {exc}") from exc
+    portfolio = build_portfolio_spec(portfolio_cfg) if portfolio_cfg else None
     try:
         objective = ObjectiveSpec(
             direction=direction,
@@ -308,9 +295,6 @@ def validate_config(cfg: dict) -> RunConfig:
                 context_size=int(ctx_cfg.get("context_size", 20)),
                 top_k=int(ctx_cfg.get("top_k", 8)),
             ),
-            explorer_batch_request=str(merged["loop"]["explorer_batch_request"]),
-            worker_batch_request=str(merged["loop"]["worker_batch_request"]),
-            planner_task_request=str(merged["loop"]["planner_task_request"]),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"loop: {exc}") from exc
@@ -329,6 +313,17 @@ def validate_config(cfg: dict) -> RunConfig:
         loop=loop,
         constraint=constraint,
     )
+
+
+def build_portfolio_spec(cfg: dict) -> PortfolioSpec:
+    """``PortfolioSpec`` from an ``objective.portfolio`` mapping; raises ConfigError."""
+    try:
+        return PortfolioSpec(
+            size=int(cfg.get("size", 20)),
+            beta=float(cfg.get("beta", 0.75)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"objective.portfolio: {exc}") from exc
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -425,21 +420,16 @@ def _precheck_init(cfg: dict) -> None:
 
 def build_oracle(cfg: dict) -> Oracle:
     oracle_cfg = cfg["oracle"]
-    cache = bool(oracle_cfg.get("cache", False))
     timeout_s = float(oracle_cfg.get("timeout_ms", 60000)) / 1000.0
     kind = oracle_cfg["kind"]
     if kind == "synthetic":
         try:
-            return make_synthetic(
-                oracle_cfg["name"], oracle_cfg.get("params") or {}, cache_enabled=cache
-            )
+            return make_synthetic(oracle_cfg["name"], oracle_cfg.get("params") or {})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"oracle: {exc}") from exc
     if kind == "subprocess":
-        return SubprocessOracle(
-            oracle_cfg["command"], timeout_s=timeout_s, cache_enabled=cache
-        )
-    return HttpOracle(oracle_cfg["url"], timeout_s=timeout_s, cache_enabled=cache)
+        return SubprocessOracle(oracle_cfg["command"], timeout_s=timeout_s)
+    return HttpOracle(oracle_cfg["url"], timeout_s=timeout_s)
 
 
 def _build_backend(entry: dict, config: RunConfig, ledger: TokenLedger) -> Backend:

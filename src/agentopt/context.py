@@ -82,20 +82,15 @@ def coverage_sample(
     return GlobalContext(entries=[(rank, ranked[rank - 1]) for rank in ranks])
 
 
-def render_context(ctx: GlobalContext, direction: Direction) -> str:
+def render_context(ctx: GlobalContext) -> str:
     """Render the context as one ``score: candidate`` line per entry.
 
-    Lines run best-first: highest score first when maximizing, lowest first
-    when minimizing.
+    Lines keep the context's best-first order: highest score first when
+    maximizing, lowest first when minimizing.
     """
     if not ctx.entries:
         raise EmptyHistory("cannot render an empty context")
-    reverse = direction == Direction.MAXIMIZE
-    ordered = sorted(
-        ctx.entries,
-        key=lambda e: (-e[1].score if reverse else e[1].score, e[1].eval_index),
-    )
     return "\n".join(
         f"{format_score(record.score)}: {record.candidate.canonical}"
-        for _, record in ordered
+        for _, record in ctx.entries
     )

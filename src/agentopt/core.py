@@ -7,6 +7,7 @@ numbers agents see in prompts are always raw objective values.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -107,17 +108,26 @@ class ScoredRecord:
     origin: str  # "init" | "explorer" | "worker:<TASK>" | "resampled-init"
 
 
+# The one ranking of the history: best score first, ties to the earliest eval.
+_RANK_KEYS = {
+    Direction.MAXIMIZE: lambda r: (-r.score, r.eval_index),
+    Direction.MINIMIZE: lambda r: (r.score, r.eval_index),
+}
+
+
 class History:
     """Append-only evaluated dataset with a canonical-form uniqueness index.
 
     Single-writer: all mutation flows through :meth:`append`, which hands out
-    contiguous eval indices. Readers may hold references to ``records``
-    freely; the list is never reordered.
+    contiguous eval indices and keeps one best-first ranking per direction.
+    Readers may hold references to ``records`` freely; the list is never
+    reordered.
     """
 
     def __init__(self) -> None:
         self.records: list[ScoredRecord] = []
         self.canonical_index: dict[str, int] = {}
+        self._ranked: dict[Direction, list[ScoredRecord]] = {d: [] for d in Direction}
 
     @property
     def evals_used(self) -> int:
@@ -156,42 +166,37 @@ class History:
         )
         self.records.append(record)
         self.canonical_index[candidate.canonical] = record.eval_index
+        for direction, ranked in self._ranked.items():
+            bisect.insort(ranked, record, key=_RANK_KEYS[direction])
         return record
 
     def best_record(self, direction: Direction) -> ScoredRecord:
         """Best record under ``direction``; ties go to the earliest eval."""
         if not self.records:
             raise EmptyHistory("history has no records")
-        best = self.records[0]
-        for record in self.records[1:]:
-            if is_improvement(record.score, best.score, direction):
-                best = record
-        return best
+        return self._ranked[direction][0]
 
     def ranked(self, direction: Direction) -> list[ScoredRecord]:
-        """Records sorted best-to-worst, ties broken by earliest eval index."""
-        reverse = direction == Direction.MAXIMIZE
-        return sorted(
-            self.records,
-            key=lambda r: (-r.score if reverse else r.score, r.eval_index),
-        )
+        """Records best-to-worst, ties broken by earliest eval index.
+
+        The list is the history's own index, kept up to date by
+        :meth:`append`; callers must not modify it.
+        """
+        return self._ranked[direction]
 
 
 @dataclass(frozen=True)
 class PortfolioSpec:
-    """Parameters of diverse-portfolio tracking: size, spacing, aggregation."""
+    """Parameters of diverse-portfolio tracking: size and minimum spacing."""
 
     size: int = 20
     beta: float = 0.75
-    agg: str = "mean"
 
     def __post_init__(self) -> None:
         if self.size < 2:
             raise ValueError("portfolio size must be at least 2")
         if not 0 < self.beta <= 1:
             raise ValueError("portfolio beta must lie in (0, 1]")
-        if self.agg != "mean":
-            raise ValueError(f"unsupported aggregation: {self.agg!r}")
 
 
 @dataclass

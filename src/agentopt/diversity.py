@@ -9,8 +9,16 @@ always feasible, which is what the loop needs at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-from .core import Candidate, Direction, History, PortfolioSpec, ScoredRecord
+from .core import (
+    Candidate,
+    Direction,
+    History,
+    PortfolioSpec,
+    ScoredRecord,
+    is_improvement,
+)
 from .distance import DistanceFn
 from .errors import EmptyHistory
 
@@ -20,24 +28,18 @@ def _greedy_select(
     max_size: int,
     threshold: float,
     dist: DistanceFn,
-) -> tuple[list[ScoredRecord], int]:
-    """Greedy diverse prefix of a best-first ranking.
-
-    Returns the kept records and the 0-based index of the last rank examined
-    before the selection filled up (or ``len(ranked) - 1`` if it never did).
-    """
+) -> list[ScoredRecord]:
+    """Greedy diverse prefix of a best-first ranking."""
     kept: list[ScoredRecord] = []
-    last_examined = len(ranked) - 1
-    for idx, record in enumerate(ranked):
+    for record in ranked:
         if all(
             dist(record.candidate.canonical, k.candidate.canonical) >= threshold
             for k in kept
         ):
             kept.append(record)
             if len(kept) == max_size:
-                last_examined = idx
                 break
-    return kept, last_examined
+    return kept
 
 
 def select_diverse_seeds(
@@ -56,24 +58,17 @@ def select_diverse_seeds(
         raise EmptyHistory("cannot select seeds from an empty history")
     if m < 1:
         raise ValueError("seed count must be >= 1")
-    ranked = history.ranked(direction)
-    kept, _ = _greedy_select(ranked, m, threshold, dist)
+    kept = _greedy_select(history.ranked(direction), m, threshold, dist)
     return [record.candidate for record in kept]
 
 
 @dataclass(frozen=True)
 class Portfolio:
-    """A diverse set of strong records plus its aggregate score."""
+    """A diverse set of strong records plus its mean score."""
 
     members: list[ScoredRecord]
     agg_value: float
     complete: bool  # True when the full requested size was reachable
-
-
-def _aggregate(spec: PortfolioSpec, scores: list[float]) -> float:
-    # Only "mean" is defined today; the field exists so other
-    # aggregations can slot in without touching callers.
-    return sum(scores) / len(scores)
 
 
 def best_portfolio_greedy(
@@ -85,13 +80,29 @@ def best_portfolio_greedy(
     """Best-first greedy portfolio under the pairwise distance constraint."""
     if len(history) == 0:
         raise EmptyHistory("cannot build a portfolio from an empty history")
-    ranked = history.ranked(direction)
-    members, _ = _greedy_select(ranked, spec.size, spec.beta, dist)
+    members = _greedy_select(history.ranked(direction), spec.size, spec.beta, dist)
     return Portfolio(
         members=members,
-        agg_value=_aggregate(spec, [r.score for r in members]),
+        agg_value=sum(r.score for r in members) / len(members),
         complete=len(members) == spec.size,
     )
+
+
+def portfolio_holds(
+    portfolio: Portfolio,
+    new_records: Iterable[ScoredRecord],
+    direction: Direction,
+) -> bool:
+    """True when appending ``new_records`` cannot change ``portfolio``.
+
+    That is the case once the portfolio is full and no new record strictly
+    beats its last member: such records rank below the point where greedy
+    filled up (a later eval loses every tie), so the selection stands.
+    """
+    if not portfolio.complete:
+        return False
+    last = portfolio.members[-1]
+    return not any(is_improvement(r.score, last.score, direction) for r in new_records)
 
 
 @dataclass(frozen=True)
@@ -110,47 +121,20 @@ def portfolio_progress(
     """Portfolio aggregate over every prefix of the history.
 
     Equivalent to rebuilding the greedy portfolio from scratch after each
-    evaluation. Recomputation is skipped when a new record ranks below the
-    point where the previous greedy pass already filled the portfolio, since
-    it cannot alter the selection.
+    evaluation; the rebuild is skipped whenever :func:`portfolio_holds`.
     """
     points: list[PortfolioPoint] = []
-    if len(history) == 0:
-        return points
-    ranked_prefix: list[ScoredRecord] = []
-    last_portfolio: list[ScoredRecord] = []
-    last_cutoff = -1
-    reverse = direction == Direction.MAXIMIZE
-
+    replay = History()
+    portfolio = None
     for record in history.records:
-        key = (-record.score if reverse else record.score, record.eval_index)
-        lo, hi = 0, len(ranked_prefix)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            other = ranked_prefix[mid]
-            other_key = (
-                -other.score if reverse else other.score,
-                other.eval_index,
-            )
-            if other_key <= key:
-                lo = mid + 1
-            else:
-                hi = mid
-        ranked_prefix.insert(lo, record)
-
-        # A record inserted below the rank where greedy last filled the
-        # portfolio can never change the selection, so skip the rebuild.
-        full = len(last_portfolio) == spec.size
-        if not full or lo <= last_cutoff:
-            last_portfolio, last_cutoff = _greedy_select(
-                ranked_prefix, spec.size, spec.beta, dist
-            )
-
+        added = replay.append(record.candidate, record.score, record.origin)
+        if portfolio is None or not portfolio_holds(portfolio, [added], direction):
+            portfolio = best_portfolio_greedy(replay, spec, dist, direction)
         points.append(
             PortfolioPoint(
-                eval_index=record.eval_index,
-                agg_value=_aggregate(spec, [r.score for r in last_portfolio]),
-                complete=len(last_portfolio) == spec.size,
+                eval_index=added.eval_index,
+                agg_value=portfolio.agg_value,
+                complete=portfolio.complete,
             )
         )
     return points

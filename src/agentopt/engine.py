@@ -26,7 +26,12 @@ from .core import (
     format_score,
     is_improvement,
 )
-from .diversity import Portfolio, best_portfolio_greedy, select_diverse_seeds
+from .diversity import (
+    Portfolio,
+    best_portfolio_greedy,
+    portfolio_holds,
+    select_diverse_seeds,
+)
 from .distance import MemoDistance
 from .domains import DomainSpec
 from .errors import (
@@ -56,22 +61,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class LoopParams:
-    """Knobs of the orchestration loop itself.
-
-    The ``*_request`` strings mirror the batch sizes the prompt templates
-    ask the agents for; they are configuration surface (and appear in run
-    summaries) rather than enforced limits, since agents decide the exact
-    counts at generation time.
-    """
+    """Knobs of the orchestration loop itself."""
 
     max_fails: int = 3
     seeds_m: int = 2
     seed_threshold: Optional[float] = None  # None -> domain default
     registry_capacity: int = 20
     context: ContextSpec = field(default_factory=ContextSpec)
-    explorer_batch_request: str = "10-20"
-    worker_batch_request: str = "5-10"
-    planner_task_request: str = "8-10"
 
     def __post_init__(self) -> None:
         if self.max_fails < 1:
@@ -166,6 +162,8 @@ class Engine:
         )
         self._registry_mutations = 0
         self._portfolio_dist = MemoDistance(domain.distance)
+        self._portfolio: Optional[Portfolio] = None
+        self._portfolio_evals = 0  # history length folded into _portfolio
         self._phase = "init"
 
     # -- helpers -----------------------------------------------------------
@@ -252,18 +250,33 @@ class Engine:
             self.direction,
             self.rng.stream("context_offset"),
         )
-        return render_context(ctx, self.direction)
+        return render_context(ctx)
 
     # -- statistics driving explorer persistence ----------------------------
 
-    def _explorer_statistic(self):
-        if self.objective.portfolio is not None:
-            portfolio = best_portfolio_greedy(
+    def _current_portfolio(self) -> Portfolio:
+        """The greedy portfolio of the whole history, rebuilt only when needed.
+
+        Records appended since the last call (by any path, including a
+        resumed history) are folded in; a rebuild happens only when they
+        could change the selection.
+        """
+        new_records = self.history.records[self._portfolio_evals :]
+        if self._portfolio is None or not portfolio_holds(
+            self._portfolio, new_records, self.direction
+        ):
+            self._portfolio = best_portfolio_greedy(
                 self.history,
                 self.objective.portfolio,
                 self._portfolio_dist,
                 self.direction,
             )
+        self._portfolio_evals = len(self.history)
+        return self._portfolio
+
+    def _explorer_statistic(self):
+        if self.objective.portfolio is not None:
+            portfolio = self._current_portfolio()
             return (len(portfolio.members), portfolio.agg_value)
         return self.history.best_record(self.direction).score
 
@@ -573,12 +586,7 @@ class Engine:
 
         portfolio = None
         if self.objective.portfolio is not None and len(self.history):
-            portfolio = best_portfolio_greedy(
-                self.history,
-                self.objective.portfolio,
-                self._portfolio_dist,
-                self.direction,
-            )
+            portfolio = self._current_portfolio()
         return RunResult(
             history=self.history,
             registry=self.registry,

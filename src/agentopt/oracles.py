@@ -21,18 +21,17 @@ from .errors import EmptyCandidate, InsufficientInit, OracleFailure, OracleTimeo
 
 
 class Oracle:
-    """Base oracle: scores candidates, counts calls, optionally memoizes.
+    """Base oracle: scores candidates and counts calls.
 
-    Call counting and cache updates are serialized so concurrent evaluation
-    (when a caller wants it) cannot corrupt the bookkeeping.
+    Call counting is serialized so concurrent evaluation (when a caller
+    wants it) cannot corrupt the bookkeeping.
     """
 
     name = "oracle"
 
-    def __init__(self, cache_enabled: bool = False):
+    def __init__(self) -> None:
         self.calls = 0
         self._lock = threading.Lock()
-        self._cache: Optional[dict[str, float]] = {} if cache_enabled else None
 
     def _score(self, canonical: str) -> float:
         raise NotImplementedError
@@ -43,31 +42,19 @@ class Oracle:
     def evaluate_many(self, candidates: Sequence[Candidate]) -> list[float]:
         """Score a batch; every returned value is checked for finiteness."""
         texts = [c.canonical for c in candidates]
-        scores: list[Optional[float]] = [None] * len(texts)
-        missing: list[int] = []
+        if not texts:
+            return []
+        scores: list[float] = []
+        for text, value in zip(texts, self._score_many(texts), strict=True):
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise OracleFailure(
+                    f"oracle {self.name} returned non-finite score {value!r} "
+                    f"for {text!r}"
+                )
+            scores.append(float(value))
         with self._lock:
-            for i, text in enumerate(texts):
-                if self._cache is not None and text in self._cache:
-                    scores[i] = self._cache[text]
-                else:
-                    missing.append(i)
-        if missing:
-            fresh = self._score_many([texts[i] for i in missing])
-            checked = []
-            for i, value in zip(missing, fresh):
-                if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise OracleFailure(
-                        f"oracle {self.name} returned non-finite score {value!r} "
-                        f"for {texts[i]!r}"
-                    )
-                checked.append((i, float(value)))
-            with self._lock:
-                self.calls += len(missing)
-                for i, value in checked:
-                    scores[i] = value
-                    if self._cache is not None:
-                        self._cache[texts[i]] = value
-        return [float(s) for s in scores]  # every slot is filled above
+            self.calls += len(texts)
+        return scores
 
     def _score_many(self, texts: list[str]) -> list[float]:
         return [self._score(t) for t in texts]
@@ -80,8 +67,8 @@ class MotifMatchOracle(Oracle):
     loop a smooth, deterministic gradient to climb in tests and demos.
     """
 
-    def __init__(self, target: str, cache_enabled: bool = False):
-        super().__init__(cache_enabled)
+    def __init__(self, target: str):
+        super().__init__()
         if not target:
             raise ValueError("motif target must be non-empty")
         self.target = target
@@ -120,9 +107,8 @@ class HiddenWeightsOracle(Oracle):
         normalize: bool = True,
         noise_sd: float = 0.0,
         seed: int = 0,
-        cache_enabled: bool = False,
     ):
-        super().__init__(cache_enabled)
+        super().__init__()
         self.weights = dict(weights)
         self.normalize = normalize
         self.noise_sd = noise_sd
@@ -152,9 +138,8 @@ class PlateauOracle(Oracle):
         floor: float = 0.0,
         mass: float = 0.01,
         seed: int = 0,
-        cache_enabled: bool = False,
     ):
-        super().__init__(cache_enabled)
+        super().__init__()
         if not 0 < mass < 1:
             raise ValueError("mass must lie strictly between 0 and 1")
         self.floor = floor
@@ -185,7 +170,7 @@ SYNTHETIC_ORACLES: dict[str, Callable[..., Oracle]] = {
 }
 
 
-def make_synthetic(name: str, params: dict, cache_enabled: bool = False) -> Oracle:
+def make_synthetic(name: str, params: dict) -> Oracle:
     try:
         factory = SYNTHETIC_ORACLES[name]
     except KeyError:
@@ -193,7 +178,7 @@ def make_synthetic(name: str, params: dict, cache_enabled: bool = False) -> Orac
             f"unknown synthetic oracle {name!r}; choose from "
             f"{sorted(SYNTHETIC_ORACLES)}"
         ) from None
-    return factory(cache_enabled=cache_enabled, **params)
+    return factory(**params)
 
 
 class SubprocessOracle(Oracle):
@@ -207,9 +192,8 @@ class SubprocessOracle(Oracle):
         self,
         command: Sequence[str],
         timeout_s: float = 60.0,
-        cache_enabled: bool = False,
     ):
-        super().__init__(cache_enabled)
+        super().__init__()
         if not command:
             raise ValueError("subprocess oracle needs a command")
         self.command = list(command)
@@ -252,8 +236,8 @@ def _parse_score(line: str) -> float:
 class HttpOracle(Oracle):
     """POSTs ``{"candidate": text}`` and expects ``{"score": number}`` back."""
 
-    def __init__(self, url: str, timeout_s: float = 60.0, cache_enabled: bool = False):
-        super().__init__(cache_enabled)
+    def __init__(self, url: str, timeout_s: float = 60.0):
+        super().__init__()
         self.url = url
         self.timeout_s = timeout_s
         self.name = f"http:{url}"

@@ -9,6 +9,7 @@ import yaml
 
 from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
+from agentopt.core import PortfolioSpec
 from agentopt.errors import InsufficientInit
 from agentopt.events import read_jsonl
 from agentopt.rng import RngHub
@@ -282,6 +283,28 @@ def test_resume_from_round_boundary_reproduces_history(tmp_path):
     assert summary["evals_used"] == 26
 
 
+def test_resume_config_with_removed_keys(tmp_path):
+    # config.json files written before these keys were dropped still resume
+    config = scripted_run_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    out_dir = tmp_path / "out"
+    full_history = (out_dir / "history.jsonl").read_bytes()
+    resolved = json.loads((out_dir / "config.json").read_text())
+    resolved["oracle"]["cache"] = True
+    resolved["loop"].update(
+        explorer_batch_request="10-20",
+        worker_batch_request="5-10",
+        planner_task_request="8-10",
+    )
+    (out_dir / "config.json").write_text(json.dumps(resolved), encoding="utf-8")
+    round2 = out_dir / "checkpoints" / "round_00002.json"
+    (out_dir / "checkpoint.json").write_text(round2.read_text(), encoding="utf-8")
+    assert main(["resume", str(out_dir)]) == 0
+    assert (out_dir / "history.jsonl").read_bytes() == full_history
+    old_portfolio = {"objective": {"portfolio": {"size": 3, "agg": "mean"}}}
+    assert validate_config(old_portfolio).objective.portfolio == PortfolioSpec(size=3)
+
+
 # -- exports -----------------------------------------------------------------------
 
 
@@ -381,6 +404,38 @@ def test_export_portfolio_shape(tmp_path):
     ) == 0
     payload = json.loads(out.read_text())
     assert payload and set(payload[0]) == {"sequence", "score", "eval_index"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("export-curve", ["--portfolio-size", "1"]),
+        ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "2"]),
+        ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "0"]),
+    ],
+)
+def test_export_bad_portfolio_flags_are_config_errors(tmp_path, capsys, command, flags):
+    history = tmp_path / "history.jsonl"
+    write_history(history, [1.0, 2.0])
+    out = tmp_path / "out.file"
+    assert main([command, str(history), "--out", str(out), *flags]) == 1
+    assert "error[ConfigError]: objective.portfolio:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_portfolio_reads_spec_from_sibling_config(tmp_path):
+    config = mutator_run_config(tmp_path)
+    assert main(
+        ["run", "--config", str(config), "--objective.portfolio={size: 3, beta: 0.3}"]
+    ) == 0
+    out_dir = tmp_path / "out"
+    out = tmp_path / "portfolio.json"
+    assert main(["export-portfolio", str(out_dir / "history.jsonl"), "--out", str(out)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    payload = json.loads(out.read_text())
+    assert len(payload) == summary["portfolio"]["size"] == 3
+    mean = sum(member["score"] for member in payload) / len(payload)
+    assert mean == pytest.approx(summary["portfolio"]["agg_value"])
 
 
 # -- token report -------------------------------------------------------------------

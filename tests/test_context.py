@@ -134,24 +134,24 @@ def test_render_single_entry_line_format():
     history = make_history([])
     record = history.append(cand("CC(C)=CCO"), 0.4833, "init")
     ctx = GlobalContext(entries=[(1, record)])
-    assert render_context(ctx, Direction.MAXIMIZE) == "0.4833: CC(C)=CCO"
+    assert render_context(ctx) == "0.4833: CC(C)=CCO"
 
 
 def test_render_minimize_puts_lowest_first():
     history = make_history([])
-    r1 = history.append(cand("SEQONE"), 90.12, "init")
-    r2 = history.append(cand("SEQTWO"), 85.12, "init")
-    ctx = GlobalContext(entries=[(1, r1), (2, r2)])
-    text = render_context(ctx, Direction.MINIMIZE)
+    history.append(cand("SEQONE"), 90.12, "init")
+    history.append(cand("SEQTWO"), 85.12, "init")
+    ctx = coverage_sample(history, ContextSpec(), Direction.MINIMIZE, random.Random(0))
+    text = render_context(ctx)
     assert text.splitlines() == ["85.12: SEQTWO", "90.12: SEQONE"]
 
 
 def test_render_maximize_sorts_high_to_low():
     history = make_history([])
-    r1 = history.append(cand("LOW"), 0.1, "init")
-    r2 = history.append(cand("HIGH"), 0.9, "init")
-    ctx = GlobalContext(entries=[(2, r1), (1, r2)])
-    assert render_context(ctx, Direction.MAXIMIZE).splitlines() == [
+    history.append(cand("LOW"), 0.1, "init")
+    history.append(cand("HIGH"), 0.9, "init")
+    ctx = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
+    assert render_context(ctx).splitlines() == [
         "0.9000: HIGH",
         "0.1000: LOW",
     ]
@@ -159,4 +159,4 @@ def test_render_maximize_sorts_high_to_low():
 
 def test_render_empty_context_raises():
     with pytest.raises(EmptyHistory):
-        render_context(GlobalContext(entries=[]), Direction.MAXIMIZE)
+        render_context(GlobalContext(entries=[]))

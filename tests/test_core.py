@@ -136,6 +136,20 @@ def test_best_record_matches_exhaustive_scan_oracle():
         assert history.best_record(direction).eval_index == expected
 
 
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60))
+def test_ranked_index_matches_sorted_under_ties(scores):
+    # few distinct scores, so most appends land among equal-score records
+    history = History()
+    for i, score in enumerate(scores):
+        history.append(cand(f"T{i}"), float(score), "init")
+        for direction, sign in ((Direction.MAXIMIZE, -1.0), (Direction.MINIMIZE, 1.0)):
+            expected = sorted(
+                history.records, key=lambda r: (sign * r.score, r.eval_index)
+            )
+            assert history.ranked(direction) == expected
+            assert history.best_record(direction) is history.ranked(direction)[0]
+
+
 def test_best_never_worsens_as_records_append():
     rng = random.Random(3)
     history = History()
@@ -202,4 +216,4 @@ def test_portfolio_spec_validates_fields():
     with pytest.raises(ValueError):
         PortfolioSpec(size=5, beta=1.5)
     spec = PortfolioSpec()
-    assert (spec.size, spec.beta, spec.agg) == (20, 0.75, "mean")
+    assert (spec.size, spec.beta) == (20, 0.75)

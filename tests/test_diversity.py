@@ -9,6 +9,7 @@ from agentopt.core import Direction, History, PortfolioSpec
 from agentopt.distance import normalized_edit_distance
 from agentopt.diversity import (
     best_portfolio_greedy,
+    portfolio_holds,
     portfolio_progress,
     select_diverse_seeds,
 )
@@ -235,3 +236,25 @@ def test_portfolio_empty_history_raises():
         best_portfolio_greedy(
             History(), PortfolioSpec(size=3, beta=0.5), DIST, Direction.MAXIMIZE
         )
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_portfolio_holds_only_when_rebuild_is_unchanged(direction):
+    # integer scores give many ties; batches of several records mimic the engine
+    rng = random.Random(47)
+    spec = PortfolioSpec(size=3, beta=0.5)
+    history = History()
+    portfolio = None
+    held = 0
+    while len(history) < 150:
+        batch = []
+        for _ in range(rng.randint(1, 4)):
+            text = "".join(rng.choice("ABCD") for _ in range(rng.randint(3, 6)))
+            if not history.contains(text):
+                batch.append(history.append(cand(text), float(rng.randint(0, 3)), "init"))
+        rebuilt = best_portfolio_greedy(history, spec, DIST, direction)
+        if portfolio is not None and portfolio_holds(portfolio, batch, direction):
+            assert rebuilt == portfolio
+            held += 1
+        portfolio = rebuilt
+    assert held > 0

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
+import yaml
+
+import agentopt.engine as engine_module
+from agentopt import cli
 
 from agentopt.backends import RoleRouter, ScriptedBackend, TokenLedger
 from agentopt.context import ContextSpec
 from agentopt.core import Direction, DomainKind, ObjectiveSpec, PortfolioSpec, canonicalize
+from agentopt.diversity import best_portfolio_greedy, portfolio_holds
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
 from agentopt.errors import BackendUnavailable, BudgetExhaustedDuringInit
@@ -490,6 +497,77 @@ def test_portfolio_statistic_drives_explorer_persistence(tmp_path):
     engine.history.append(canonicalize("AAAAAAAA", engine.domain.kind), 4.0, "explorer")
     assert engine._statistic_improved(before) is True
     engine.close()
+
+
+def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, monkeypatch):
+    outcomes: list[tuple] = []
+    write_summary = cli._write_summary
+
+    def capture(run_dir, config, result, ledger, wall_time_s):
+        outcomes.append((config, result))
+        return write_summary(run_dir, config, result, ledger, wall_time_s)
+
+    held: list[bool] = []
+
+    def holds(*args):
+        held.append(portfolio_holds(*args))
+        return held[-1]
+
+    monkeypatch.setattr(cli, "_write_summary", capture)
+    monkeypatch.setattr(engine_module, "portfolio_holds", holds)
+    config = {
+        "run": {"seed": 3, "output_dir": str(tmp_path / "out")},
+        "domain": {"kind": "peptide"},
+        "objective": {
+            "direction": "maximize",
+            "budget": 400,
+            "portfolio": {"size": 4, "beta": 0.3},
+        },
+        "backends": {"default": {"kind": "mutator", "seed": 5}},
+        "oracle": {
+            "kind": "synthetic",
+            "name": "motif-match",
+            "params": {"target": "KLWKKLRWRLLK"},
+        },
+        "init": {
+            "source": {
+                "kind": "templates_plus_mutations",
+                "templates": ["KTLKIIRLLF", "RQKNHGIHFRVLAKALR"],
+            },
+            "count": 20,
+        },
+    }
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config_path)]) == 0
+    resumed = tmp_path / "resumed"
+    shutil.copytree(out_dir, resumed)
+    shutil.copy(resumed / "checkpoints" / "round_00001.json", resumed / "checkpoint.json")
+    assert cli.main(["resume", str(resumed)]) == 0
+
+    assert len(outcomes) == 2
+    assert any(held) and not all(held)  # both the reuse and the rebuild path ran
+    assert len(outcomes[1][1].history) == 400
+    for run_config, result in outcomes:
+        expected = best_portfolio_greedy(
+            result.history,
+            run_config.objective.portfolio,
+            run_config.domain.distance,
+            run_config.objective.direction,
+        )
+        assert result.portfolio == expected
+        assert result.portfolio.complete
+
+
+def test_traced_benchmark_names_exist_in_engine():
+    # bench/tracing.py replaces agentopt.engine.<name> for each of these
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.ENGINE_NAMES
+    assert [n for n in tracing.ENGINE_NAMES if not hasattr(engine_module, n)] == []
 
 
 # -- zero-signal guard -------------------------------------------------------------------
