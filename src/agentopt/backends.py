@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import BackendUnavailable, BadResponse, MalformedScript
 
@@ -210,19 +210,6 @@ def scripted_load(path: Path) -> ScriptedBackend:
     if not entries:
         raise MalformedScript(f"script {path} is empty")
     return ScriptedBackend(entries, name=f"scripted:{Path(path).name}")
-
-
-class CallableBackend(Backend):
-    """Adapt a plain ``request -> reply text`` function; handy in tests."""
-
-    def __init__(self, fn: Callable[[CompletionRequest], str], name: str = "callable"):
-        self._fn = fn
-        self.name = name
-
-    def complete(self, request: CompletionRequest) -> CompletionResult:
-        reply = self._fn(request)
-        input_tokens, output_tokens = _stub_tokens(request.system, request.user, reply)
-        return CompletionResult(reply, input_tokens, output_tokens, latency_ms=0)
 
 
 _SCORE_LINE = re.compile(r"^\s*[-+0-9][0-9.eE+-]*:\s+(\S+)\s*$")

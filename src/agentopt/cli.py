@@ -109,13 +109,12 @@ def _execute(engine: Engine, config: RunConfig, ledger: TokenLedger) -> int:
     try:
         result = engine.run()
     except KeyboardInterrupt:
-        engine.abort("interrupted (SIGINT)")
-        print("interrupted; checkpoint and logs flushed", file=sys.stderr)
+        print("interrupted; logs flushed, last round checkpoint kept", file=sys.stderr)
         return EXIT_INTERRUPT
     except AgentOptError as exc:
-        engine.close()
         return _fail(EXIT_RUNTIME, exc)
-    engine.close()
+    finally:
+        engine.close()
     summary = _write_summary(
         engine.run_dir, config, result, ledger, time.monotonic() - started
     )
@@ -226,7 +225,6 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
         history=history,
         registry=registry,
         start_round=checkpoint.round_idx,
-        resumed=True,
     )
     return _execute(engine, config, ledger)
 

@@ -35,13 +35,11 @@ from .diversity import (
 from .distance import MemoDistance
 from .domains import DomainSpec
 from .errors import (
-    BackendUnavailable,
     BudgetExhaustedDuringInit,
     EmptyHistory,
     InsufficientInit,
     NoCandidatesFound,
     NoPlanFound,
-    OracleFailure,
 )
 from .events import Checkpoint, EventLog, HistoryLog, record_to_json, write_checkpoint
 from .filtering import FilterReport, HardConstraint, filter_batch
@@ -135,7 +133,6 @@ class Engine:
         history: Optional[History] = None,
         registry: Optional[TaskRegistry] = None,
         start_round: int = 0,
-        resumed: bool = False,
     ):
         self.domain = domain
         self.objective = objective
@@ -153,7 +150,6 @@ class Engine:
             domain.default_tasks, capacity=loop.registry_capacity
         )
         self.round = start_round
-        self.resumed = resumed
         self.direction = objective.direction
         self.seed_threshold = (
             loop.seed_threshold
@@ -512,14 +508,11 @@ class Engine:
     def _finish_round(self, stop_reason: Optional[str]) -> None:
         self._phase = "loop"
         if self.round >= 1:
-            best = None
-            if len(self.history):
-                best = self.history.best_record(self.direction).score
             self._emit(
                 "round_end",
                 {
                     "evals_used": self.history.evals_used,
-                    "best_score": best,
+                    "best_score": self.history.best_record(self.direction).score,
                     "stop_reason": stop_reason,
                 },
             )
@@ -542,23 +535,22 @@ class Engine:
         )
         write_checkpoint(self.run_dir, checkpoint)
 
-    def abort(self, reason: str) -> None:
-        """Best-effort error event + log flush for fatal exits."""
-        try:
-            self._emit("error", {"reason": reason})
-        except Exception:  # the log itself may be the casualty
-            pass
-        self.close()
-
     def close(self) -> None:
         self.events.close()
         self.history_log.close()
 
     def run(self) -> RunResult:
-        """Drive the loop to budget exhaustion (or stagnation) and report."""
+        """Drive the loop to budget exhaustion (or stagnation) and report.
+
+        Initialization runs exactly when the history is empty. Any other way
+        out (a backend, oracle or agent error, SIGINT) logs one ``error``
+        event at the round and phase where it happened and re-raises; the
+        last round-boundary checkpoint stays in place, so ``resume`` re-runs
+        the failed round from its start.
+        """
         stop_reason: Optional[str] = None
         try:
-            if not self.resumed:
+            if not len(self.history):
                 self._init_phase()
                 self._write_checkpoint(finished=False, stop_reason=None)
             while stop_reason is None:
@@ -578,14 +570,15 @@ class Engine:
         except _BudgetExhausted:
             stop_reason = "budget"
             self._finish_round(stop_reason)
-        except (BackendUnavailable, OracleFailure) as exc:
-            self._phase = "loop"
-            self._emit("error", {"reason": f"{type(exc).__name__}: {exc}"})
-            self._write_checkpoint(finished=False, stop_reason=None)
+        except BaseException as exc:
+            try:
+                self._emit("error", {"reason": f"{type(exc).__name__}: {exc}"})
+            except Exception:  # the log itself may be the casualty
+                pass
             raise
 
         portfolio = None
-        if self.objective.portfolio is not None and len(self.history):
+        if self.objective.portfolio is not None:
             portfolio = self._current_portfolio()
         return RunResult(
             history=self.history,

@@ -171,17 +171,6 @@ def _validate_many(validator: Validator, texts: list[str]) -> list[bool]:
     return [validator(t) for t in texts]
 
 
-def validate(raw: str, domain: "DomainSpec") -> Optional[Candidate]:
-    """Canonicalize and validity-check one raw string; None when invalid."""
-    try:
-        candidate = canonicalize(raw, domain.kind)
-    except EmptyCandidate:
-        return None
-    if not domain.validator(candidate.canonical):
-        return None
-    return candidate
-
-
 # ---------------------------------------------------------------------------
 # Similarity and hard constraints
 # ---------------------------------------------------------------------------

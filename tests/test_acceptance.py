@@ -557,29 +557,33 @@ def test_replay_determinism(tmp_path):
     # mid-run SIGINT, then resume
     sigint_cfg = _replay_config(tmp_path, "sigint")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    proc = subprocess.Popen(
+    sigint_history = tmp_path / "sigint" / "history.jsonl"
+    deadline = time.monotonic() + 30
+    with subprocess.Popen(
         [sys.executable, "-m", "agentopt", "run", "--config", str(sigint_cfg)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    sigint_history = tmp_path / "sigint" / "history.jsonl"
-    deadline = time.monotonic() + 30
-    try:
-        while time.monotonic() < deadline:
-            if sigint_history.exists():
-                lines = sigint_history.read_bytes().count(b"\n")
-                if lines >= 12:
-                    break
-            time.sleep(0.02)
-        else:
-            pytest.fail("run never reached the interruption point")
-        proc.send_signal(signal.SIGINT)
-        rc = proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
+    ) as proc:
+        try:
+            while time.monotonic() < deadline:
+                if sigint_history.exists():
+                    lines = sigint_history.read_bytes().count(b"\n")
+                    if lines >= 12:
+                        break
+                time.sleep(0.02)
+            else:
+                pytest.fail("run never reached the interruption point")
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    rc = proc.returncode
     assert rc == 130, f"interrupted run exited {rc}"
+    last = read_jsonl(tmp_path / "sigint" / "events.jsonl")[-1]
+    assert last["kind"] == "error"
+    assert last["payload"]["reason"].startswith("KeyboardInterrupt")
     assert main(["resume", str(tmp_path / "sigint")]) == 0
     assert sigint_history.read_bytes() == baseline_history
     ok(

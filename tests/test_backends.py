@@ -200,6 +200,7 @@ def flaky_server():
     FlakyHandler.seen = []
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_retries_through_429_then_succeeds(flaky_server):

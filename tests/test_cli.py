@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,85 @@ def test_resume_config_with_removed_keys(tmp_path):
     assert validate_config(old_portfolio).objective.portfolio == PortfolioSpec(size=3)
 
 
+# -- failures and resume -------------------------------------------------------------
+
+
+def test_oracle_failure_during_init_leaves_no_checkpoint(tmp_path, capsys):
+    config = yaml.safe_load(scripted_run_config(tmp_path).read_text())
+    config["oracle"] = {
+        "kind": "subprocess",
+        "command": [sys.executable, "-c", "import sys; sys.exit(3)"],
+    }
+    write_yaml(tmp_path / "config.yaml", config)
+    assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 2
+    assert "error[OracleFailure]" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    assert not (out_dir / "checkpoint.json").exists()
+    last = read_jsonl(out_dir / "events.jsonl")[-1]
+    assert (last["kind"], last["round"], last["phase"]) == ("error", 0, "init")
+    assert main(["resume", str(out_dir)]) == 2
+    assert "error[CorruptCheckpoint]" in capsys.readouterr().err
+
+
+def record_script(tmp_path: Path) -> tuple[dict, list[dict]]:
+    """Config and agent replies (as scripted-backend rows) of a mutator run."""
+    config = yaml.safe_load(mutator_run_config(tmp_path, budget=160).read_text())
+    config["loop"] = {"max_fails": 2, "seeds_m": 1}  # two rounds, each with all phases
+    assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
+    script = [
+        {"match": {"role": e["payload"]["role"]}, "reply": e["payload"]["reply"]}
+        for e in read_jsonl(tmp_path / "out" / "events.jsonl")
+        if e["kind"] == "agent_call"
+    ]
+    return config, script
+
+
+def write_rows(path: Path, rows: list[dict]) -> None:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def events_without_ts(path: Path) -> list[dict]:
+    return [{k: v for k, v in e.items() if k != "ts"} for e in read_jsonl(path)]
+
+
+def test_resume_after_failure_at_every_agent_call(tmp_path, capsys):
+    config, script = record_script(tmp_path)
+    script_file = tmp_path / "script.jsonl"
+    write_rows(script_file, script)
+    config["backends"] = {"default": {"kind": "scripted", "script": str(script_file)}}
+    reference = tmp_path / "reference"
+    config["run"]["output_dir"] = str(reference)
+    assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
+    calls = [e for e in read_jsonl(reference / "events.jsonl") if e["kind"] == "agent_call"]
+    assert len(calls) == len(script)
+    assert {(e["round"], e["phase"]) for e in calls} == {
+        (r, phase) for r in (1, 2) for phase in ("explorer", "planner", "worker")
+    }
+
+    for index, failing in enumerate(script):
+        # call `index` finds its role's queue empty; every earlier call succeeds
+        role = failing["match"]["role"]
+        write_rows(
+            script_file,
+            [row for i, row in enumerate(script) if i < index or row["match"]["role"] != role],
+        )
+        out = tmp_path / f"cut_{index:03d}"
+        config["run"]["output_dir"] = str(out)
+        assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 2
+        assert "error[BackendUnavailable]" in capsys.readouterr().err
+        write_rows(script_file, script)
+        for name in ("events.jsonl", "history.jsonl"):
+            with open(out / name, "a", encoding="utf-8") as fh:
+                fh.write('{"seq": 9')  # a write torn by the crash
+        assert main(["resume", str(out)]) == 0, f"resume after failing call {index}"
+        assert (out / "history.jsonl").read_bytes() == (
+            reference / "history.jsonl"
+        ).read_bytes(), f"history diverged after failing call {index}"
+        assert events_without_ts(out / "events.jsonl") == events_without_ts(
+            reference / "events.jsonl"
+        ), f"events diverged after failing call {index}"
+
+
 # -- exports -----------------------------------------------------------------------
 
 
@@ -331,7 +411,7 @@ def test_export_curve_running_max(tmp_path):
     assert main(
         ["export-curve", str(history), "--out", str(out), "--direction", "maximize"]
     ) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["eval_index", "best_so_far"]
     assert [r[1] for r in rows[1:]] == ["1.0", "3.0", "3.0"]
 
@@ -343,7 +423,7 @@ def test_export_curve_running_min(tmp_path):
     assert main(
         ["export-curve", str(history), "--out", str(out), "--direction", "minimize"]
     ) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert [r[1] for r in rows[1:]] == ["9.0", "7.0", "7.0"]
 
 
@@ -379,7 +459,7 @@ def test_export_curve_portfolio_columns(tmp_path):
             "0.75",
         ]
     ) == 0
-    table = list(csv.reader(out.open()))
+    table = list(csv.reader(out.read_text().splitlines()))
     assert table[0] == ["eval_index", "best_so_far", "portfolio_agg", "portfolio_complete"]
     assert table[1][2:] == ["5.0", "false"]  # one member only: incomplete
     assert table[2][2:] == ["4.5", "true"]

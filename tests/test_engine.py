@@ -12,19 +12,24 @@ import yaml
 import agentopt.engine as engine_module
 from agentopt import cli
 
-from agentopt.backends import RoleRouter, ScriptedBackend, TokenLedger
+from agentopt.backends import Backend, RoleRouter, ScriptedBackend, TokenLedger
 from agentopt.context import ContextSpec
 from agentopt.core import Direction, DomainKind, ObjectiveSpec, PortfolioSpec, canonicalize
 from agentopt.diversity import best_portfolio_greedy, portfolio_holds
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
-from agentopt.errors import BackendUnavailable, BudgetExhaustedDuringInit
-from agentopt.events import EventLog, HistoryLog, read_jsonl
+from agentopt.errors import (
+    BackendUnavailable,
+    BadResponse,
+    BudgetExhaustedDuringInit,
+    OracleFailure,
+)
+from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_jsonl
 from agentopt.filtering import NO_CONSTRAINT
 from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.rng import RngHub
 
-from .conftest import candidates_reply
+from .conftest import candidates_reply, diverse_init, multi_round_replies
 
 GARBAGE = "thinking out loud, no answer here"
 
@@ -670,13 +675,73 @@ def test_replay_of_recorded_run_reproduces_history_bytes(tmp_path):
 # -- failure handling --------------------------------------------------------------------
 
 
+class FailOnOracle(HiddenWeightsOracle):
+    """Count-of-A oracle that fails on any candidate containing ``trigger``."""
+
+    def __init__(self, trigger: str):
+        super().__init__({"A": 1.0}, normalize=False)
+        self.trigger = trigger
+
+    def _score(self, canonical: str) -> float:
+        if self.trigger in canonical:
+            raise OracleFailure(f"cannot score {canonical}")
+        return super()._score(canonical)
+
+
+class BadReplyBackend(Backend):
+    def complete(self, request):
+        raise BadResponse("reply has no choices")
+
+
+def assert_stopped_at_boundary(
+    run_dir: Path, error: str, round_idx: int, phase: str, boundary: int
+) -> None:
+    """One ``error`` event, last, where the run stopped; checkpoint at ``boundary``."""
+    events = read_jsonl(run_dir / "events.jsonl")
+    assert [e["kind"] for e in events].count("error") == 1
+    last = events[-1]
+    assert (last["kind"], last["round"], last["phase"]) == ("error", round_idx, phase)
+    assert last["payload"]["reason"].startswith(f"{error}: ")
+    checkpoint = load_checkpoint(run_dir / "checkpoint.json")
+    assert (checkpoint.round_idx, checkpoint.finished) == (boundary, False)
+    assert events[checkpoint.events_seq - 1]["kind"] == "checkpoint"
+    archived = sorted(p.name for p in (run_dir / "checkpoints").iterdir())
+    assert archived[-1] == f"round_{boundary:05d}.json"
+
+
 def test_backend_exhaustion_checkpoints_then_raises(tmp_path):
     replies = [("explorer", candidates_reply(["A"]))]  # improving; loop wants more
     engine, _ = build_engine(tmp_path, replies, count_a_oracle(), ["BBB"], budget=50)
     with pytest.raises(BackendUnavailable):
         engine.run()
     engine.close()
-    assert (tmp_path / "checkpoint.json").is_file()
-    events = read_jsonl(tmp_path / "events.jsonl")
-    assert events[-2]["kind"] == "error"
-    assert events[-1]["kind"] == "checkpoint"
+    assert_stopped_at_boundary(
+        tmp_path, "BackendUnavailable", round_idx=1, phase="explorer", boundary=0
+    )
+    assert load_checkpoint(tmp_path / "checkpoint.json").history_len == 1
+
+
+def test_oracle_failure_mid_round_keeps_previous_boundary(tmp_path):
+    # round 2's second explorer batch proposes Z2B0, which the oracle rejects
+    engine, _ = build_engine(
+        tmp_path, multi_round_replies(3), FailOnOracle("Z2"), diverse_init(10), budget=22
+    )
+    with pytest.raises(OracleFailure):
+        engine.run()
+    engine.close()
+    assert_stopped_at_boundary(
+        tmp_path, "OracleFailure", round_idx=2, phase="explorer", boundary=1
+    )
+    assert load_checkpoint(tmp_path / "checkpoint.json").history_len == 14
+
+
+def test_bad_response_logs_error_event(tmp_path):
+    engine, _ = build_engine(
+        tmp_path, [], count_a_oracle(), ["BBB"], budget=50, backend=BadReplyBackend()
+    )
+    with pytest.raises(BadResponse):
+        engine.run()
+    engine.close()
+    assert_stopped_at_boundary(
+        tmp_path, "BadResponse", round_idx=1, phase="explorer", boundary=0
+    )

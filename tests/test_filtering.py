@@ -22,7 +22,6 @@ from agentopt.filtering import (
     filter_batch,
     similarity,
     smiles_syntax_ok,
-    validate,
 )
 
 from .conftest import cand
@@ -90,14 +89,6 @@ def test_smiles_bracket_matching_agrees_with_stack_oracle():
         text = "".join(rng.choice("CCNO()1=") for _ in range(rng.randint(1, 20)))
         if smiles_syntax_ok(text):
             assert paren_balanced(text)
-
-
-def test_validate_returns_candidate_or_none(peptide_domain, smiles_domain):
-    good = validate("klwrk", peptide_domain)
-    assert good is not None and good.canonical == "KLWRK"
-    assert validate("KLXZ!", peptide_domain) is None
-    assert validate("   ", peptide_domain) is None
-    assert validate("CC(C", smiles_domain) is None
 
 
 def test_external_validator_line_protocol(generic_domain):
@@ -206,6 +197,20 @@ def test_filter_batch_constraint_rejection(peptide_domain):
     )
     assert [c.canonical for c in report.accepted] == ["KLWRKLLRW"]
     assert report.rejected[0].reason == REASON_CONSTRAINT
+
+
+def test_filter_batch_canonicalizes_or_rejects_invalid(peptide_domain, smiles_domain):
+    report = filter_batch(
+        ["klwrk", "KLXZ!", "   "], History(), NO_CONSTRAINT, peptide_domain
+    )
+    assert [c.canonical for c in report.accepted] == ["KLWRK"]
+    assert [(r.raw, r.reason) for r in report.rejected] == [
+        ("KLXZ!", REASON_INVALID),
+        ("   ", REASON_INVALID),
+    ]
+    report = filter_batch(["CC(C"], History(), NO_CONSTRAINT, smiles_domain)
+    assert report.accepted == []
+    assert [r.reason for r in report.rejected] == [REASON_INVALID]
 
 
 def test_filter_report_partitions_input(generic_domain):

@@ -189,6 +189,7 @@ def test_http_oracle_round_trip():
         assert oracle.evaluate(cand("AAAA")) == 4.0
     finally:
         server.shutdown()
+        server.server_close()
 
 
 # -- init sources ----------------------------------------------------------------------
