@@ -23,11 +23,12 @@ from .config import (
     validate_config,
 )
 from .core import Direction, History, PortfolioSpec, is_improvement
-from .distance import normalized_edit_distance
+from .distance import MemoDistance, normalized_edit_distance
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
 from .errors import AgentOptError, ConfigError, CorruptCheckpoint
 from .events import (
+    CHECKPOINT_DIR,
     CHECKPOINT_FILE,
     CONFIG_COPY_FILE,
     EVENTS_FILE,
@@ -133,6 +134,14 @@ def cmd_run(args: argparse.Namespace, extras: list[str]) -> int:
 
     run_dir = config.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier run's checkpoints and summary must not outlive it: resume
+    # would read them if this run fails before its first checkpoint
+    for stale in (
+        run_dir / CHECKPOINT_FILE,
+        run_dir / SUMMARY_FILE,
+        *(run_dir / CHECKPOINT_DIR).glob("round_*.json"),
+    ):
+        stale.unlink(missing_ok=True)
     (run_dir / CONFIG_COPY_FILE).write_text(
         json.dumps(config.raw, ensure_ascii=False, indent=1), encoding="utf-8"
     )
@@ -274,9 +283,8 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
             writer.writerow(
                 ["eval_index", "best_so_far", "portfolio_agg", "portfolio_complete"]
             )
-            points = portfolio_progress(
-                history, portfolio_spec, normalized_edit_distance, direction
-            )
+            dist = MemoDistance(normalized_edit_distance)
+            points = portfolio_progress(history, portfolio_spec, dist, direction)
             best = None
             for record, point in zip(history.records, points):
                 if best is None or is_improvement(record.score, best, direction):

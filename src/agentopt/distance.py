@@ -1,8 +1,11 @@
 """Edit-distance primitives used for dedup feedback, seeding, and portfolios.
 
-The normalized form divides the Levenshtein distance by the length of the
-shorter string, so it can exceed 1.0 for very different lengths; similarity
-clamps that into [0, 1].
+``levenshtein`` is Myers' bit-parallel edit distance (J. ACM 46(3), 1999)
+in Hyyrö's formulation ("Explaining and extending the bit-parallel
+approximate string matching algorithm of Myers", 2001), with Python ints as
+bit-vectors of any length. The normalized form divides it by the length of
+the shorter string, so it can exceed 1.0 for very different lengths;
+similarity clamps that into [0, 1].
 """
 
 from __future__ import annotations
@@ -15,23 +18,39 @@ DistanceFn = Callable[[str, str], float]
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance via the two-row dynamic program."""
+    """Edit distance by Myers' bit-vector algorithm (J. ACM 46(3), 1999).
+
+    Hyyrö's 2001 formulation for the global distance: ``pv``/``mv`` hold the
+    +1/-1 vertical deltas of one DP column, a bit per character of the
+    shorter string, updated once per character of the longer one; ``score``
+    follows the bottom cell.
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, score = mask, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalized_edit_distance(a: str, b: str) -> float:
@@ -52,8 +71,9 @@ def similarity(a: str, b: str) -> float:
 class MemoDistance:
     """Wrap a distance with an unordered-pair cache.
 
-    Portfolio tracking recomputes distances between the same strong
-    candidates over and over; the cache makes per-prefix recomputation cheap.
+    The engine holds one for the whole run and serves both seed selection
+    and portfolio selection from it: both walk the same strong candidates
+    round after round, so after the first round most pairs are cache hits.
     """
 
     def __init__(self, fn: DistanceFn):

@@ -157,7 +157,7 @@ class Engine:
             else domain.default_seed_threshold
         )
         self._registry_mutations = 0
-        self._portfolio_dist = MemoDistance(domain.distance)
+        self._dist = MemoDistance(domain.distance)
         self._portfolio: Optional[Portfolio] = None
         self._portfolio_evals = 0  # history length folded into _portfolio
         self._phase = "init"
@@ -264,7 +264,7 @@ class Engine:
             self._portfolio = best_portfolio_greedy(
                 self.history,
                 self.objective.portfolio,
-                self._portfolio_dist,
+                self._dist,
                 self.direction,
             )
         self._portfolio_evals = len(self.history)
@@ -414,7 +414,7 @@ class Engine:
             self.history,
             self.loop.seeds_m,
             self.seed_threshold,
-            self.domain.distance,
+            self._dist,
             self.direction,
         )
         trajectories: list[TrajectoryState] = []

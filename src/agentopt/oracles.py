@@ -80,18 +80,22 @@ class MotifMatchOracle(Oracle):
 
 
 def _lcs_length(a: str, b: str) -> int:
+    """Longest common subsequence length, bit-parallel over ``a``.
+
+    The row update of Allison and Dix (1986) in Hyyrö's form (2004): the
+    zero bits of ``v`` mark where the LCS row steps up by one.
+    """
     if not a or not b:
         return 0
-    previous = [0] * (len(b) + 1)
-    for ch_a in a:
-        current = [0]
-        for j, ch_b in enumerate(b, start=1):
-            if ch_a == ch_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    v = mask
+    for ch in b:
+        u = v & peq.get(ch, 0)
+        v = ((v + u) | (v - u)) & mask
+    return (~v & mask).bit_count()
 
 
 class HiddenWeightsOracle(Oracle):

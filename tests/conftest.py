@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from agentopt.core import Candidate, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
@@ -60,6 +61,17 @@ def write_script(path, replies: list[tuple[str, str]]) -> None:
         for role, reply in replies
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def long_text(alphabet: str, max_size: int = 150) -> st.SearchStrategy[str]:
+    """Text with its length drawn from 0..max_size.
+
+    ``st.text(max_size=150)`` alone almost never goes past 64 characters,
+    one machine word of a bit-parallel kernel.
+    """
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n)
+    )
 
 
 def diverse_init(n: int = 10, length: int = 6) -> list[str]:

@@ -309,12 +309,16 @@ def test_resume_config_with_removed_keys(tmp_path):
 # -- failures and resume -------------------------------------------------------------
 
 
+# fails on its first batch, which is the init batch
+FAILING_ORACLE = {
+    "kind": "subprocess",
+    "command": [sys.executable, "-c", "import sys; sys.exit(3)"],
+}
+
+
 def test_oracle_failure_during_init_leaves_no_checkpoint(tmp_path, capsys):
     config = yaml.safe_load(scripted_run_config(tmp_path).read_text())
-    config["oracle"] = {
-        "kind": "subprocess",
-        "command": [sys.executable, "-c", "import sys; sys.exit(3)"],
-    }
+    config["oracle"] = FAILING_ORACLE
     write_yaml(tmp_path / "config.yaml", config)
     assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 2
     assert "error[OracleFailure]" in capsys.readouterr().err
@@ -324,6 +328,26 @@ def test_oracle_failure_during_init_leaves_no_checkpoint(tmp_path, capsys):
     assert (last["kind"], last["round"], last["phase"]) == ("error", 0, "init")
     assert main(["resume", str(out_dir)]) == 2
     assert "error[CorruptCheckpoint]" in capsys.readouterr().err
+
+
+def test_new_run_does_not_inherit_old_checkpoint(tmp_path, capsys):
+    config = yaml.safe_load(mutator_run_config(tmp_path).read_text())
+    assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 0
+    out_dir = tmp_path / "out"
+    assert (out_dir / "summary.json").is_file()
+    assert list((out_dir / "checkpoints").glob("round_*.json"))
+    config["oracle"] = FAILING_ORACLE
+    write_yaml(tmp_path / "config.yaml", config)
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 2
+    assert "error[OracleFailure]" in capsys.readouterr().err
+    assert (out_dir / "history.jsonl").read_text() == ""
+    assert not (out_dir / "checkpoint.json").exists()
+    assert not list((out_dir / "checkpoints").glob("round_*.json"))
+    assert not (out_dir / "summary.json").exists()
+    assert main(["resume", str(out_dir)]) == 2
+    assert "error[CorruptCheckpoint]" in capsys.readouterr().err
+    assert not (out_dir / "summary.json").exists()
 
 
 def record_script(tmp_path: Path) -> tuple[dict, list[dict]]:

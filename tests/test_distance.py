@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentopt.distance import (
@@ -11,6 +11,8 @@ from agentopt.distance import (
     normalized_edit_distance,
     similarity,
 )
+
+from .conftest import long_text
 
 
 def reference_levenshtein(a: str, b: str) -> int:
@@ -46,6 +48,16 @@ def test_levenshtein_agrees_with_full_matrix_oracle():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 25)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 25)))
         assert levenshtein(a, b) == reference_levenshtein(a, b)
+
+
+# Lengths past one 64-bit machine word, and letters that occur in only one
+# of the two strings (A, B only in ``a``; F, G only in ``b``).
+@settings(max_examples=200, deadline=None)
+@given(long_text("ABCDE"), long_text("CDEFG"))
+def test_levenshtein_matches_full_matrix_past_one_word(a, b):
+    expected = reference_levenshtein(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
 
 
 @given(st.text(alphabet="ABCDE", max_size=20), st.text(alphabet="ABCDE", max_size=20))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import agentopt.distance as distance_module
 import agentopt.engine as engine_module
 from agentopt import cli
 
@@ -370,6 +371,40 @@ def test_kxm_trajectories_spawned(tmp_path):
         ("T2", 4),
         ("T2", 5),
     }
+
+
+def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, monkeypatch):
+    # counted where bench/tracing.py wraps the kernel: the module global
+    kernel_calls = []
+    kernel = distance_module.levenshtein
+
+    def counting_kernel(a, b):
+        kernel_calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(distance_module, "levenshtein", counting_kernel)
+    # one round in which no agent reply parses: the history stays the init
+    replies = [("explorer", GARBAGE), ("planner", GARBAGE)] + [("worker", GARBAGE)] * 9
+    engine, _ = build_engine(
+        tmp_path, replies, count_a_oracle(), diverse_init(6), budget=50,
+        max_fails=1, seeds_m=3,
+    )
+    result = engine.run()
+    engine.close()
+    assert result.stop_reason == "stagnation"
+    assert len(agent_calls(read_jsonl(tmp_path / "events.jsonl"), "worker")) == 9
+    assert kernel_calls  # the worker phase's seed selection
+
+    before = len(kernel_calls)
+    args = (engine.history, 3, engine.seed_threshold)
+    seeds = engine_module.select_diverse_seeds(*args, engine._dist, Direction.MAXIMIZE)
+    assert len(kernel_calls) == before
+    # the same selection through the bare distance does reach the kernel
+    bare = engine_module.select_diverse_seeds(
+        *args, engine.domain.distance, Direction.MAXIMIZE
+    )
+    assert bare == seeds
+    assert len(kernel_calls) > before
 
 
 def test_collapse_guard_vetoes_move_onto_live_trajectory(tmp_path):

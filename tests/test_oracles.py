@@ -7,6 +7,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
 
 from agentopt.core import DomainKind
 from agentopt.errors import InsufficientInit, OracleFailure, OracleTimeout
@@ -24,7 +25,7 @@ from agentopt.oracles import (
     template_mutants,
 )
 
-from .conftest import cand
+from .conftest import cand, long_text
 
 
 # -- motif match ---------------------------------------------------------------
@@ -59,6 +60,16 @@ def test_lcs_matches_full_table_oracle():
         a = "".join(rng.choice("ABCD") for _ in range(rng.randint(0, 15)))
         b = "".join(rng.choice("ABCD") for _ in range(rng.randint(0, 15)))
         assert _lcs_length(a, b) == reference_lcs(a, b)
+
+
+# Lengths past one 64-bit machine word, and letters that occur in only one
+# of the two strings (A, B only in ``a``; F, G only in ``b``).
+@settings(max_examples=200, deadline=None)
+@given(long_text("ABCDE"), long_text("CDEFG"))
+def test_lcs_matches_full_table_past_one_word(a, b):
+    expected = reference_lcs(a, b)
+    assert _lcs_length(a, b) == expected
+    assert _lcs_length(b, a) == expected
 
 
 # -- hidden weights ---------------------------------------------------------------
