@@ -109,7 +109,8 @@ class ScoredRecord:
 
 
 # The one ranking of the history: best score first, ties to the earliest eval.
-_RANK_KEYS = {
+# Keys are unique (eval indices are), so bisect finds a record's rank.
+RANK_KEYS = {
     Direction.MAXIMIZE: lambda r: (-r.score, r.eval_index),
     Direction.MINIMIZE: lambda r: (r.score, r.eval_index),
 }
@@ -167,7 +168,7 @@ class History:
         self.records.append(record)
         self.canonical_index[candidate.canonical] = record.eval_index
         for direction, ranked in self._ranked.items():
-            bisect.insort(ranked, record, key=_RANK_KEYS[direction])
+            bisect.insort(ranked, record, key=RANK_KEYS[direction])
         return record
 
     def best_record(self, direction: Direction) -> ScoredRecord:

@@ -4,23 +4,41 @@ Both use the same greedy rule: walk the history best-to-worst and keep a
 record only if it sits at least ``threshold`` away from everything already
 kept. Greedy is not optimal in general, but it is deterministic, cheap, and
 always feasible, which is what the loop needs at every step.
+
+Both also update an earlier selection instead of rebuilding it as the
+history grows. Greedy's verdict on a record depends only on the records kept
+above it in the ranking, so the new records are taken in rank order: one that
+ranks below the last member of a full selection, or that a member ranked
+above it rejects, leaves the selection unchanged. At the first one accepted,
+the members ranked above it stay and the walk resumes from its rank.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Optional
 
-from .core import (
-    Candidate,
-    Direction,
-    History,
-    PortfolioSpec,
-    ScoredRecord,
-    is_improvement,
-)
+from .core import RANK_KEYS, Direction, History, PortfolioSpec, ScoredRecord
 from .distance import DistanceFn
 from .errors import EmptyHistory
+
+
+@dataclass(frozen=True)
+class Selection:
+    """Greedy diverse selection over the first ``seen`` records of a history."""
+
+    members: list[ScoredRecord]
+    seen: int
+
+
+def _fits(
+    record: ScoredRecord, kept: list[ScoredRecord], threshold: float, dist: DistanceFn
+) -> bool:
+    return all(
+        dist(record.candidate.canonical, k.candidate.canonical) >= threshold
+        for k in kept
+    )
 
 
 def _greedy_select(
@@ -28,18 +46,43 @@ def _greedy_select(
     max_size: int,
     threshold: float,
     dist: DistanceFn,
+    kept: list[ScoredRecord],
 ) -> list[ScoredRecord]:
-    """Greedy diverse prefix of a best-first ranking."""
-    kept: list[ScoredRecord] = []
+    """Extend ``kept`` in place by a greedy walk over a best-first ranking."""
     for record in ranked:
-        if all(
-            dist(record.candidate.canonical, k.candidate.canonical) >= threshold
-            for k in kept
-        ):
+        if len(kept) == max_size:
+            break
+        if _fits(record, kept, threshold, dist):
             kept.append(record)
-            if len(kept) == max_size:
-                break
     return kept
+
+
+def _greedy_update(
+    history: History,
+    previous: Optional[Selection],
+    max_size: int,
+    threshold: float,
+    dist: DistanceFn,
+    direction: Direction,
+) -> list[ScoredRecord]:
+    """Greedy selection of the whole history, from ``previous`` when given.
+
+    ``previous`` must be this function's selection of an earlier prefix of
+    ``history`` under the same size, threshold and direction.
+    """
+    members, seen = (previous.members, previous.seen) if previous else ([], 0)
+    key = RANK_KEYS[direction]
+    for record in sorted(history.records[seen:], key=key):
+        above = members[: bisect.bisect_left(members, key(record), key=key)]
+        if len(above) == max_size:
+            break  # greedy filled up above this record and every later one
+        if _fits(record, above, threshold, dist):
+            ranked = history.ranked(direction)
+            start = bisect.bisect_left(ranked, key(record), key=key)
+            return _greedy_select(
+                ranked[start + 1 :], max_size, threshold, dist, above + [record]
+            )
+    return members
 
 
 def select_diverse_seeds(
@@ -48,25 +91,27 @@ def select_diverse_seeds(
     threshold: float,
     dist: DistanceFn,
     direction: Direction,
-) -> list[Candidate]:
+    previous: Optional[Selection] = None,
+) -> Selection:
     """Pick up to ``m`` mutually-distant starting points for local search.
 
     The global best is always included; fewer than ``m`` seeds are returned
     when the history cannot supply that many sufficiently distinct records.
+    ``previous``, the seeds of an earlier prefix of this history under the
+    same ``m`` and ``threshold``, is updated rather than rebuilt.
     """
     if len(history) == 0:
         raise EmptyHistory("cannot select seeds from an empty history")
     if m < 1:
         raise ValueError("seed count must be >= 1")
-    kept = _greedy_select(history.ranked(direction), m, threshold, dist)
-    return [record.candidate for record in kept]
+    members = _greedy_update(history, previous, m, threshold, dist, direction)
+    return Selection(members=members, seen=len(history))
 
 
 @dataclass(frozen=True)
-class Portfolio:
+class Portfolio(Selection):
     """A diverse set of strong records plus its mean score."""
 
-    members: list[ScoredRecord]
     agg_value: float
     complete: bool  # True when the full requested size was reachable
 
@@ -76,33 +121,22 @@ def best_portfolio_greedy(
     spec: PortfolioSpec,
     dist: DistanceFn,
     direction: Direction,
+    previous: Optional[Portfolio] = None,
 ) -> Portfolio:
-    """Best-first greedy portfolio under the pairwise distance constraint."""
+    """Best-first greedy portfolio under the pairwise distance constraint.
+
+    ``previous``, the portfolio of an earlier prefix of this history under
+    the same ``spec``, is updated rather than rebuilt.
+    """
     if len(history) == 0:
         raise EmptyHistory("cannot build a portfolio from an empty history")
-    members = _greedy_select(history.ranked(direction), spec.size, spec.beta, dist)
+    members = _greedy_update(history, previous, spec.size, spec.beta, dist, direction)
     return Portfolio(
         members=members,
+        seen=len(history),
         agg_value=sum(r.score for r in members) / len(members),
         complete=len(members) == spec.size,
     )
-
-
-def portfolio_holds(
-    portfolio: Portfolio,
-    new_records: Iterable[ScoredRecord],
-    direction: Direction,
-) -> bool:
-    """True when appending ``new_records`` cannot change ``portfolio``.
-
-    That is the case once the portfolio is full and no new record strictly
-    beats its last member: such records rank below the point where greedy
-    filled up (a later eval loses every tie), so the selection stands.
-    """
-    if not portfolio.complete:
-        return False
-    last = portfolio.members[-1]
-    return not any(is_improvement(r.score, last.score, direction) for r in new_records)
 
 
 @dataclass(frozen=True)
@@ -120,16 +154,15 @@ def portfolio_progress(
 ) -> list[PortfolioPoint]:
     """Portfolio aggregate over every prefix of the history.
 
-    Equivalent to rebuilding the greedy portfolio from scratch after each
-    evaluation; the rebuild is skipped whenever :func:`portfolio_holds`.
+    Equal to rebuilding the greedy portfolio from scratch after each
+    evaluation; each prefix's portfolio is updated from the one before.
     """
     points: list[PortfolioPoint] = []
     replay = History()
     portfolio = None
     for record in history.records:
         added = replay.append(record.candidate, record.score, record.origin)
-        if portfolio is None or not portfolio_holds(portfolio, [added], direction):
-            portfolio = best_portfolio_greedy(replay, spec, dist, direction)
+        portfolio = best_portfolio_greedy(replay, spec, dist, direction, portfolio)
         points.append(
             PortfolioPoint(
                 eval_index=added.eval_index,

@@ -28,15 +28,14 @@ from .core import (
 )
 from .diversity import (
     Portfolio,
+    Selection,
     best_portfolio_greedy,
-    portfolio_holds,
     select_diverse_seeds,
 )
 from .distance import MemoDistance
 from .domains import DomainSpec
 from .errors import (
     BudgetExhaustedDuringInit,
-    EmptyHistory,
     InsufficientInit,
     NoCandidatesFound,
     NoPlanFound,
@@ -158,8 +157,9 @@ class Engine:
         )
         self._registry_mutations = 0
         self._dist = MemoDistance(domain.distance)
+        # last selections, each updated with the records appended since
+        self._seeds: Optional[Selection] = None
         self._portfolio: Optional[Portfolio] = None
-        self._portfolio_evals = 0  # history length folded into _portfolio
         self._phase = "init"
 
     # -- helpers -----------------------------------------------------------
@@ -251,23 +251,18 @@ class Engine:
     # -- statistics driving explorer persistence ----------------------------
 
     def _current_portfolio(self) -> Portfolio:
-        """The greedy portfolio of the whole history, rebuilt only when needed.
+        """The greedy portfolio of the whole history.
 
         Records appended since the last call (by any path, including a
-        resumed history) are folded in; a rebuild happens only when they
-        could change the selection.
+        resumed history) are folded into the last portfolio.
         """
-        new_records = self.history.records[self._portfolio_evals :]
-        if self._portfolio is None or not portfolio_holds(
-            self._portfolio, new_records, self.direction
-        ):
-            self._portfolio = best_portfolio_greedy(
-                self.history,
-                self.objective.portfolio,
-                self._dist,
-                self.direction,
-            )
-        self._portfolio_evals = len(self.history)
+        self._portfolio = best_portfolio_greedy(
+            self.history,
+            self.objective.portfolio,
+            self._dist,
+            self.direction,
+            self._portfolio,
+        )
         return self._portfolio
 
     def _explorer_statistic(self):
@@ -410,25 +405,23 @@ class Engine:
         self._phase = "worker"
         if not work:
             return
-        seeds = select_diverse_seeds(
+        self._seeds = select_diverse_seeds(
             self.history,
             self.loop.seeds_m,
             self.seed_threshold,
             self._dist,
             self.direction,
+            self._seeds,
         )
         trajectories: list[TrajectoryState] = []
         for task in work:
-            for seed in seeds:
-                score = self.history.score_of(seed.canonical)
-                if score is None:  # seeds come from history, so this is a bug
-                    raise EmptyHistory(f"seed {seed.canonical} missing from history")
+            for seed in self._seeds.members:
                 trajectories.append(
                     TrajectoryState(
                         task_name=task.name,
-                        seed=seed,
-                        x_curr=seed,
-                        x_curr_score=score,
+                        seed=seed.candidate,
+                        x_curr=seed.candidate,
+                        x_curr_score=seed.score,
                     )
                 )
         for index, trajectory in enumerate(trajectories):

@@ -11,8 +11,9 @@ import yaml
 from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
-from agentopt.errors import InsufficientInit
+from agentopt.errors import InsufficientInit, OracleFailure
 from agentopt.events import read_jsonl
+from agentopt.oracles import MotifMatchOracle
 from agentopt.rng import RngHub
 
 from .conftest import diverse_init, multi_round_replies, write_script
@@ -407,6 +408,51 @@ def test_resume_after_failure_at_every_agent_call(tmp_path, capsys):
         assert events_without_ts(out / "events.jsonl") == events_without_ts(
             reference / "events.jsonl"
         ), f"events diverged after failing call {index}"
+
+
+def test_resume_after_oracle_failure_at_every_batch(tmp_path, capsys, monkeypatch):
+    config, script = record_script(tmp_path)
+    script_file = tmp_path / "script.jsonl"
+    write_rows(script_file, script)
+    config["backends"] = {"default": {"kind": "scripted", "script": str(script_file)}}
+    reference = tmp_path / "reference"
+    config["run"]["output_dir"] = str(reference)
+    assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
+    batches = [
+        e for e in read_jsonl(reference / "events.jsonl")
+        if e["kind"] == "eval_batch" and e["payload"]["n"]
+    ]
+    assert {e["phase"] for e in batches} == {"init", "explorer", "worker"}
+
+    calls = {"made": 0, "failing": 0}  # oracle batches so far; the one that fails
+    score_many = MotifMatchOracle._score_many
+
+    def flaky(self, texts):
+        calls["made"] += 1
+        if calls["made"] == calls["failing"]:
+            raise OracleFailure("oracle exited 3")
+        return score_many(self, texts)
+
+    monkeypatch.setattr(MotifMatchOracle, "_score_many", flaky)
+    # batch 1 is the init batch, after which there is no checkpoint to resume
+    # from (test_oracle_failure_during_init_leaves_no_checkpoint)
+    for failing in range(2, len(batches) + 1):
+        calls.update(made=0, failing=failing)
+        out = tmp_path / f"cut_{failing:03d}"
+        config["run"]["output_dir"] = str(out)
+        assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 2
+        assert "error[OracleFailure]" in capsys.readouterr().err
+        calls.update(failing=0)
+        for name in ("events.jsonl", "history.jsonl"):
+            with open(out / name, "a", encoding="utf-8") as fh:
+                fh.write('{"seq": 9')  # a write torn by the crash
+        assert main(["resume", str(out)]) == 0, f"resume after failing batch {failing}"
+        assert (out / "history.jsonl").read_bytes() == (
+            reference / "history.jsonl"
+        ).read_bytes(), f"history diverged after failing batch {failing}"
+        assert events_without_ts(out / "events.jsonl") == events_without_ts(
+            reference / "events.jsonl"
+        ), f"events diverged after failing batch {failing}"
 
 
 # -- exports -----------------------------------------------------------------------

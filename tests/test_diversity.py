@@ -4,12 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agentopt.core import Direction, History, PortfolioSpec
 from agentopt.distance import normalized_edit_distance
 from agentopt.diversity import (
+    _greedy_select,
     best_portfolio_greedy,
-    portfolio_holds,
     portfolio_progress,
     select_diverse_seeds,
 )
@@ -25,6 +27,10 @@ def history_of(pairs: list[tuple[str, float]]) -> History:
     for text, score in pairs:
         history.append(cand(text), score, "init")
     return history
+
+
+def texts(selection) -> list[str]:
+    return [r.candidate.canonical for r in selection.members]
 
 
 def reference_greedy(history: History, m: int, threshold: float, direction):
@@ -56,7 +62,7 @@ def test_identical_candidates_yield_single_seed():
     # means distance-zero variants are impossible; use near-zero instead
     history = history_of([("AAAA", 5.0), ("AAAB", 4.0), ("AABA", 3.0)])
     seeds = select_diverse_seeds(history, 3, 0.75, DIST, Direction.MAXIMIZE)
-    assert [s.canonical for s in seeds] == ["AAAA"]
+    assert texts(seeds) == ["AAAA"]
 
 
 def test_greedy_skips_near_duplicate_of_best():
@@ -64,7 +70,7 @@ def test_greedy_skips_near_duplicate_of_best():
         [("KLWRKLLR", 9.0), ("KLWRKLLK", 8.0), ("DDDDDDDD", 7.0)]
     )
     seeds = select_diverse_seeds(history, 2, 0.75, DIST, Direction.MAXIMIZE)
-    assert [s.canonical for s in seeds] == ["KLWRKLLR", "DDDDDDDD"]
+    assert texts(seeds) == ["KLWRKLLR", "DDDDDDDD"]
 
 
 def test_seed_selection_matches_reference_greedy():
@@ -72,11 +78,9 @@ def test_seed_selection_matches_reference_greedy():
     for _ in range(40):
         history = random_history(rng, 30)
         seeds = select_diverse_seeds(history, 3, 0.6, DIST, Direction.MAXIMIZE)
-        assert [s.canonical for s in seeds] == reference_greedy(
-            history, 3, 0.6, Direction.MAXIMIZE
-        )
-        for a, b in itertools.combinations(seeds, 2):
-            assert DIST(a.canonical, b.canonical) >= 0.6
+        assert texts(seeds) == reference_greedy(history, 3, 0.6, Direction.MAXIMIZE)
+        for a, b in itertools.combinations(texts(seeds), 2):
+            assert DIST(a, b) >= 0.6
 
 
 def test_seeds_always_include_global_best():
@@ -85,7 +89,7 @@ def test_seeds_always_include_global_best():
         history = random_history(rng, 25)
         best = history.best_record(Direction.MAXIMIZE)
         seeds = select_diverse_seeds(history, 2, 0.75, DIST, Direction.MAXIMIZE)
-        assert seeds[0].canonical == best.candidate.canonical
+        assert seeds.members[0] == best
 
 
 def test_seeds_empty_history_raises():
@@ -98,7 +102,7 @@ def test_seeds_are_deterministic():
     history = random_history(rng, 40)
     a = select_diverse_seeds(history, 4, 0.5, DIST, Direction.MINIMIZE)
     b = select_diverse_seeds(history, 4, 0.5, DIST, Direction.MINIMIZE)
-    assert [s.canonical for s in a] == [s.canonical for s in b]
+    assert texts(a) == texts(b)
 
 
 # -- portfolio -------------------------------------------------------------------
@@ -238,23 +242,51 @@ def test_portfolio_empty_history_raises():
         )
 
 
+# Records append in batches of one to four, as in the engine; texts over three
+# letters are often within the threshold, and integer scores tie often.
+BATCHES = st.lists(
+    st.lists(
+        st.tuples(st.text(alphabet="ABC", min_size=2, max_size=5), st.integers(-2, 2)),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
 @pytest.mark.parametrize("direction", list(Direction))
-def test_portfolio_holds_only_when_rebuild_is_unchanged(direction):
-    # integer scores give many ties; batches of several records mimic the engine
-    rng = random.Random(47)
-    spec = PortfolioSpec(size=3, beta=0.5)
+@settings(max_examples=150, deadline=None)
+@given(max_size=st.integers(1, 4), threshold=st.sampled_from([0.3, 0.5, 0.75]), batches=BATCHES)
+# An incomplete selection that a new best (maximize) or a last record
+# (minimize) completes, then records that tie the last member or land between
+# two members.
+@example(
+    max_size=2,
+    threshold=0.5,
+    batches=[[("AAAA", 0), ("AAAB", -2)], [("BBBB", 2)], [("CCCB", 0)], [("CCAA", -1)]],
+)
+# Records landing between two members of a full selection: one rejected, one
+# accepted, which pushes the last member out.
+@example(
+    max_size=3,
+    threshold=0.5,
+    batches=[[("BBBB", 2), ("AAAA", 0), ("CCCC", -2)], [("AAAB", -1)], [("AACC", -1)]],
+)
+@example(max_size=4, threshold=0.75, batches=[[("AB", 0)], [("AC", 1), ("BC", 1)], [("CC", 2)]])
+def test_incremental_selection_matches_scratch_greedy(direction, max_size, threshold, batches):
     history = History()
-    portfolio = None
-    held = 0
-    while len(history) < 150:
-        batch = []
-        for _ in range(rng.randint(1, 4)):
-            text = "".join(rng.choice("ABCD") for _ in range(rng.randint(3, 6)))
+    seeds = portfolio = None
+    for batch in batches:
+        for text, score in batch:
             if not history.contains(text):
-                batch.append(history.append(cand(text), float(rng.randint(0, 3)), "init"))
-        rebuilt = best_portfolio_greedy(history, spec, DIST, direction)
-        if portfolio is not None and portfolio_holds(portfolio, batch, direction):
-            assert rebuilt == portfolio
-            held += 1
-        portfolio = rebuilt
-    assert held > 0
+                history.append(cand(text), float(score), "init")
+        scratch = _greedy_select(history.ranked(direction), max_size, threshold, DIST, [])
+        seeds = select_diverse_seeds(history, max_size, threshold, DIST, direction, seeds)
+        assert seeds.members == scratch
+        assert seeds.seen == len(history)
+        if max_size >= 2:
+            spec = PortfolioSpec(size=max_size, beta=threshold)
+            portfolio = best_portfolio_greedy(history, spec, DIST, direction, portfolio)
+            assert portfolio == best_portfolio_greedy(history, spec, DIST, direction)
+            assert portfolio.members == scratch

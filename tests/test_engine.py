@@ -4,19 +4,21 @@ import hashlib
 import importlib.util
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
 import agentopt.distance as distance_module
+import agentopt.diversity as diversity_module
 import agentopt.engine as engine_module
 from agentopt import cli
 
 from agentopt.backends import Backend, RoleRouter, ScriptedBackend, TokenLedger
 from agentopt.context import ContextSpec
 from agentopt.core import Direction, DomainKind, ObjectiveSpec, PortfolioSpec, canonicalize
-from agentopt.diversity import best_portfolio_greedy, portfolio_holds
+from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
 from agentopt.errors import (
@@ -407,6 +409,44 @@ def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, monkeypatch):
     assert len(kernel_calls) > before
 
 
+def test_seed_update_looks_up_only_the_new_records(tmp_path):
+    # one round in which no agent reply parses: the history stays the init,
+    # six mutually distant records, fewer than the eight seeds asked for
+    replies = [("explorer", GARBAGE), ("planner", GARBAGE)] + [("worker", GARBAGE)] * 18
+    engine, _ = build_engine(
+        tmp_path, replies, count_a_oracle(), diverse_init(6), budget=50,
+        max_fails=1, seeds_m=8,
+    )
+    assert engine.run().stop_reason == "stagnation"
+    engine.close()
+    previous = engine._seeds
+    assert len(previous.members) == 6 and previous.seen == 6
+
+    lookups: list[tuple[str, str]] = []
+
+    def counting(a, b):
+        lookups.append((a, b))
+        return engine._dist(a, b)
+
+    def select(previous):
+        return engine_module.select_diverse_seeds(
+            engine.history, 8, engine.seed_threshold, counting, Direction.MAXIMIZE, previous
+        )
+
+    assert select(previous).members == previous.members
+    assert lookups == []  # unchanged history
+    # both score 0 and come later, so they rank below the last seed
+    new = ["BBBBBD", "KKKKKK"]  # a near-copy of the best seed, and a far record
+    for text in new:
+        engine.history.append(canonicalize(text, engine.domain.kind), 0.0, "explorer")
+    seeds = select(previous)
+    # each new record against the seeds above it, until one rejects it
+    assert len(lookups) == 1 + 6
+    assert all(set(pair) & set(new) for pair in lookups)
+    assert [r.candidate.canonical for r in seeds.members[6:]] == ["KKKKKK"]
+    assert seeds == select(None)
+
+
 def test_collapse_guard_vetoes_move_onto_live_trajectory(tmp_path):
     # Scripted interleaving state: another live trajectory already sits at
     # "AAAB" (as happens when batches race under concurrent execution), and
@@ -547,14 +587,29 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, mon
         outcomes.append((config, result))
         return write_summary(run_dir, config, result, ledger, wall_time_s)
 
-    held: list[bool] = []
+    walks: list[int] = []
+    greedy_select = diversity_module._greedy_select
 
-    def holds(*args):
-        held.append(portfolio_holds(*args))
-        return held[-1]
+    def counting_select(*args):
+        walks.append(1)
+        return greedy_select(*args)
+
+    # one entry per update of an earlier portfolio: did it re-walk the ranking?
+    rewalked: list[bool] = []
+    update = engine_module.best_portfolio_greedy
+
+    def classify(history, spec, dist, direction, previous=None):
+        before = len(walks)
+        portfolio = update(history, spec, dist, direction, previous)
+        if previous is not None:
+            rewalked.append(len(walks) > before)
+            if not rewalked[-1]:
+                assert portfolio.members is previous.members
+        return portfolio
 
     monkeypatch.setattr(cli, "_write_summary", capture)
-    monkeypatch.setattr(engine_module, "portfolio_holds", holds)
+    monkeypatch.setattr(diversity_module, "_greedy_select", counting_select)
+    monkeypatch.setattr(engine_module, "best_portfolio_greedy", classify)
     config = {
         "run": {"seed": 3, "output_dir": str(tmp_path / "out")},
         "domain": {"kind": "peptide"},
@@ -587,7 +642,7 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, mon
     assert cli.main(["resume", str(resumed)]) == 0
 
     assert len(outcomes) == 2
-    assert any(held) and not all(held)  # both the reuse and the rebuild path ran
+    assert any(rewalked) and not all(rewalked)  # both the unchanged and the re-walk branch ran
     assert len(outcomes[1][1].history) == 400
     for run_config, result in outcomes:
         expected = best_portfolio_greedy(
@@ -600,14 +655,39 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, mon
         assert result.portfolio.complete
 
 
-def test_traced_benchmark_names_exist_in_engine():
-    # bench/tracing.py replaces agentopt.engine.<name> for each of these
+def load_bench_tracing():
     path = Path(__file__).parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_benchmark_names_exist_in_engine():
+    # bench/tracing.py replaces agentopt.engine.<name> for each of these
+    tracing = load_bench_tracing()
     assert tracing.ENGINE_NAMES
     assert [n for n in tracing.ENGINE_NAMES if not hasattr(engine_module, n)] == []
+
+
+def test_traced_run_records_seed_and_portfolio_spans(tmp_path, monkeypatch):
+    # selection must go through the names the benchmark's tracer wraps
+    tracing = load_bench_tracing()
+    for name in tracing.ENGINE_NAMES:  # restored after the test
+        monkeypatch.setattr(engine_module, name, getattr(engine_module, name))
+    monkeypatch.setattr(distance_module, "levenshtein", distance_module.levenshtein)
+    engine, _ = build_engine(
+        tmp_path, multi_round_replies(2), count_a_oracle(), diverse_init(10), budget=18,
+        portfolio=PortfolioSpec(size=3, beta=0.5),
+    )
+    tracer = tracing.Tracer(run_id="test")
+    tracing.install(tracer, engine)
+    result = engine.run()
+    engine.close()
+    assert result.stop_reason == "budget"
+    spans = Counter(name for _, name, _, _, _ in tracer.spans)
+    assert spans["diversity.seeds"] >= 1
+    assert spans["diversity.portfolio"] >= 1
 
 
 # -- zero-signal guard -------------------------------------------------------------------
