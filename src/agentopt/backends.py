@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BackendUnavailable, BadResponse, MalformedScript
+from .rng import pack_state, unpack_state
 
 logger = logging.getLogger(__name__)
 
@@ -133,12 +134,12 @@ class Backend:
     def complete(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
 
-    def seek(self, positions: dict[str, int]) -> None:
-        """Fast-forward internal per-role state on resume (no-op by default)."""
-
-    def positions(self) -> dict[str, int]:
-        """Per-role call counters to store in checkpoints."""
+    def state(self) -> dict:
+        """What a checkpoint stores to resume this backend (nothing by default)."""
         return {}
+
+    def restore(self, state: dict) -> None:
+        """Take up the state :meth:`state` returned (a no-op by default)."""
 
 
 class ScriptedBackend(Backend):
@@ -184,13 +185,11 @@ class ScriptedBackend(Backend):
             latency_ms=0,
         )
 
-    def seek(self, positions: dict[str, int]) -> None:
-        for role, count in positions.items():
-            if role in self._cursor:
-                self._cursor[role] = count
-
-    def positions(self) -> dict[str, int]:
+    def state(self) -> dict:
         return dict(self._cursor)
+
+    def restore(self, state: dict) -> None:
+        self._cursor = {role: int(state[role]) for role in ROLES}
 
 
 def scripted_load(path: Path) -> ScriptedBackend:
@@ -266,6 +265,12 @@ class MutatorBackend(Backend):
                 reply = self._propose(text)
         input_tokens, output_tokens = _stub_tokens(request.system, request.user, reply)
         return CompletionResult(reply, input_tokens, output_tokens, latency_ms=0)
+
+    def state(self) -> dict:
+        return pack_state(self._rng)
+
+    def restore(self, state: dict) -> None:
+        self._rng = unpack_state(state)
 
     def _plan(self, text: str) -> str:
         # reuse task names visible in the prompt's registry blocks; unknown
@@ -430,11 +435,7 @@ class RoleRouter:
         return self._overrides.get(role, self._default)
 
     def backends(self) -> list[Backend]:
-        seen: list[Backend] = []
-        for backend in [self._default, *self._overrides.values()]:
-            if backend not in seen:
-                seen.append(backend)
-        return seen
+        return list(self._slots().values())
 
     def complete(self, role: str, system: str, user: str) -> CompletionResult:
         settings = self._settings.get(role, RoleSettings())
@@ -450,10 +451,18 @@ class RoleRouter:
         self.ledger.record(role, backend.name, result)
         return result
 
-    def positions(self) -> dict[str, dict[str, int]]:
-        return {b.name: b.positions() for b in self.backends() if b.positions()}
+    def _slots(self) -> dict[str, Backend]:
+        # the default plus every distinct override, keyed by where the config
+        # puts it: two backends of one kind share a name, never a slot
+        slots = {"default": self._default}
+        for role, backend in self._overrides.items():
+            if backend not in slots.values():
+                slots[role] = backend
+        return slots
 
-    def seek(self, positions: dict[str, dict[str, int]]) -> None:
-        for backend in self.backends():
-            if backend.name in positions:
-                backend.seek(positions[backend.name])
+    def state(self) -> dict[str, dict]:
+        return {slot: backend.state() for slot, backend in self._slots().items()}
+
+    def restore(self, state: dict[str, dict]) -> None:
+        for slot, backend in self._slots().items():
+            backend.restore(state[slot])

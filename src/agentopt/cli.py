@@ -22,7 +22,7 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .core import Direction, History, PortfolioSpec, is_improvement
+from .core import Direction, PortfolioSpec, is_improvement
 from .distance import MemoDistance, normalized_edit_distance
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
@@ -34,6 +34,7 @@ from .events import (
     EVENTS_FILE,
     HISTORY_FILE,
     SUMMARY_FILE,
+    Checkpoint,
     EventLog,
     HistoryLog,
     load_checkpoint,
@@ -105,7 +106,76 @@ def _write_summary(
     return summary
 
 
-def _execute(engine: Engine, config: RunConfig, ledger: TokenLedger) -> int:
+def _open_engine(
+    config: RunConfig, run_dir: Path, checkpoint: Optional[Checkpoint]
+) -> tuple[Engine, TokenLedger]:
+    """The oracle, router and engine of a run, resuming ``checkpoint`` if given.
+
+    A resume reads the checkpointed log prefixes and restores every piece of
+    state before it cuts the logs back to the checkpoint, so a damaged run
+    directory leaves both logs as they were.
+    """
+    ledger = TokenLedger()
+    rng = RngHub(config.seed)
+    oracle = build_oracle(config.raw)
+    router = build_router(config, ledger)
+    events_path, history_path = run_dir / EVENTS_FILE, run_dir / HISTORY_FILE
+    resume = checkpoint is not None
+    history = registry = init_plan = None
+    if not resume:
+        init_plan = build_init_plan(config, rng)
+    else:
+        try:
+            validate_event_log(events_path, checkpoint.events_seq)
+            history = load_history(history_path, limit=checkpoint.history_len)
+            registry = TaskRegistry.restore(
+                checkpoint.registry, capacity=config.loop.registry_capacity
+            )
+            rng.restore(checkpoint.rng)
+            ledger.restore(checkpoint.ledger)
+            router.restore(checkpoint.backends)
+        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorruptCheckpoint(f"run state does not load: {exc!r}") from exc
+        if len(history) != checkpoint.history_len:
+            raise CorruptCheckpoint(
+                f"history has {len(history)} records, checkpoint says "
+                f"{checkpoint.history_len}"
+            )
+        truncate_jsonl(events_path, checkpoint.events_seq)
+        truncate_jsonl(history_path, checkpoint.history_len)
+    engine = Engine(
+        domain=config.domain,
+        objective=config.objective,
+        loop=config.loop,
+        router=router,
+        oracle=oracle,
+        constraint=config.constraint,
+        init_plan=init_plan,
+        rng=rng,
+        run_dir=run_dir,
+        event_log=EventLog(
+            events_path, next_seq=checkpoint.events_seq + 1 if resume else 1, append=resume
+        ),
+        history_log=HistoryLog(history_path, append=resume),
+        history=history,
+        registry=registry,
+        start_round=checkpoint.round_idx if resume else 0,
+    )
+    return engine, ledger
+
+
+def _open_failed(exc: Exception) -> int:
+    # a damaged run directory fails at run time; anything else is the config's
+    return _fail(EXIT_RUNTIME if isinstance(exc, CorruptCheckpoint) else EXIT_CONFIG, exc)
+
+
+def _execute(
+    config: RunConfig, run_dir: Path, checkpoint: Optional[Checkpoint] = None
+) -> int:
+    try:
+        engine, ledger = _open_engine(config, run_dir, checkpoint)
+    except (AgentOptError, OSError) as exc:
+        return _open_failed(exc)
     started = time.monotonic()
     try:
         result = engine.run()
@@ -116,9 +186,7 @@ def _execute(engine: Engine, config: RunConfig, ledger: TokenLedger) -> int:
         return _fail(EXIT_RUNTIME, exc)
     finally:
         engine.close()
-    summary = _write_summary(
-        engine.run_dir, config, result, ledger, time.monotonic() - started
-    )
+    summary = _write_summary(run_dir, config, result, ledger, time.monotonic() - started)
     print(
         f"finished: {summary['evals_used']}/{summary['budget']} evaluations, "
         f"best {summary['best_score']} ({summary['stop_reason']})"
@@ -145,41 +213,14 @@ def cmd_run(args: argparse.Namespace, extras: list[str]) -> int:
     (run_dir / CONFIG_COPY_FILE).write_text(
         json.dumps(config.raw, ensure_ascii=False, indent=1), encoding="utf-8"
     )
-
-    ledger = TokenLedger()
-    rng = RngHub(config.seed)
-    try:
-        oracle = build_oracle(config.raw)
-        router = build_router(config, ledger)
-        init_plan = build_init_plan(config, rng)
-    except AgentOptError as exc:
-        return _fail(EXIT_CONFIG, exc)
-
-    engine = Engine(
-        domain=config.domain,
-        objective=config.objective,
-        loop=config.loop,
-        router=router,
-        oracle=oracle,
-        constraint=config.constraint,
-        init_plan=init_plan,
-        rng=rng,
-        run_dir=run_dir,
-        event_log=EventLog(run_dir / EVENTS_FILE),
-        history_log=HistoryLog(run_dir / HISTORY_FILE),
-    )
-    return _execute(engine, config, ledger)
-
-
-def _resolve_run_dir(path_arg: str) -> tuple[Path, Path]:
-    path = Path(path_arg)
-    if path.is_dir():
-        return path, path / CHECKPOINT_FILE
-    return path.parent, path
+    return _execute(config, run_dir)
 
 
 def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
-    run_dir, checkpoint_path = _resolve_run_dir(args.checkpoint)
+    checkpoint_path = Path(args.checkpoint)
+    if checkpoint_path.is_dir():
+        checkpoint_path = checkpoint_path / CHECKPOINT_FILE
+    run_dir = checkpoint_path.parent
     try:
         checkpoint = load_checkpoint(checkpoint_path)
         if checkpoint.finished:
@@ -189,57 +230,9 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
         if not config_path.is_file():
             raise CorruptCheckpoint(f"missing resolved config: {config_path}")
         config = validate_config(json.loads(config_path.read_text(encoding="utf-8")))
-
-        events_path = run_dir / EVENTS_FILE
-        history_path = run_dir / HISTORY_FILE
-        if not events_path.is_file() or not history_path.is_file():
-            raise CorruptCheckpoint("events.jsonl or history.jsonl is missing")
-        validate_event_log(events_path, checkpoint.events_seq)
-        truncate_jsonl(events_path, checkpoint.events_seq)
-        truncate_jsonl(history_path, checkpoint.history_len)
-
-        history = load_history(history_path)
-        if history.evals_used != checkpoint.evals_used:
-            raise CorruptCheckpoint(
-                f"history has {history.evals_used} records, checkpoint says "
-                f"{checkpoint.evals_used}"
-            )
-        registry = TaskRegistry.restore(
-            checkpoint.registry, capacity=config.loop.registry_capacity
-        )
-        rng = RngHub(config.seed)
-        rng.restore(checkpoint.rng)
-        ledger = TokenLedger()
-        ledger.restore(checkpoint.ledger)
-        oracle = build_oracle(config.raw)
-        router = build_router(config, ledger)
-        router.seek(checkpoint.backend_positions)
     except (AgentOptError, json.JSONDecodeError, OSError) as exc:
-        return _fail(EXIT_RUNTIME if isinstance(exc, CorruptCheckpoint) else EXIT_CONFIG, exc)
-
-    engine = Engine(
-        domain=config.domain,
-        objective=config.objective,
-        loop=config.loop,
-        router=router,
-        oracle=oracle,
-        constraint=config.constraint,
-        init_plan=None,
-        rng=rng,
-        run_dir=run_dir,
-        event_log=EventLog(
-            run_dir / EVENTS_FILE, next_seq=checkpoint.events_seq + 1, append=True
-        ),
-        history_log=HistoryLog(run_dir / HISTORY_FILE, append=True),
-        history=history,
-        registry=registry,
-        start_round=checkpoint.round_idx,
-    )
-    return _execute(engine, config, ledger)
-
-
-def _history_from_file(path: str) -> History:
-    return load_history(Path(path))
+        return _open_failed(exc)
+    return _execute(config, run_dir, checkpoint)
 
 
 def _sibling_config(history_path: str) -> Optional[dict]:
@@ -262,7 +255,7 @@ def _direction_for(args: argparse.Namespace, cfg: Optional[dict]) -> Direction:
 
 def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
     try:
-        history = _history_from_file(args.history)
+        history = load_history(args.history)
     except (AgentOptError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(EXIT_CONFIG, exc)
     cfg = _sibling_config(args.history)
@@ -311,7 +304,7 @@ def _portfolio_spec_from(
 
 def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
     try:
-        history = _history_from_file(args.history)
+        history = load_history(args.history)
     except (AgentOptError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(EXIT_CONFIG, exc)
     cfg = _sibling_config(args.history)

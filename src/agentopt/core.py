@@ -120,15 +120,15 @@ class History:
     """Append-only evaluated dataset with a canonical-form uniqueness index.
 
     Single-writer: all mutation flows through :meth:`append`, which hands out
-    contiguous eval indices and keeps one best-first ranking per direction.
-    Readers may hold references to ``records`` freely; the list is never
-    reordered.
+    contiguous eval indices and keeps the best-first ranking of every
+    direction asked for so far. Readers may hold references to ``records``
+    freely; the list is never reordered.
     """
 
     def __init__(self) -> None:
         self.records: list[ScoredRecord] = []
         self.canonical_index: dict[str, int] = {}
-        self._ranked: dict[Direction, list[ScoredRecord]] = {d: [] for d in Direction}
+        self._ranked: dict[Direction, list[ScoredRecord]] = {}
 
     @property
     def evals_used(self) -> int:
@@ -175,15 +175,23 @@ class History:
         """Best record under ``direction``; ties go to the earliest eval."""
         if not self.records:
             raise EmptyHistory("history has no records")
-        return self._ranked[direction][0]
+        return self._ranking(direction)[0]
 
     def ranked(self, direction: Direction) -> list[ScoredRecord]:
         """Records best-to-worst, ties broken by earliest eval index.
 
-        The list is the history's own index, kept up to date by
-        :meth:`append`; callers must not modify it.
+        The list is the history's own index, built on the first ask for
+        ``direction`` and kept up to date by :meth:`append` from then on;
+        callers must not modify it.
         """
-        return self._ranked[direction]
+        return self._ranking(direction)
+
+    def _ranking(self, direction: Direction) -> list[ScoredRecord]:
+        ranked = self._ranked.get(direction)
+        if ranked is None:
+            ranked = sorted(self.records, key=RANK_KEYS[direction])
+            self._ranked[direction] = ranked
+        return ranked
 
 
 @dataclass(frozen=True)

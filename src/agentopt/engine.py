@@ -517,13 +517,12 @@ class Engine:
         checkpoint = Checkpoint(
             round_idx=self.round,
             finished=finished,
-            evals_used=self.history.evals_used,
             history_len=len(self.history),
             events_seq=self.events.last_seq,
             registry=self.registry.snapshot(),
             rng=self.rng.snapshot(),
             ledger=self.router.ledger.snapshot(),
-            backend_positions=self.router.positions(),
+            backends=self.router.state(),
             stop_reason=stop_reason,
         )
         write_checkpoint(self.run_dir, checkpoint)

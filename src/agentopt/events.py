@@ -8,9 +8,10 @@ rebuild the history and to replay a recorded run against scripted backends.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -127,17 +128,21 @@ def read_jsonl(path: Path) -> list[dict]:
 
 
 def load_history(path: Path, limit: Optional[int] = None) -> History:
-    """Rebuild a History from history.jsonl (optionally only a prefix)."""
+    """Rebuild a History from history.jsonl, or from its first ``limit`` lines.
+
+    Lines past ``limit`` are not read, so a torn tail there does no harm.
+    """
     history = History()
-    for i, row in enumerate(read_jsonl(Path(path))):
-        if limit is not None and i >= limit:
-            break
-        record = record_from_json(row)
-        stored = history.append(record.candidate, record.score, record.origin)
-        if stored.eval_index != record.eval_index:
-            raise CorruptCheckpoint(
-                f"history file eval indices are not contiguous at {record.eval_index}"
-            )
+    with open(Path(path), encoding="utf-8") as fh:
+        for line in itertools.islice(fh, limit):
+            if not line.strip():
+                continue
+            record = record_from_json(json.loads(line))
+            stored = history.append(record.candidate, record.score, record.origin)
+            if stored.eval_index != record.eval_index:
+                raise CorruptCheckpoint(
+                    f"history file eval indices are not contiguous at {record.eval_index}"
+                )
     return history
 
 
@@ -147,87 +152,72 @@ def truncate_jsonl(path: Path, keep_lines: int) -> None:
     The kept prefix is preserved byte-for-byte, which is what makes resumed
     runs reproduce straight-through output files exactly.
     """
-    path = Path(path)
-    kept: list[str] = []
     with open(path, "rb") as fh:
-        for line in fh:
-            if len(kept) == keep_lines:
-                break
-            kept.append(line.decode("utf-8"))
+        kept = list(itertools.islice(fh, keep_lines))
     if len(kept) < keep_lines:
         raise CorruptCheckpoint(
             f"{path} has {len(kept)} lines, checkpoint expects {keep_lines}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(kept)
+
+
+CHECKPOINT_VERSION = 2
+# Checkpoint's field annotations, which are strings in this module
+_FIELD_TYPES = {"int": int, "bool": bool, "dict": dict}
 
 
 @dataclass
 class Checkpoint:
-    """Resumable run state captured at a round boundary."""
+    """Resumable run state captured at a round boundary.
+
+    The JSON form is the fields by name plus ``version``; each stateful part
+    (registry, RNG streams, ledger, backends) stores its own snapshot.
+    """
 
     round_idx: int
     finished: bool
-    evals_used: int
     history_len: int
     events_seq: int
     registry: dict
     rng: dict
     ledger: dict
-    backend_positions: dict
+    backends: dict
     stop_reason: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "version": 1,
-            "round": self.round_idx,
-            "finished": self.finished,
-            "evals_used": self.evals_used,
-            "history_len": self.history_len,
-            "events_seq": self.events_seq,
-            "registry": self.registry,
-            "rng": self.rng,
-            "ledger": self.ledger,
-            "backend_positions": self.backend_positions,
-            "stop_reason": self.stop_reason,
-        }
+        out = {"version": CHECKPOINT_VERSION}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self))
+        return out
 
     @classmethod
     def from_json(cls, payload: dict) -> "Checkpoint":
-        try:
-            if payload["version"] != 1:
-                raise CorruptCheckpoint(
-                    f"unsupported checkpoint version {payload['version']}"
-                )
-            return cls(
-                round_idx=payload["round"],
-                finished=payload["finished"],
-                evals_used=payload["evals_used"],
-                history_len=payload["history_len"],
-                events_seq=payload["events_seq"],
-                registry=payload["registry"],
-                rng=payload["rng"],
-                ledger=payload["ledger"],
-                backend_positions=payload["backend_positions"],
-                stop_reason=payload.get("stop_reason"),
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise CorruptCheckpoint(
+                f"checkpoint version {version} is not supported; this build "
+                f"resumes version {CHECKPOINT_VERSION} only"
             )
-        except (KeyError, TypeError) as exc:
-            raise CorruptCheckpoint(f"checkpoint missing field: {exc}") from exc
+        values = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
+        for f in fields(cls):
+            if not isinstance(values.get(f.name), _FIELD_TYPES.get(f.type, object)):
+                raise CorruptCheckpoint(f"checkpoint field {f.name} is not a {f.type}")
+        return cls(**values)
 
 
 def write_checkpoint(run_dir: Path, checkpoint: Checkpoint) -> Path:
     """Write checkpoint.json atomically, plus a per-round archival copy."""
     run_dir = Path(run_dir)
-    payload = json.dumps(checkpoint.to_json(), ensure_ascii=False, indent=1)
+    payload = json.dumps(
+        checkpoint.to_json(), ensure_ascii=False, separators=(",", ":")
+    ).encode("utf-8")
     tmp = run_dir / (CHECKPOINT_FILE + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
+    tmp.write_bytes(payload)
     final = run_dir / CHECKPOINT_FILE
     tmp.replace(final)
     archive_dir = run_dir / CHECKPOINT_DIR
     archive_dir.mkdir(exist_ok=True)
-    (archive_dir / f"round_{checkpoint.round_idx:05d}.json").write_text(
-        payload, encoding="utf-8"
-    )
+    (archive_dir / f"round_{checkpoint.round_idx:05d}.json").write_bytes(payload)
     return final
 
 
@@ -241,35 +231,20 @@ def load_checkpoint(path: Path) -> Checkpoint:
 
 
 def validate_event_log(path: Path, expected_last_seq: int) -> None:
-    """Check seq contiguity up to the checkpoint's last event.
+    """Check that the log opens with events 1 to ``expected_last_seq`` in order.
 
-    Lines beyond ``expected_last_seq`` may be damaged (a kill signal can tear
-    the final write); they are discarded on resume anyway, so damage there is
-    tolerated. Anything wrong within the checkpointed prefix is corruption.
+    Lines beyond them may be damaged (a kill signal can tear the final
+    write); resume discards them, so they are not read.
     """
-    count = 0
+    seq = 0
     try:
         with open(Path(path), encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if i > expected_last_seq:
-                        break
-                    raise CorruptCheckpoint(
-                        f"event log {path} unreadable at line {i}: {exc}"
-                    ) from exc
-                if row.get("seq") != i:
-                    raise CorruptCheckpoint(
-                        f"event log sequence gap at line {i}: got {row.get('seq')}"
-                    )
-                count = i
-    except OSError as exc:
-        raise CorruptCheckpoint(f"cannot read event log {path}: {exc}") from exc
-    if count < expected_last_seq:
+            for seq, line in enumerate(itertools.islice(fh, expected_last_seq), 1):
+                if json.loads(line).get("seq") != seq:
+                    raise CorruptCheckpoint(f"event log sequence gap at line {seq}")
+    except (OSError, ValueError, AttributeError) as exc:
+        raise CorruptCheckpoint(f"event log {path} unreadable at line {seq}: {exc}") from exc
+    if seq < expected_last_seq:
         raise CorruptCheckpoint(
-            f"event log has {count} events, checkpoint expects at least "
-            f"{expected_last_seq}"
+            f"event log has {seq} events, checkpoint expects at least {expected_last_seq}"
         )

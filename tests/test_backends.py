@@ -68,7 +68,7 @@ def test_scripted_queues_are_per_role():
     assert backend.complete(req(role="explorer")).text == "e1"
 
 
-def test_scripted_load_and_seek(tmp_path):
+def test_scripted_load_and_restore(tmp_path):
     path = tmp_path / "script.jsonl"
     rows = [
         {"match": {"role": "explorer", "nth_call": 1}, "reply": "first"},
@@ -76,8 +76,10 @@ def test_scripted_load_and_seek(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
     backend = scripted_load(path)
-    backend.seek({"explorer": 1, "planner": 0, "worker": 0})
+    assert backend.state() == {"explorer": 0, "planner": 0, "worker": 0}
+    backend.restore({"explorer": 1, "planner": 0, "worker": 0})
     assert backend.complete(req()).text == "second"
+    assert backend.state() == {"explorer": 2, "planner": 0, "worker": 0}
 
 
 def test_scripted_load_empty_file_is_malformed(tmp_path):
@@ -335,3 +337,37 @@ def test_mutator_planner_reuses_visible_task_names():
         "EXPLORE": "USE_EXISTING",
         "SHUFFLE": "USE_EXISTING",
     }
+
+
+# -- checkpoint state -----------------------------------------------------------
+
+
+def test_mutator_restore_continues_the_stream():
+    backend = MutatorBackend(seed=7)
+    backend.complete(req(user="0.5: KLWRK"))
+    state = json.loads(json.dumps(backend.state()))  # as a checkpoint stores it
+    expected = [backend.complete(req(user="0.5: KLWRK")).text for _ in range(3)]
+    resumed = MutatorBackend(seed=123)
+    resumed.restore(state)
+    assert [resumed.complete(req(user="0.5: KLWRK")).text for _ in range(3)] == expected
+
+
+def test_http_backend_has_no_state():
+    backend = HttpBackend("http://127.0.0.1:9/v1", "m")
+    assert backend.state() == {}
+    backend.restore({})
+
+
+def test_router_state_is_keyed_by_slot_not_name():
+    # two mutators share the name "mutator"; each must get its own stream back
+    default, worker = MutatorBackend(seed=1), MutatorBackend(seed=2)
+    router = RoleRouter(TokenLedger(), default, {"worker": worker, "planner": default})
+    state = router.state()
+    assert set(state) == {"default", "worker"}
+    expected = {role: router.complete(role, "", "0.5: KLWRK").text
+                for role in ("explorer", "worker")}
+    fresh = RoleRouter(TokenLedger(), MutatorBackend(seed=9),
+                       {"worker": MutatorBackend(seed=9)})
+    fresh.restore(json.loads(json.dumps(state)))
+    assert {role: fresh.complete(role, "", "0.5: KLWRK").text
+            for role in ("explorer", "worker")} == expected

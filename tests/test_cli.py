@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -453,6 +454,55 @@ def test_resume_after_oracle_failure_at_every_batch(tmp_path, capsys, monkeypatc
         assert events_without_ts(out / "events.jsonl") == events_without_ts(
             reference / "events.jsonl"
         ), f"events diverged after failing batch {failing}"
+
+
+def mutator_rounds_run(tmp_path: Path) -> Path:
+    """A finished 320-evaluation mutator run of five rounds; its run directory."""
+    config = yaml.safe_load(mutator_run_config(tmp_path, budget=320).read_text())
+    config["loop"] = {"max_fails": 2, "seeds_m": 1}
+    assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
+    return tmp_path / "out"
+
+
+def test_mutator_resume_from_every_round_is_exact(tmp_path):
+    reference = mutator_rounds_run(tmp_path)
+    archived = sorted((reference / "checkpoints").glob("round_*.json"))
+    assert len(archived) >= 5  # after init, then rounds 1 to 4 at least
+    for checkpoint in archived:
+        variant = tmp_path / checkpoint.stem
+        shutil.copytree(reference, variant)
+        shutil.copy(checkpoint, variant / "checkpoint.json")
+        assert main(["resume", str(variant)]) == 0
+        assert (variant / "history.jsonl").read_bytes() == (
+            reference / "history.jsonl"
+        ).read_bytes(), f"history diverged after resuming {checkpoint.name}"
+        assert events_without_ts(variant / "events.jsonl") == events_without_ts(
+            reference / "events.jsonl"
+        ), f"events diverged after resuming {checkpoint.name}"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda cp: cp["rng"].update(context_offset=[1, 2]),
+        lambda cp: cp["rng"]["context_offset"].update(words="AAAAAAAAAAA="),
+        lambda cp: cp["registry"]["SIMILAR"].pop("attempts"),
+        lambda cp: cp["ledger"].update(per_role=5),
+        lambda cp: cp["backends"]["default"].update(words="AAAA"),
+        lambda cp: cp["backends"].clear(),
+    ],
+    ids=["rng-list", "rng-two-words", "registry-attempts", "ledger", "mutator", "backends"],
+)
+def test_resume_malformed_checkpoint_leaves_logs_untouched(tmp_path, capsys, tamper):
+    out = mutator_rounds_run(tmp_path)
+    checkpoint = json.loads((out / "checkpoints" / "round_00001.json").read_text())
+    tamper(checkpoint)
+    (out / "checkpoint.json").write_text(json.dumps(checkpoint), encoding="utf-8")
+    logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert "error[CorruptCheckpoint]" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in logs} == logs
 
 
 # -- exports -----------------------------------------------------------------------

@@ -136,18 +136,35 @@ def test_best_record_matches_exhaustive_scan_oracle():
         assert history.best_record(direction).eval_index == expected
 
 
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60))
-def test_ranked_index_matches_sorted_under_ties(scores):
-    # few distinct scores, so most appends land among equal-score records
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
+    st.integers(min_value=1, max_value=61),
+    st.integers(min_value=1, max_value=61),
+)
+def test_ranked_index_matches_sorted_under_ties(scores, first_max, first_min):
+    # few distinct scores, so most appends land among equal-score records;
+    # each direction is first asked for after its own number of appends
+    # (or only after the last one), and no ranking exists before that
+    first_ask = {Direction.MAXIMIZE: first_max, Direction.MINIMIZE: first_min}
     history = History()
-    for i, score in enumerate(scores):
+
+    def check(direction, sign):
+        expected = sorted(history.records, key=lambda r: (sign * r.score, r.eval_index))
+        if first_ask[direction] % 2:  # odd: the first ask is best_record's
+            assert history.best_record(direction) is expected[0]
+        assert history.ranked(direction) == expected
+        assert history.best_record(direction) is history.ranked(direction)[0]
+
+    directions = ((Direction.MAXIMIZE, -1.0), (Direction.MINIMIZE, 1.0))
+    for i, score in enumerate(scores, start=1):
         history.append(cand(f"T{i}"), float(score), "init")
-        for direction, sign in ((Direction.MAXIMIZE, -1.0), (Direction.MINIMIZE, 1.0)):
-            expected = sorted(
-                history.records, key=lambda r: (sign * r.score, r.eval_index)
-            )
-            assert history.ranked(direction) == expected
-            assert history.best_record(direction) is history.ranked(direction)[0]
+        for direction, sign in directions:
+            if i >= first_ask[direction]:
+                check(direction, sign)
+            else:
+                assert direction not in history._ranked
+    for direction, sign in directions:
+        check(direction, sign)
 
 
 def test_best_never_worsens_as_records_append():

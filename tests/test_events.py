@@ -109,20 +109,24 @@ def test_checkpoint_round_trip_and_archive(tmp_path):
     checkpoint = Checkpoint(
         round_idx=2,
         finished=False,
-        evals_used=14,
         history_len=14,
         events_seq=40,
         registry={"SIMILAR": {"text": "t", "attempts": 1, "successes": 0,
                               "is_default": True}},
         rng={},
         ledger={},
-        backend_positions={"scripted": {"explorer": 4}},
+        backends={"default": {"explorer": 4, "planner": 1, "worker": 9}},
     )
-    write_checkpoint(tmp_path, checkpoint)
+    assert write_checkpoint(tmp_path, checkpoint) == tmp_path / "checkpoint.json"
     loaded = load_checkpoint(tmp_path / "checkpoint.json")
     assert loaded == checkpoint
     archived = load_checkpoint(tmp_path / "checkpoints" / "round_00002.json")
     assert archived == checkpoint
+    # one compact encoding, written to both files
+    written = (tmp_path / "checkpoint.json").read_bytes()
+    assert written == (tmp_path / "checkpoints" / "round_00002.json").read_bytes()
+    assert b"\n" not in written and b", " not in written
+    assert json.loads(written)["version"] == 2
 
 
 def test_load_checkpoint_garbage_is_corrupt(tmp_path):
@@ -135,3 +139,29 @@ def test_load_checkpoint_garbage_is_corrupt(tmp_path):
     path.write_text('{"version": 1}', encoding="utf-8")
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
+
+
+def test_version_1_checkpoint_is_refused_by_version(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    v1 = {"version": 1, "round": 2, "finished": False, "evals_used": 14,
+          "history_len": 14, "events_seq": 40, "registry": {}, "rng": {},
+          "ledger": {}, "backend_positions": {}, "stop_reason": None}
+    path.write_text(json.dumps(v1), encoding="utf-8")
+    with pytest.raises(CorruptCheckpoint, match="version 1 is not supported"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("events_seq", "40"), ("finished", None), ("registry", []), ("history_len", ...)],
+)
+def test_checkpoint_field_of_wrong_type_is_corrupt(tmp_path, field, value):
+    checkpoint = Checkpoint(2, False, 14, 40, {}, {}, {}, {})
+    write_checkpoint(tmp_path, checkpoint)
+    payload = json.loads((tmp_path / "checkpoint.json").read_text())
+    payload[field] = value
+    if value is ...:  # missing altogether
+        del payload[field]
+    (tmp_path / "checkpoint.json").write_text(json.dumps(payload))
+    with pytest.raises(CorruptCheckpoint, match=field):
+        load_checkpoint(tmp_path / "checkpoint.json")
