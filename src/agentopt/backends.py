@@ -411,6 +411,10 @@ class RoleSettings:
     temperature: float = 0.7
     max_output_tokens: int = 4096
 
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+
 
 class RoleRouter:
     """Routes each agent role to its backend and books usage into the ledger.

@@ -22,7 +22,7 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .core import Direction, PortfolioSpec, is_improvement
+from .core import Direction, History, PortfolioSpec, is_improvement
 from .distance import MemoDistance, normalized_edit_distance
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
@@ -195,10 +195,7 @@ def _execute(
 
 
 def cmd_run(args: argparse.Namespace, extras: list[str]) -> int:
-    try:
-        config = _load_run_config(args.config, args.set or [], extras)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
+    config = _load_run_config(args.config, args.set or [], extras)  # main() reports errors
 
     run_dir = config.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -235,33 +232,38 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
     return _execute(config, run_dir, checkpoint)
 
 
-def _sibling_config(history_path: str) -> Optional[dict]:
-    candidate = Path(history_path).parent / CONFIG_COPY_FILE
-    if candidate.is_file():
-        try:
-            return json.loads(candidate.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-    return None
+def _load_export(
+    args: argparse.Namespace,
+) -> tuple[History, Direction, Optional[PortfolioSpec]]:
+    """The history an export reads, its direction and its portfolio spec.
 
-
-def _direction_for(args: argparse.Namespace, cfg: Optional[dict]) -> Direction:
-    if args.direction:
-        return Direction(args.direction)
-    if cfg:
-        return Direction(cfg["objective"]["direction"])
-    return Direction.MAXIMIZE
+    The flags win; otherwise both come from the ``objective`` section of the
+    run's ``config.json`` beside the history, if it reads.
+    """
+    history = load_history(args.history)
+    run_cfg = Path(args.history).parent / CONFIG_COPY_FILE
+    try:
+        objective = json.loads(run_cfg.read_text(encoding="utf-8"))["objective"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        objective = {}
+    if args.portfolio_size is not None:
+        section = {"size": args.portfolio_size}
+        if args.portfolio_beta is not None:
+            section["beta"] = args.portfolio_beta
+    else:
+        section = objective.get("portfolio")
+    try:
+        direction = Direction(args.direction or objective.get("direction", "maximize"))
+    except ValueError as exc:
+        raise ConfigError(f"objective.direction: {exc}") from exc
+    return history, direction, build_portfolio_spec(section) if section else None
 
 
 def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
     try:
-        history = load_history(args.history)
-    except (AgentOptError, OSError, json.JSONDecodeError, KeyError) as exc:
+        history, direction, portfolio_spec = _load_export(args)
+    except (AgentOptError, OSError) as exc:
         return _fail(EXIT_CONFIG, exc)
-    cfg = _sibling_config(args.history)
-    direction = _direction_for(args, cfg)
-
-    portfolio_spec = _portfolio_spec_from(args, cfg)
     out_path = Path(args.out)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -289,29 +291,13 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
     return EXIT_OK
 
 
-def _portfolio_spec_from(
-    args: argparse.Namespace, cfg: Optional[dict]
-) -> Optional[PortfolioSpec]:
-    """Portfolio flags when ``--portfolio-size`` is given, else the run's config."""
-    if args.portfolio_size is not None:
-        section = {"size": args.portfolio_size}
-        if args.portfolio_beta is not None:
-            section["beta"] = args.portfolio_beta
-    else:
-        section = cfg["objective"].get("portfolio") if cfg else None
-    return build_portfolio_spec(section) if section else None
-
-
 def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
     try:
-        history = load_history(args.history)
-    except (AgentOptError, OSError, json.JSONDecodeError, KeyError) as exc:
+        history, direction, spec = _load_export(args)
+    except (AgentOptError, OSError) as exc:
         return _fail(EXIT_CONFIG, exc)
-    cfg = _sibling_config(args.history)
-    direction = _direction_for(args, cfg)
-    spec = _portfolio_spec_from(args, cfg) or PortfolioSpec()
     portfolio = best_portfolio_greedy(
-        history, spec, normalized_edit_distance, direction
+        history, spec or PortfolioSpec(), normalized_edit_distance, direction
     )
     payload = [
         {
@@ -377,10 +363,7 @@ def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_validate_config(args: argparse.Namespace, extras: list[str]) -> int:
-    try:
-        config = _load_run_config(args.config, args.set or [], extras)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, exc)
+    config = _load_run_config(args.config, args.set or [], extras)  # main() reports errors
     print(
         f"ok: domain={config.domain.kind.value} direction="
         f"{config.objective.direction.value} budget={config.objective.budget}"

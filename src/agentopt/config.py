@@ -1,9 +1,10 @@
-"""Run configuration: defaults, YAML loading, validation, and wiring.
+"""Run configuration: defaults, YAML loading, and one reader per section.
 
 A config is a plain key tree. ``default_config`` carries every loop default;
-user files are merged over it, and any leaf can be overridden from the
-command line with a dotted path (``loop.max_fails=5``). Builders turn the
-validated tree into live objects (domain, oracle, backends, init plan).
+user files are merged over it, and a leaf can be overridden from the command
+line with a dotted path (``loop.max_fails=5``). Each section has one reader,
+which checks its leaves and builds its object (domain, oracle, backends, init
+sources, ...); ``validate_config`` runs them all.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Any
 import yaml
 
 from .backends import (
+    ROLES,
     Backend,
     HttpBackend,
     MutatorBackend,
@@ -25,10 +27,17 @@ from .backends import (
     scripted_load,
 )
 from .context import ContextSpec
-from .core import Direction, DomainKind, ObjectiveSpec, PortfolioSpec, canonicalize
+from .core import (
+    Candidate,
+    Direction,
+    DomainKind,
+    ObjectiveSpec,
+    PortfolioSpec,
+    canonicalize,
+)
 from .domains import DEFAULT_SEED_THRESHOLDS, DomainSpec, make_domain
 from .engine import InitPlan, LoopParams
-from .errors import ConfigError, InsufficientInit
+from .errors import ConfigError, EmptyCandidate, InsufficientInit, MalformedScript
 from .filtering import (
     NO_CONSTRAINT,
     ExternalLineValidator,
@@ -44,9 +53,8 @@ from .oracles import (
     read_candidate_file,
     template_mutants,
 )
+from .registry import TaskRegistry
 from .rng import RngHub
-
-ROLE_TEMPERATURES = {"explorer": 0.7, "planner": 0.7, "worker": 0.8}
 
 # Synthetic starting points so a bare default config runs out of the box;
 # real experiments point init.source at their own data instead.
@@ -102,8 +110,9 @@ def default_config(domain_kind: str = "generic") -> dict:
             "planner": None,
             "worker": None,
             "roles": {
-                role: {"temperature": temp, "max_output_tokens": 4096}
-                for role, temp in ROLE_TEMPERATURES.items()
+                "explorer": {"temperature": 0.7, "max_output_tokens": 4096},
+                "planner": {"temperature": 0.7, "max_output_tokens": 4096},
+                "worker": {"temperature": 0.8, "max_output_tokens": 4096},
             },
         },
         "oracle": {
@@ -151,7 +160,8 @@ _REPLACE_PATHS = {
 
 
 def deep_merge(base: dict, override: dict, _path: tuple = ()) -> dict:
-    merged = copy.deepcopy(base)
+    """``override`` merged over ``base``; shares the subtrees it leaves alone."""
+    merged = dict(base)
     for key, value in override.items():
         path = _path + (key,)
         if (
@@ -217,313 +227,292 @@ class RunConfig:
     objective: ObjectiveSpec
     loop: LoopParams
     constraint: HardConstraint
+    init_count: int
+    init_source: CandidatePool  # the items of a ``file``, or templates to mutate
+    init_pool: CandidatePool  # the zero-signal guard's draws; the source's by default
+    zero_signal_guard: bool
+    init_floor: float
 
 
-def _expect(cfg: dict, path: str, types, required: bool = True) -> Any:
+_REQUIRED = object()
+
+
+def _get(cfg: dict, path: str, default: Any = _REQUIRED) -> Any:
+    """The value at dotted ``path``, or ``default`` when it is missing or null."""
     node: Any = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
+        node = node.get(part) if isinstance(node, dict) else None
+        if node is None:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing config key: {path}")
-            return None
-        node = node[part]
-    if node is None and not required:
-        return None
-    if not isinstance(node, types):
-        raise ConfigError(
-            f"config key {path} has type {type(node).__name__}, expected "
-            f"{getattr(types, '__name__', types)}"
-        )
+            return default
     return node
 
 
-def validate_config(cfg: dict) -> RunConfig:
-    """Check the whole tree and construct the typed pieces; raises ConfigError."""
-    merged = deep_merge(default_config(cfg.get("domain", {}).get("kind", "generic")), cfg)
+def _bad(path: str, value: Any, expected: str) -> ConfigError:
+    return ConfigError(f"config key {path} is {value!r}, expected {expected}")
 
+
+def _expect(cfg: dict, path: str, types: type, default: Any = _REQUIRED) -> Any:
+    """The leaf at ``path``, which must be a ``types``.
+
+    A bool is not an int here, and every list leaf is a list of strings.
+    """
+    value = _get(cfg, path, default)
+    if value is not default and (
+        not isinstance(value, types)
+        or (isinstance(value, bool) and types is not bool)
+        or (types is list and not all(isinstance(item, str) for item in value))
+    ):
+        raise _bad(path, value, types.__name__)
+    return value
+
+
+def _number(cfg: dict, path: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """The leaf at ``path`` read by ``kind`` (``int`` or ``float``), never from a bool."""
+    value = _get(cfg, path, default)
+    if value is default:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise _bad(path, value, kind.__name__)
+
+
+def validate_config(cfg: dict) -> RunConfig:
+    """Read the whole tree, each section by its one reader; raises ConfigError.
+
+    The oracle and the backends are built here and dropped, so a config that
+    validates also gets through the setup of a run.
+    """
     try:
-        kind = DomainKind(_expect(merged, "domain.kind", str))
+        merged = deep_merge(default_config(_get(cfg, "domain.kind", "generic")), cfg)
     except ValueError as exc:
         raise ConfigError(f"domain.kind: {exc}") from exc
 
-    template_dir = merged["domain"].get("template_dir")
-    external_validator = merged["domain"].get("external_validator")
-    validator = None
-    if external_validator:
-        if not isinstance(external_validator, list):
-            raise ConfigError("domain.external_validator must be an argv list")
-        validator = ExternalLineValidator(external_validator)
+    template_dir = _expect(merged, "domain.template_dir", str, None)
+    argv = _expect(merged, "domain.external_validator", list, None)
     try:
         domain = make_domain(
-            kind,
+            DomainKind(_expect(merged, "domain.kind", str)),
             template_dir=Path(template_dir) if template_dir else None,
-            peptide_min_len=int(_expect(merged, "domain.peptide_min_len", int)),
-            peptide_max_len=int(_expect(merged, "domain.peptide_max_len", int)),
-            validator=validator,
+            peptide_min_len=_expect(merged, "domain.peptide_min_len", int),
+            peptide_max_len=_expect(merged, "domain.peptide_max_len", int),
+            validator=ExternalLineValidator(argv) if argv else None,
         )
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    try:
-        direction = Direction(_expect(merged, "objective.direction", str))
-    except ValueError as exc:
-        raise ConfigError(f"objective.direction: {exc}") from exc
-    portfolio_cfg = merged["objective"].get("portfolio")
-    portfolio = build_portfolio_spec(portfolio_cfg) if portfolio_cfg else None
+    portfolio = _expect(merged, "objective.portfolio", dict, None)
     try:
         objective = ObjectiveSpec(
-            direction=direction,
-            budget=int(_expect(merged, "objective.budget", int)),
-            description=merged["objective"].get("description"),
-            portfolio=portfolio,
+            direction=Direction(_expect(merged, "objective.direction", str)),
+            budget=_expect(merged, "objective.budget", int),
+            description=_expect(merged, "objective.description", str, None),
+            portfolio=build_portfolio_spec(portfolio) if portfolio else None,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"objective: {exc}") from exc
 
-    ctx_cfg = merged["loop"]["context"]
     try:
         loop = LoopParams(
-            max_fails=int(_expect(merged, "loop.max_fails", int)),
-            seeds_m=int(_expect(merged, "loop.seeds_m", int)),
-            seed_threshold=(
-                None
-                if merged["loop"].get("seed_threshold") is None
-                else float(merged["loop"]["seed_threshold"])
-            ),
-            registry_capacity=int(_expect(merged, "loop.registry_capacity", int)),
+            max_fails=_expect(merged, "loop.max_fails", int),
+            seeds_m=_expect(merged, "loop.seeds_m", int),
+            seed_threshold=_number(merged, "loop.seed_threshold", float, None),
+            registry_capacity=_expect(merged, "loop.registry_capacity", int),
             context=ContextSpec(
-                context_size=int(ctx_cfg.get("context_size", 20)),
-                top_k=int(ctx_cfg.get("top_k", 8)),
+                context_size=_number(merged, "loop.context.context_size", int),
+                top_k=_number(merged, "loop.context.top_k", int),
             ),
         )
-    except (TypeError, ValueError) as exc:
+        TaskRegistry(domain.default_tasks, capacity=loop.registry_capacity)
+    except ValueError as exc:
         raise ConfigError(f"loop: {exc}") from exc
 
-    constraint = build_constraint(merged["constraint"], domain)
-    _precheck_backends(merged["backends"])
-    _precheck_oracle(merged["oracle"])
-    _precheck_init(merged["init"])
-
-    return RunConfig(
+    init_count = _number(merged, "init.count", int)
+    if init_count < 1:
+        raise ConfigError("init.count must be >= 1")
+    init_source = _candidate_pool(merged, "init.source", "templates_plus_mutations", domain)
+    config = RunConfig(
         raw=merged,
-        seed=int(_expect(merged, "run.seed", int)),
+        seed=_expect(merged, "run.seed", int),
         output_dir=Path(_expect(merged, "run.output_dir", str)),
         domain=domain,
         objective=objective,
         loop=loop,
-        constraint=constraint,
+        constraint=build_constraint(merged, domain),
+        init_count=init_count,
+        init_source=init_source,
+        init_pool=(
+            _candidate_pool(merged, "init.pool", "mutations", domain)
+            if _expect(merged, "init.pool", dict, None)
+            else init_source
+        ),
+        zero_signal_guard=_expect(merged, "init.zero_signal_guard", bool),
+        init_floor=_number(merged, "init.floor", float),
     )
+    build_oracle(merged)
+    build_router(config, TokenLedger())
+    return config
 
 
 def build_portfolio_spec(cfg: dict) -> PortfolioSpec:
     """``PortfolioSpec`` from an ``objective.portfolio`` mapping; raises ConfigError."""
     try:
         return PortfolioSpec(
-            size=int(cfg.get("size", 20)),
-            beta=float(cfg.get("beta", 0.75)),
+            size=_number(cfg, "size", int, 20), beta=_number(cfg, "beta", float, 0.75)
         )
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"objective.portfolio: {exc}") from exc
 
 
-def _read_lines(path: str, what: str) -> list[str]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{what} file does not exist: {p}")
-    return [line for line in p.read_text(encoding="utf-8").splitlines() if line.strip()]
+def _templates(cfg: dict, at: str, domain: DomainSpec) -> list[Candidate]:
+    """The canonical ``<at>.templates``, else the lines of ``<at>.templates_file``."""
+    raw = _expect(cfg, f"{at}.templates", list, None)
+    path = _expect(cfg, f"{at}.templates_file", str, None)
+    if not raw and path:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{at}.templates_file: cannot read {path}: {exc}") from exc
+        raw = [line for line in text.splitlines() if line.strip()]
+    if not raw:
+        raise ConfigError(f"{at} needs templates or templates_file")
+    try:
+        return [canonicalize(t, domain.kind) for t in raw]
+    except EmptyCandidate as exc:
+        raise ConfigError(f"{at}.templates: {exc}") from exc
+
+
+def _candidate_pool(
+    cfg: dict, at: str, mutation_kind: str, domain: DomainSpec
+) -> CandidatePool:
+    """The candidates of ``init.source`` or ``init.pool``: a file, or templates."""
+    kind = _get(cfg, f"{at}.kind", None)
+    if kind == "file":
+        path = _expect(cfg, f"{at}.path", str)
+        try:
+            return CandidatePool(items=read_candidate_file(Path(path), domain.kind))
+        except InsufficientInit as exc:
+            raise ConfigError(f"{at}.path: {exc}") from exc
+    if kind == mutation_kind:
+        return CandidatePool(
+            templates=_templates(cfg, at, domain), alphabet=domain.alphabet
+        )
+    raise ConfigError(f"{at}.kind: unknown kind {kind!r}")
 
 
 def build_constraint(cfg: dict, domain: DomainSpec) -> HardConstraint:
-    kind = cfg.get("kind", "none")
+    """The hard constraint of the ``constraint`` section; raises ConfigError."""
+    kind = _get(cfg, "constraint.kind", None)
     if kind == "none":
         return NO_CONSTRAINT
     if kind != "template_similarity":
         raise ConfigError(f"constraint.kind: unknown kind {kind!r}")
-    raw_templates = cfg.get("templates")
-    if not raw_templates and cfg.get("templates_file"):
-        raw_templates = _read_lines(cfg["templates_file"], "constraint templates")
-    if not raw_templates:
-        raise ConfigError("template_similarity constraint needs templates")
-    templates = [canonicalize(t, domain.kind) for t in raw_templates]
+    templates = _templates(cfg, "constraint", domain)
     try:
         return TemplateSimilarityConstraint(
-            templates, float(cfg.get("min_similarity", 0.75))
+            templates, _number(cfg, "constraint.min_similarity", float)
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"constraint: {exc}") from exc
 
 
-def _precheck_backends(cfg: dict) -> None:
-    for slot in ("default", "explorer", "planner", "worker"):
-        entry = cfg.get(slot)
-        if slot == "default" and entry is None:
-            raise ConfigError("backends.default is required")
-        if entry is None:
-            continue
-        kind = entry.get("kind")
-        if kind not in ("http", "scripted", "mutator"):
-            raise ConfigError(f"backends.{slot}.kind: unknown kind {kind!r}")
-        if kind == "http":
-            if not entry.get("endpoint_url") or not entry.get("model_name"):
-                raise ConfigError(
-                    f"backends.{slot}: http kind requires endpoint_url and model_name"
-                )
-        if kind == "scripted":
-            script = entry.get("script")
-            if not script:
-                raise ConfigError(f"backends.{slot}: scripted kind requires script")
-            if not Path(script).is_file():
-                raise ConfigError(f"backends.{slot}.script does not exist: {script}")
-
-
-def _precheck_oracle(cfg: dict) -> None:
-    kind = cfg.get("kind")
-    if kind == "synthetic":
-        if not cfg.get("name"):
-            raise ConfigError("oracle.name is required for synthetic oracles")
-    elif kind == "subprocess":
-        if not cfg.get("command"):
-            raise ConfigError("oracle.command is required for subprocess oracles")
-    elif kind == "http":
-        if not cfg.get("url"):
-            raise ConfigError("oracle.url is required for http oracles")
-    else:
-        raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
-
-
-def _precheck_init(cfg: dict) -> None:
-    source = cfg.get("source") or {}
-    kind = source.get("kind")
-    if kind == "file":
-        if not source.get("path"):
-            raise ConfigError("init.source.path is required for file initialization")
-        if not Path(source["path"]).is_file():
-            raise ConfigError(f"init.source.path does not exist: {source['path']}")
-    elif kind == "templates_plus_mutations":
-        if not source.get("templates") and not source.get("templates_file"):
-            raise ConfigError(
-                "init.source needs templates or templates_file for templates_plus_mutations"
-            )
-        tf = source.get("templates_file")
-        if tf and not Path(tf).is_file():
-            raise ConfigError(f"init.source.templates_file does not exist: {tf}")
-    else:
-        raise ConfigError(f"init.source.kind: unknown kind {kind!r}")
-    if int(cfg.get("count", 0)) < 1:
-        raise ConfigError("init.count must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# Builders for the run-time objects
-# ---------------------------------------------------------------------------
-
-
 def build_oracle(cfg: dict) -> Oracle:
-    oracle_cfg = cfg["oracle"]
-    timeout_s = float(oracle_cfg.get("timeout_ms", 60000)) / 1000.0
-    kind = oracle_cfg["kind"]
-    if kind == "synthetic":
-        try:
-            return make_synthetic(oracle_cfg["name"], oracle_cfg.get("params") or {})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"oracle: {exc}") from exc
-    if kind == "subprocess":
-        return SubprocessOracle(oracle_cfg["command"], timeout_s=timeout_s)
-    return HttpOracle(oracle_cfg["url"], timeout_s=timeout_s)
+    """The oracle of the ``oracle`` section; raises ConfigError.
+
+    Constructing an oracle starts no process and sends no request, so
+    ``validate_config`` checks the section by building one.
+    """
+    kind = _get(cfg, "oracle.kind", None)
+    timeout_s = _number(cfg, "oracle.timeout_ms", float) / 1000.0
+    try:
+        if kind == "synthetic":
+            return make_synthetic(
+                _expect(cfg, "oracle.name", str), _expect(cfg, "oracle.params", dict, {})
+            )
+        if kind == "subprocess":
+            return SubprocessOracle(_expect(cfg, "oracle.command", list), timeout_s=timeout_s)
+        if kind == "http":
+            return HttpOracle(_expect(cfg, "oracle.url", str), timeout_s=timeout_s)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"oracle: {exc}") from exc
+    raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
 
 
-def _build_backend(entry: dict, config: RunConfig, ledger: TokenLedger) -> Backend:
-    kind = entry["kind"]
-    if kind == "scripted":
-        return scripted_load(Path(entry["script"]))
-    if kind == "mutator":
-        return MutatorBackend(
-            seed=int(entry.get("seed", config.seed)),
-            alphabet=entry.get("alphabet") or config.domain.alphabet,
-        )
-    return HttpBackend(
-        endpoint_url=entry["endpoint_url"],
-        model_name=entry["model_name"],
-        api_key_env_var=entry.get("api_key_env_var"),
-        max_retries=int(entry.get("max_retries", 3)),
-        retry_backoff_ms=int(entry.get("retry_backoff_ms", 500)),
-        timeout_s=float(entry.get("timeout_s", 300.0)),
-        ledger=ledger,
-    )
+def _build_backend(config: RunConfig, slot: str, ledger: TokenLedger) -> Backend:
+    """The backend of the entry ``backends.<slot>``; raises ConfigError."""
+    cfg, at = config.raw, f"backends.{slot}"
+    kind = _get(cfg, f"{at}.kind", None)
+    try:
+        if kind == "scripted":
+            return scripted_load(Path(_expect(cfg, f"{at}.script", str)))
+        if kind == "mutator":
+            return MutatorBackend(
+                seed=_number(cfg, f"{at}.seed", int, config.seed),
+                alphabet=_expect(cfg, f"{at}.alphabet", str, None) or config.domain.alphabet,
+            )
+        if kind == "http":
+            # an entry replaces the default one whole, so these keep fallbacks
+            return HttpBackend(
+                endpoint_url=_expect(cfg, f"{at}.endpoint_url", str),
+                model_name=_expect(cfg, f"{at}.model_name", str),
+                api_key_env_var=_expect(cfg, f"{at}.api_key_env_var", str, None),
+                max_retries=_number(cfg, f"{at}.max_retries", int, 3),
+                retry_backoff_ms=_number(cfg, f"{at}.retry_backoff_ms", int, 500),
+                timeout_s=_number(cfg, f"{at}.timeout_s", float, 300.0),
+                ledger=ledger,
+            )
+    except (MalformedScript, ValueError) as exc:
+        raise ConfigError(f"{at}: {exc}") from exc
+    raise ConfigError(f"{at}.kind: unknown kind {kind!r}")
 
 
 def build_router(config: RunConfig, ledger: TokenLedger) -> RoleRouter:
-    backends_cfg = config.raw["backends"]
-    default = _build_backend(backends_cfg["default"], config, ledger)
-    overrides: dict[str, Backend] = {}
-    for role in ("explorer", "planner", "worker"):
-        entry = backends_cfg.get(role)
-        if entry:
-            overrides[role] = _build_backend(entry, config, ledger)
+    """The backends of the ``backends`` section, routed by role; raises ConfigError."""
+    default = _build_backend(config, "default", ledger)
+    overrides = {
+        role: _build_backend(config, role, ledger)
+        for role in ROLES
+        if _expect(config.raw, f"backends.{role}", dict, None)
+    }
     settings = {}
-    for role, role_cfg in (backends_cfg.get("roles") or {}).items():
-        settings[role] = RoleSettings(
-            temperature=float(role_cfg.get("temperature", ROLE_TEMPERATURES.get(role, 0.7))),
-            max_output_tokens=int(role_cfg.get("max_output_tokens", 4096)),
-        )
+    for role in ROLES:
+        at = f"backends.roles.{role}"
+        try:
+            settings[role] = RoleSettings(
+                temperature=_number(config.raw, f"{at}.temperature", float),
+                max_output_tokens=_number(config.raw, f"{at}.max_output_tokens", int),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{at}: {exc}") from exc
     return RoleRouter(ledger, default, overrides, settings)
 
 
 def build_init_plan(config: RunConfig, rng: RngHub) -> InitPlan:
-    init_cfg = config.raw["init"]
-    source = init_cfg["source"]
-    count = int(init_cfg["count"])
-    domain = config.domain
-
-    if source["kind"] == "file":
-        candidates = read_candidate_file(Path(source["path"]), domain.kind)
-        if len(candidates) < count:
+    """The first ``init.count`` candidates: the file's distinct leading lines,
+    or the templates and then their mutants. Raises ``InsufficientInit``."""
+    count, source, pool = config.init_count, config.init_source, config.init_pool
+    if source.items is not None:
+        if len(source.items) < count:
             raise InsufficientInit(
-                f"init file {source['path']} has {len(candidates)} candidates, "
-                f"requested {count}"
+                f"init.source.path has {len(source.items)} candidates, requested {count}"
             )
-        head = candidates[:count]
-        seen: set[str] = set()
-        deduped = []
-        for candidate in head:
-            if candidate.canonical in seen:
-                continue
-            seen.add(candidate.canonical)
-            deduped.append(candidate)
-        plan_candidates = deduped
-        default_pool = CandidatePool(items=candidates)
+        first: dict[str, Candidate] = {}
+        for candidate in source.items[:count]:
+            first.setdefault(candidate.canonical, candidate)
+        candidates = list(first.values())
     else:
-        raw_templates = source.get("templates")
-        if not raw_templates:
-            raw_templates = _read_lines(source["templates_file"], "init templates")
-        templates = [canonicalize(t, domain.kind) for t in raw_templates]
-        plan_candidates = template_mutants(
-            templates, count, domain.alphabet, rng.stream("init_mutations")
+        candidates = template_mutants(
+            source.templates, count, source.alphabet, rng.stream("init_mutations")
         )
-        default_pool = CandidatePool(templates=templates, alphabet=domain.alphabet)
-
-    pool = default_pool
-    pool_cfg = init_cfg.get("pool")
-    if pool_cfg:
-        if pool_cfg.get("kind") == "file":
-            pool = CandidatePool(
-                items=read_candidate_file(Path(pool_cfg["path"]), domain.kind)
-            )
-        elif pool_cfg.get("kind") == "mutations":
-            raw = pool_cfg.get("templates") or _read_lines(
-                pool_cfg["templates_file"], "pool templates"
-            )
-            pool = CandidatePool(
-                templates=[canonicalize(t, domain.kind) for t in raw],
-                alphabet=domain.alphabet,
-            )
-        else:
-            raise ConfigError(f"init.pool.kind: unknown kind {pool_cfg.get('kind')!r}")
-
     return InitPlan(
-        candidates=plan_candidates,
+        candidates=candidates,
         requested=count,
-        zero_signal_guard=bool(init_cfg.get("zero_signal_guard", False)),
-        floor=float(init_cfg.get("floor", 0.0)),
-        pool=pool,
+        zero_signal_guard=config.zero_signal_guard,
+        floor=config.init_floor,
+        # a fresh pool: what one run has drawn must not shrink the next run's
+        pool=CandidatePool(pool.items, pool.templates, pool.alphabet),
     )

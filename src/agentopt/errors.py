@@ -64,7 +64,7 @@ class BudgetExhaustedDuringInit(AgentOptError):
 
 
 class CorruptCheckpoint(AgentOptError):
-    """A checkpoint and its event log disagree, or either is unreadable."""
+    """A checkpoint and its logs disagree, or one of them is unreadable."""
 
 
 class ConfigError(AgentOptError):

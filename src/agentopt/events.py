@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,16 +49,24 @@ def record_to_json(record: ScoredRecord) -> dict:
 
 
 def record_from_json(payload: dict) -> ScoredRecord:
+    """The record of one history row; ``ValueError`` names the first bad field."""
+    score, eval_index = payload["score"], payload["eval_index"]
+    if not isinstance(score, (int, float)) or isinstance(score, bool):
+        raise ValueError(f"score {score!r} is not a number")
+    if not math.isfinite(score):
+        raise ValueError(f"score {score!r} is not a finite number")
+    if isinstance(eval_index, bool) or not isinstance(eval_index, int):
+        raise ValueError(f"eval_index {eval_index!r} is not an int")
+    for key in ("raw", "canonical", "origin"):
+        if not isinstance(payload[key], str):
+            raise ValueError(f"{key} {payload[key]!r} is not a string")
     candidate = Candidate(
         raw=payload["raw"],
         canonical=payload["canonical"],
         kind=DomainKind(payload["domain"]),
     )
     return ScoredRecord(
-        candidate=candidate,
-        score=payload["score"],
-        eval_index=payload["eval_index"],
-        origin=payload["origin"],
+        candidate=candidate, score=score, eval_index=eval_index, origin=payload["origin"]
     )
 
 
@@ -130,18 +139,24 @@ def read_jsonl(path: Path) -> list[dict]:
 def load_history(path: Path, limit: Optional[int] = None) -> History:
     """Rebuild a History from history.jsonl, or from its first ``limit`` lines.
 
-    Lines past ``limit`` are not read, so a torn tail there does no harm.
+    Lines past ``limit`` are not read, so a torn tail there does no harm. A
+    line that is no record, or is out of order, raises ``CorruptCheckpoint``
+    naming the line.
     """
     history = History()
     with open(Path(path), encoding="utf-8") as fh:
-        for line in itertools.islice(fh, limit):
+        for lineno, line in enumerate(itertools.islice(fh, limit), start=1):
             if not line.strip():
                 continue
-            record = record_from_json(json.loads(line))
+            try:
+                record = record_from_json(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptCheckpoint(f"{path} line {lineno}: {exc!r}") from exc
             stored = history.append(record.candidate, record.score, record.origin)
             if stored.eval_index != record.eval_index:
                 raise CorruptCheckpoint(
-                    f"history file eval indices are not contiguous at {record.eval_index}"
+                    f"{path} line {lineno}: eval_index {record.eval_index}, "
+                    f"expected {stored.eval_index}"
                 )
     return history
 

@@ -242,6 +242,8 @@ class HttpOracle(Oracle):
 
     def __init__(self, url: str, timeout_s: float = 60.0):
         super().__init__()
+        if not url:
+            raise ValueError("http oracle needs a url")
         self.url = url
         self.timeout_s = timeout_s
         self.name = f"http:{url}"
@@ -359,20 +361,20 @@ class CandidatePool:
     ):
         if (items is None) == (templates is None):
             raise ValueError("pool needs exactly one of items or templates")
-        self._items = items
-        self._templates = templates
-        self._alphabet = alphabet
+        self.items = items
+        self.templates = templates
+        self.alphabet = alphabet
         self._drawn: set[str] = set()
 
     def draw(self, rng: random.Random) -> Candidate:
-        if self._items is not None:
-            untried = [c for c in self._items if c.canonical not in self._drawn]
+        if self.items is not None:
+            untried = [c for c in self.items if c.canonical not in self._drawn]
             if not untried:
                 raise InsufficientInit("candidate pool exhausted during resampling")
             choice = rng.choice(untried)
             self._drawn.add(choice.canonical)
             return choice
-        assert self._templates is not None
-        parent = rng.choice(self._templates)
-        mutant = mutate_once(parent.canonical, self._alphabet, rng)
+        assert self.templates is not None
+        parent = rng.choice(self.templates)
+        mutant = mutate_once(parent.canonical, self.alphabet, rng)
         return canonicalize(mutant, parent.kind)

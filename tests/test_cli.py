@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shutil
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -190,6 +192,47 @@ def test_validate_config_rejects_bad_values(tmp_path, capsys):
 
 def test_validate_config_missing_file(tmp_path):
     assert main(["validate-config", "--config", str(tmp_path / "nope.yaml")]) == 1
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "oracle.timeout_ms=abc",
+        "init.floor=abc",
+        "backends.roles.worker.temperature=abc",
+        "init.pool={kind: mutations}",
+        "init.pool={kind: bogus}",
+        "oracle.params.bogus=1",
+        "init.count=abc",
+        'init.zero_signal_guard="false"',
+        "objective.budget=true",
+        "backends.roles.worker.temperature=-1",
+        "loop.registry_capacity=3",
+        "domain.kind=bogus",
+    ],
+)
+def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, override):
+    out_dir = tmp_path / "out"
+    config = write_yaml(
+        tmp_path / "config.yaml",
+        {
+            "run": {"seed": 1, "output_dir": str(out_dir)},
+            "domain": {"kind": "generic"},
+            "objective": {"budget": 30},
+        },
+    )
+    for command in ("validate-config", "run"):
+        assert main([command, "--config", str(config), "--set", override]) == 1
+        assert "error[ConfigError]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_readme_config_examples_validate():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^( *)```yaml\n(.*?)^\1```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 4
+    for _, block in blocks:
+        validate_config(yaml.safe_load(textwrap.dedent(block)))
 
 
 def test_default_config_loop_values():
@@ -505,6 +548,21 @@ def test_resume_malformed_checkpoint_leaves_logs_untouched(tmp_path, capsys, tam
     assert {name: (out / name).read_bytes() for name in logs} == logs
 
 
+def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys):
+    out = mutator_rounds_run(tmp_path)
+    shutil.copy(out / "checkpoints" / "round_00000.json", out / "checkpoint.json")
+    lines = (out / "history.jsonl").read_text().splitlines(keepends=True)
+    row = json.loads(lines[4])
+    row["score"] = "x"
+    lines[4] = json.dumps(row) + "\n"
+    (out / "history.jsonl").write_text("".join(lines), encoding="utf-8")
+    logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert "error[CorruptCheckpoint]" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
 # -- exports -----------------------------------------------------------------------
 
 
@@ -620,6 +678,32 @@ def test_export_bad_portfolio_flags_are_config_errors(tmp_path, capsys, command,
     out = tmp_path / "out.file"
     assert main([command, str(history), "--out", str(out), *flags]) == 1
     assert "error[ConfigError]: objective.portfolio:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"domain": "xyz"},
+        {"score": "x"},
+        {"score": True},
+        {"score": float("nan")},
+        {"eval_index": "2"},
+        {"canonical": 5},
+    ],
+    ids=["domain", "score-str", "score-bool", "score-nan", "eval-index-str", "canonical"],
+)
+@pytest.mark.parametrize("command", ["export-curve", "export-portfolio"])
+def test_export_bad_history_row_is_an_error(tmp_path, capsys, command, bad):
+    history = tmp_path / "history.jsonl"
+    write_history(history, [1.0, 2.0])
+    lines = history.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **bad})
+    history.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.file"
+    assert main([command, str(history), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error[CorruptCheckpoint]" in err and "line 2" in err
     assert not out.exists()
 
 
