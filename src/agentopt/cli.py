@@ -39,9 +39,9 @@ from .events import (
     HistoryLog,
     load_checkpoint,
     load_history,
-    read_jsonl,
-    truncate_jsonl,
-    validate_event_log,
+    read_json,
+    read_log,
+    resume_logs,
 )
 from .registry import TaskRegistry
 from .rng import RngHub
@@ -125,24 +125,17 @@ def _open_engine(
     if not resume:
         init_plan = build_init_plan(config, rng)
     else:
+        history, cut_logs = resume_logs(run_dir, checkpoint)
         try:
-            validate_event_log(events_path, checkpoint.events_seq)
-            history = load_history(history_path, limit=checkpoint.history_len)
             registry = TaskRegistry.restore(
                 checkpoint.registry, capacity=config.loop.registry_capacity
             )
             rng.restore(checkpoint.rng)
             ledger.restore(checkpoint.ledger)
             router.restore(checkpoint.backends)
-        except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptCheckpoint(f"run state does not load: {exc!r}") from exc
-        if len(history) != checkpoint.history_len:
-            raise CorruptCheckpoint(
-                f"history has {len(history)} records, checkpoint says "
-                f"{checkpoint.history_len}"
-            )
-        truncate_jsonl(events_path, checkpoint.events_seq)
-        truncate_jsonl(history_path, checkpoint.history_len)
+        cut_logs()
     engine = Engine(
         domain=config.domain,
         objective=config.objective,
@@ -223,11 +216,8 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
         if checkpoint.finished:
             print("run already finished; nothing to resume")
             return EXIT_OK
-        config_path = run_dir / CONFIG_COPY_FILE
-        if not config_path.is_file():
-            raise CorruptCheckpoint(f"missing resolved config: {config_path}")
-        config = validate_config(json.loads(config_path.read_text(encoding="utf-8")))
-    except (AgentOptError, json.JSONDecodeError, OSError) as exc:
+        config = validate_config(read_json(run_dir / CONFIG_COPY_FILE))
+    except AgentOptError as exc:
         return _open_failed(exc)
     return _execute(config, run_dir, checkpoint)
 
@@ -238,14 +228,11 @@ def _load_export(
     """The history an export reads, its direction and its portfolio spec.
 
     The flags win; otherwise both come from the ``objective`` section of the
-    run's ``config.json`` beside the history, if it reads.
+    run's ``config.json`` beside the history, if there is one.
     """
     history = load_history(args.history)
     run_cfg = Path(args.history).parent / CONFIG_COPY_FILE
-    try:
-        objective = json.loads(run_cfg.read_text(encoding="utf-8"))["objective"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError):
-        objective = {}
+    objective = read_json(run_cfg).get("objective", {}) if run_cfg.is_file() else {}
     if args.portfolio_size is not None:
         section = {"size": args.portfolio_size}
         if args.portfolio_beta is not None:
@@ -260,10 +247,7 @@ def _load_export(
 
 
 def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
-    try:
-        history, direction, portfolio_spec = _load_export(args)
-    except (AgentOptError, OSError) as exc:
-        return _fail(EXIT_CONFIG, exc)
+    history, direction, portfolio_spec = _load_export(args)  # main() reports errors
     out_path = Path(args.out)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -292,10 +276,7 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
-    try:
-        history, direction, spec = _load_export(args)
-    except (AgentOptError, OSError) as exc:
-        return _fail(EXIT_CONFIG, exc)
+    history, direction, spec = _load_export(args)  # main() reports errors
     portfolio = best_portfolio_greedy(
         history, spec or PortfolioSpec(), normalized_edit_distance, direction
     )
@@ -318,46 +299,28 @@ def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:
-    run_dir = Path(args.run_dir)
-    summary_path = run_dir / SUMMARY_FILE
-    tokens: Optional[dict] = None
-    if summary_path.is_file():
-        try:
-            tokens = json.loads(summary_path.read_text(encoding="utf-8")).get("tokens")
-        except (OSError, json.JSONDecodeError):
-            tokens = None
-    if tokens is None:
-        # Interrupted runs have no summary yet; rebuild totals from events.
-        events_path = run_dir / EVENTS_FILE
-        if not events_path.is_file():
-            return _fail(EXIT_CONFIG, ConfigError(f"no summary or events in {run_dir}"))
-        ledger = TokenLedger()
-        for event in read_jsonl(events_path):
-            if event.get("kind") != "agent_call":
-                continue
+    # from events.jsonl alone, so killed runs without a summary report too
+    ledger = TokenLedger()
+    for event in read_log(Path(args.run_dir) / EVENTS_FILE):  # main() reports errors
+        if event["kind"] == "agent_call":
             payload = event["payload"]
             ledger.record(
                 payload["role"],
-                payload.get("backend", "unknown"),
-                CompletionResult(
-                    text="",
-                    input_tokens=payload.get("input_tokens", 0),
-                    output_tokens=payload.get("output_tokens", 0),
-                    latency_ms=payload.get("latency_ms", 0),
-                ),
+                payload["backend"],
+                CompletionResult("", payload["input_tokens"], payload["output_tokens"], 0),
             )
-        tokens = ledger.report()
+    tokens = ledger.report()
     for section in ("per_role", "per_backend"):
         print(f"{section}:")
-        for key, row in sorted(tokens.get(section, {}).items()):
+        for key, row in sorted(tokens[section].items()):
             print(
                 f"  {key}: in={row['input_tokens']} out={row['output_tokens']} "
                 f"total={row['total_tokens']} calls={row['calls']}"
             )
-    total = tokens.get("total", {})
+    total = tokens["total"]
     print(
-        f"total: in={total.get('input_tokens', 0)} out={total.get('output_tokens', 0)} "
-        f"total={total.get('total_tokens', 0)} calls={total.get('calls', 0)}"
+        f"total: in={total['input_tokens']} out={total['output_tokens']} "
+        f"total={total['total_tokens']} calls={total['calls']}"
     )
     return EXIT_OK
 
@@ -435,7 +398,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args, extras)
-    except ConfigError as exc:
+    except AgentOptError as exc:  # an input that does not read or does not validate
         return _fail(EXIT_CONFIG, exc)
 
 

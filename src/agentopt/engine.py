@@ -231,9 +231,6 @@ class Engine:
         return records
 
     def _record_outcome(self, task_name: str, success: bool, **extra) -> None:
-        if task_name not in self.registry:
-            logger.warning("outcome for task %s missing from registry", task_name)
-            return
         self.registry.record_outcome(task_name, success)
         payload = {"op": "outcome", "task": task_name, "success": success}
         payload.update(extra)
@@ -434,12 +431,10 @@ class Engine:
         trajectory: TrajectoryState,
         trajectories: list[TrajectoryState],
     ) -> None:
+        # only the planner phase changes which tasks the registry holds
         task_name = trajectory.task_name
+        entry = self.registry.entries[task_name]
         while trajectory.fails < self.loop.max_fails:
-            entry = self.registry.entries.get(task_name)
-            if entry is None:
-                logger.warning("task %s vanished mid-round; ending trajectory", task_name)
-                return
             system, user = build_worker_prompts(
                 self.domain.prompt_pack, entry.text, trajectory.x_curr.canonical
             )

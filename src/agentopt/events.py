@@ -4,6 +4,7 @@ Every line is independently parseable JSON and flushed on write, so a run
 killed at any moment leaves logs that are valid up to their last byte. The
 event stream carries enough payload (agent replies, evaluated records) to
 rebuild the history and to replay a recorded run against scripted backends.
+``read_log`` and ``read_json`` are the only readers of a run directory.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .core import Candidate, DomainKind, History, ScoredRecord
-from .errors import CorruptCheckpoint
+from .errors import CorruptCheckpoint, DuplicateCandidate
 
 EVENT_KINDS = (
     "agent_call",
@@ -127,54 +129,73 @@ class HistoryLog:
         self._writer.close()
 
 
-def read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+class Log(list):
+    """The rows of a JSONL log in file order; ``size`` counts the bytes of their lines."""
+
+    def __init__(self, rows: list, size: int):
+        super().__init__(rows)
+        self.size = size
 
 
-def load_history(path: Path, limit: Optional[int] = None) -> History:
-    """Rebuild a History from history.jsonl, or from its first ``limit`` lines.
+def _decode(path: Path, data: bytes, where: str = "") -> Any:
+    """The JSON value of UTF-8 ``data``; anything else is a ``CorruptCheckpoint``."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise CorruptCheckpoint(f"{path}{where}: {exc}") from exc
 
-    Lines past ``limit`` are not read, so a torn tail there does no harm. A
-    line that is no record, or is out of order, raises ``CorruptCheckpoint``
-    naming the line.
+
+def read_log(path: Path, limit: Optional[int] = None) -> Log:
+    """The rows of a JSONL log: every complete line, or exactly the first ``limit``.
+
+    A last line without its newline is a write that a kill cut short, so it
+    is left out, and lines past ``limit`` are not read. A line that is not
+    UTF-8 JSON, or fewer than ``limit`` complete lines, is a
+    ``CorruptCheckpoint`` naming the file and the line.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = list(itertools.islice(fh, limit))
+    except OSError as exc:
+        raise CorruptCheckpoint(f"cannot read {path}: {exc}") from exc
+    if lines and not lines[-1].endswith(b"\n"):
+        lines.pop()
+    if limit is not None and len(lines) < limit:
+        raise CorruptCheckpoint(
+            f"{path} has {len(lines)} complete lines, checkpoint expects {limit}"
+        )
+    rows = [_decode(path, line, f" line {n}") for n, line in enumerate(lines, 1)]
+    return Log(rows, sum(map(len, lines)))
+
+
+def read_json(path: Path) -> Any:
+    """The JSON value of a whole file: ``checkpoint.json`` or ``config.json``."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise CorruptCheckpoint(f"cannot read {path}: {exc}") from exc
+    return _decode(path, data)
+
+
+def load_history(path: Path, rows: Optional[list] = None) -> History:
+    """The History of the history.jsonl at ``path``, from its ``rows`` if read already.
+
+    A row that is no record, or is out of order, raises ``CorruptCheckpoint``
+    naming its line.
     """
     history = History()
-    with open(Path(path), encoding="utf-8") as fh:
-        for lineno, line in enumerate(itertools.islice(fh, limit), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = record_from_json(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorruptCheckpoint(f"{path} line {lineno}: {exc!r}") from exc
+    for lineno, row in enumerate(read_log(path) if rows is None else rows, start=1):
+        try:
+            record = record_from_json(row)
             stored = history.append(record.candidate, record.score, record.origin)
-            if stored.eval_index != record.eval_index:
-                raise CorruptCheckpoint(
-                    f"{path} line {lineno}: eval_index {record.eval_index}, "
-                    f"expected {stored.eval_index}"
-                )
+        except (KeyError, TypeError, ValueError, DuplicateCandidate) as exc:
+            raise CorruptCheckpoint(f"{path} line {lineno}: {exc!r}") from exc
+        if stored.eval_index != record.eval_index:
+            raise CorruptCheckpoint(
+                f"{path} line {lineno}: eval_index {record.eval_index}, "
+                f"expected {stored.eval_index}"
+            )
     return history
-
-
-def truncate_jsonl(path: Path, keep_lines: int) -> None:
-    """Rewrite a JSONL file keeping exactly the first ``keep_lines`` lines.
-
-    The kept prefix is preserved byte-for-byte, which is what makes resumed
-    runs reproduce straight-through output files exactly.
-    """
-    with open(path, "rb") as fh:
-        kept = list(itertools.islice(fh, keep_lines))
-    if len(kept) < keep_lines:
-        raise CorruptCheckpoint(
-            f"{path} has {len(kept)} lines, checkpoint expects {keep_lines}"
-        )
-    with open(path, "wb") as fh:
-        fh.writelines(kept)
 
 
 CHECKPOINT_VERSION = 2
@@ -237,29 +258,27 @@ def write_checkpoint(run_dir: Path, checkpoint: Checkpoint) -> Path:
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
-    return Checkpoint.from_json(payload)
+    return Checkpoint.from_json(read_json(path))
 
 
-def validate_event_log(path: Path, expected_last_seq: int) -> None:
-    """Check that the log opens with events 1 to ``expected_last_seq`` in order.
+def resume_logs(run_dir: Path, checkpoint: Checkpoint) -> tuple[History, Callable[[], None]]:
+    """The history at ``checkpoint``, and the cut that trims both logs back to it.
 
-    Lines beyond them may be damaged (a kill signal can tear the final
-    write); resume discards them, so they are not read.
+    Each log's checkpointed prefix is read once: its events must be numbered
+    1 to ``events_seq`` and its rows must rebuild the history in order. What
+    the interrupted run wrote past the checkpoint is not read. The cut
+    truncates both files to those prefixes, whose bytes stay as they were.
     """
-    seq = 0
-    try:
-        with open(Path(path), encoding="utf-8") as fh:
-            for seq, line in enumerate(itertools.islice(fh, expected_last_seq), 1):
-                if json.loads(line).get("seq") != seq:
-                    raise CorruptCheckpoint(f"event log sequence gap at line {seq}")
-    except (OSError, ValueError, AttributeError) as exc:
-        raise CorruptCheckpoint(f"event log {path} unreadable at line {seq}: {exc}") from exc
-    if seq < expected_last_seq:
-        raise CorruptCheckpoint(
-            f"event log has {seq} events, checkpoint expects at least {expected_last_seq}"
-        )
+    events_path, history_path = Path(run_dir) / EVENTS_FILE, Path(run_dir) / HISTORY_FILE
+    events = read_log(events_path, checkpoint.events_seq)
+    for seq, event in enumerate(events, start=1):
+        if not isinstance(event, dict) or event.get("seq") != seq:
+            raise CorruptCheckpoint(f"{events_path} line {seq}: seq is not {seq}")
+    rows = read_log(history_path, checkpoint.history_len)
+    history = load_history(history_path, rows)
+
+    def cut() -> None:
+        os.truncate(events_path, events.size)
+        os.truncate(history_path, rows.size)
+
+    return history, cut

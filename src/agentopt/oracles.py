@@ -14,7 +14,7 @@ import random
 import subprocess
 import threading
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .core import Candidate, DomainKind, canonicalize
 from .errors import EmptyCandidate, InsufficientInit, OracleFailure, OracleTimeout
@@ -60,6 +60,13 @@ class Oracle:
         return [self._score(t) for t in texts]
 
 
+def _check(name: str, value: Any, *types: type) -> None:
+    """Raise ``TypeError`` unless ``value`` is one of ``types``; a bool is no number."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{name} is {value!r}, expected {expected}")
+
+
 class MotifMatchOracle(Oracle):
     """Similarity to a hidden target via normalized longest common subsequence.
 
@@ -69,6 +76,7 @@ class MotifMatchOracle(Oracle):
 
     def __init__(self, target: str):
         super().__init__()
+        _check("target", target, str)
         if not target:
             raise ValueError("motif target must be non-empty")
         self.target = target
@@ -113,6 +121,12 @@ class HiddenWeightsOracle(Oracle):
         seed: int = 0,
     ):
         super().__init__()
+        _check("weights", weights, dict)
+        for letter, weight in weights.items():
+            _check(f"weights.{letter}", weight, int, float)
+        _check("normalize", normalize, bool)
+        _check("noise_sd", noise_sd, int, float)
+        _check("seed", seed, int)
         self.weights = dict(weights)
         self.normalize = normalize
         self.noise_sd = noise_sd
@@ -144,6 +158,9 @@ class PlateauOracle(Oracle):
         seed: int = 0,
     ):
         super().__init__()
+        _check("floor", floor, int, float)
+        _check("mass", mass, int, float)
+        _check("seed", seed, int)
         if not 0 < mass < 1:
             raise ValueError("mass must lie strictly between 0 and 1")
         self.floor = floor
@@ -279,7 +296,7 @@ def read_candidate_file(path: Path, kind: DomainKind) -> list[Candidate]:
     """Read one candidate per non-blank line, keeping file order."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InsufficientInit(f"cannot read init file {path}: {exc}") from exc
     candidates = []
     for line in text.splitlines():

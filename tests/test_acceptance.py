@@ -39,7 +39,7 @@ from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams
 from agentopt.errors import NoCandidatesFound
-from agentopt.events import EventLog, HistoryLog, read_jsonl
+from agentopt.events import EventLog, HistoryLog, read_log
 from agentopt.filtering import (
     NO_CONSTRAINT,
     TemplateSimilarityConstraint,
@@ -170,7 +170,7 @@ def test_algorithm_trace_conformance(tmp_path):
     assert result.stop_reason == "budget"
     assert result.history.evals_used == 33
 
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     produced = "round,phase,kind\n" + "\n".join(
         f"{e['round']},{e['phase']},{e['kind']}" for e in events
     ) + "\n"
@@ -381,7 +381,7 @@ def test_template_constraint_soundness(tmp_path, seed):
         best = max(similarity(record.candidate, t) for t in templates)
         assert best >= 0.75, f"{record.candidate.canonical} violates the constraint"
 
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     rejected_reasons = [
         r["reason"]
         for e in events
@@ -581,7 +581,7 @@ def test_replay_determinism(tmp_path):
                 proc.kill()
     rc = proc.returncode
     assert rc == 130, f"interrupted run exited {rc}"
-    last = read_jsonl(tmp_path / "sigint" / "events.jsonl")[-1]
+    last = read_log(tmp_path / "sigint" / "events.jsonl")[-1]
     assert last["kind"] == "error"
     assert last["payload"]["reason"].startswith("KeyboardInterrupt")
     assert main(["resume", str(tmp_path / "sigint")]) == 0
@@ -686,7 +686,7 @@ def test_live_endpoint_smoke(tmp_path):
     config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
     assert main(["run", "--config", str(config_path)]) == 0
     summary = json.loads((tmp_path / "live" / "summary.json").read_text())
-    history = read_jsonl(tmp_path / "live" / "history.jsonl")
+    history = read_log(tmp_path / "live" / "history.jsonl")
     init_best = max(r["score"] for r in history[:100])
     assert summary["best_score"] > init_best
     for role in ("explorer", "planner", "worker"):

@@ -15,7 +15,7 @@ from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
 from agentopt.errors import InsufficientInit, OracleFailure
-from agentopt.events import read_jsonl
+from agentopt.events import read_log
 from agentopt.oracles import MotifMatchOracle
 from agentopt.rng import RngHub
 
@@ -95,7 +95,7 @@ def test_run_mutator_smoke_improves(tmp_path):
     assert main(["run", "--config", str(config)]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["evals_used"] == 40
-    history = read_jsonl(tmp_path / "out" / "history.jsonl")
+    history = read_log(tmp_path / "out" / "history.jsonl")
     init_best = max(r["score"] for r in history[:20])
     assert summary["best_score"] >= init_best
 
@@ -161,7 +161,7 @@ def test_events_log_is_gapless_and_rebuilds_history(tmp_path):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
     out_dir = tmp_path / "out"
-    events = read_jsonl(out_dir / "events.jsonl")
+    events = read_log(out_dir / "events.jsonl")
     assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
     rebuilt = [
         record
@@ -169,7 +169,7 @@ def test_events_log_is_gapless_and_rebuilds_history(tmp_path):
         if event["kind"] == "eval_batch"
         for record in event["payload"]["records"]
     ]
-    history_rows = read_jsonl(out_dir / "history.jsonl")
+    history_rows = read_log(out_dir / "history.jsonl")
     assert rebuilt == history_rows
 
 
@@ -195,23 +195,27 @@ def test_validate_config_missing_file(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "override",
+    "overrides",
     [
-        "oracle.timeout_ms=abc",
-        "init.floor=abc",
-        "backends.roles.worker.temperature=abc",
-        "init.pool={kind: mutations}",
-        "init.pool={kind: bogus}",
-        "oracle.params.bogus=1",
-        "init.count=abc",
-        'init.zero_signal_guard="false"',
-        "objective.budget=true",
-        "backends.roles.worker.temperature=-1",
-        "loop.registry_capacity=3",
-        "domain.kind=bogus",
+        ["oracle.timeout_ms=abc"],
+        ["init.floor=abc"],
+        ["backends.roles.worker.temperature=abc"],
+        ["init.pool={kind: mutations}"],
+        ["init.pool={kind: bogus}"],
+        ["oracle.params.bogus=1"],
+        ["oracle.params.target=5"],
+        ["oracle.name=plateau", "oracle.params.floor=abc"],
+        ["oracle.name=hidden-weights", "oracle.params.weights={A: x}"],
+        ["init.count=abc"],
+        ['init.zero_signal_guard="false"'],
+        ["objective.budget=true"],
+        ["backends.roles.worker.temperature=-1"],
+        ["loop.registry_capacity=3"],
+        ["domain.kind=bogus"],
     ],
+    ids=" ".join,
 )
-def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, override):
+def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, overrides):
     out_dir = tmp_path / "out"
     config = write_yaml(
         tmp_path / "config.yaml",
@@ -221,9 +225,27 @@ def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, override):
             "objective": {"budget": 30},
         },
     )
+    sets = [arg for override in overrides for arg in ("--set", override)]
     for command in ("validate-config", "run"):
-        assert main([command, "--config", str(config), "--set", override]) == 1
+        assert main([command, "--config", str(config), *sets]) == 1
         assert "error[ConfigError]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_init_file_that_is_not_utf8_names_key_and_path(tmp_path, capsys):
+    init_file = tmp_path / "init.txt"
+    init_file.write_bytes(b"\xff\xfeKLWR\n")
+    out_dir = tmp_path / "out"
+    config = write_yaml(
+        tmp_path / "config.yaml",
+        {"run": {"output_dir": str(out_dir)}, "domain": {"kind": "peptide"}},
+    )
+    for key in ("init.source", "init.pool"):
+        override = f"{key}={{kind: file, path: {init_file}}}"
+        for command in ("validate-config", "run"):
+            assert main([command, "--config", str(config), "--set", override]) == 1
+            err = capsys.readouterr().err
+            assert f"error[ConfigError]: {key}.path: cannot read init file {init_file}" in err
     assert not out_dir.exists()
 
 
@@ -369,7 +391,7 @@ def test_oracle_failure_during_init_leaves_no_checkpoint(tmp_path, capsys):
     assert "error[OracleFailure]" in capsys.readouterr().err
     out_dir = tmp_path / "out"
     assert not (out_dir / "checkpoint.json").exists()
-    last = read_jsonl(out_dir / "events.jsonl")[-1]
+    last = read_log(out_dir / "events.jsonl")[-1]
     assert (last["kind"], last["round"], last["phase"]) == ("error", 0, "init")
     assert main(["resume", str(out_dir)]) == 2
     assert "error[CorruptCheckpoint]" in capsys.readouterr().err
@@ -402,7 +424,7 @@ def record_script(tmp_path: Path) -> tuple[dict, list[dict]]:
     assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
     script = [
         {"match": {"role": e["payload"]["role"]}, "reply": e["payload"]["reply"]}
-        for e in read_jsonl(tmp_path / "out" / "events.jsonl")
+        for e in read_log(tmp_path / "out" / "events.jsonl")
         if e["kind"] == "agent_call"
     ]
     return config, script
@@ -413,7 +435,7 @@ def write_rows(path: Path, rows: list[dict]) -> None:
 
 
 def events_without_ts(path: Path) -> list[dict]:
-    return [{k: v for k, v in e.items() if k != "ts"} for e in read_jsonl(path)]
+    return [{k: v for k, v in e.items() if k != "ts"} for e in read_log(path)]
 
 
 def test_resume_after_failure_at_every_agent_call(tmp_path, capsys):
@@ -424,7 +446,7 @@ def test_resume_after_failure_at_every_agent_call(tmp_path, capsys):
     reference = tmp_path / "reference"
     config["run"]["output_dir"] = str(reference)
     assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
-    calls = [e for e in read_jsonl(reference / "events.jsonl") if e["kind"] == "agent_call"]
+    calls = [e for e in read_log(reference / "events.jsonl") if e["kind"] == "agent_call"]
     assert len(calls) == len(script)
     assert {(e["round"], e["phase"]) for e in calls} == {
         (r, phase) for r in (1, 2) for phase in ("explorer", "planner", "worker")
@@ -463,7 +485,7 @@ def test_resume_after_oracle_failure_at_every_batch(tmp_path, capsys, monkeypatc
     config["run"]["output_dir"] = str(reference)
     assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
     batches = [
-        e for e in read_jsonl(reference / "events.jsonl")
+        e for e in read_log(reference / "events.jsonl")
         if e["kind"] == "eval_batch" and e["payload"]["n"]
     ]
     assert {e["phase"] for e in batches} == {"init", "explorer", "worker"}
@@ -551,16 +573,37 @@ def test_resume_malformed_checkpoint_leaves_logs_untouched(tmp_path, capsys, tam
 def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys):
     out = mutator_rounds_run(tmp_path)
     shutil.copy(out / "checkpoints" / "round_00000.json", out / "checkpoint.json")
-    lines = (out / "history.jsonl").read_text().splitlines(keepends=True)
+    lines = (out / "history.jsonl").read_bytes().splitlines(keepends=True)
     row = json.loads(lines[4])
     row["score"] = "x"
-    lines[4] = json.dumps(row) + "\n"
-    (out / "history.jsonl").write_text("".join(lines), encoding="utf-8")
-    logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    for bad in (json.dumps(row).encode() + b"\n", b"\xff\xfe" + lines[4]):
+        (out / "history.jsonl").write_bytes(b"".join(lines[:4] + [bad] + lines[5:]))
+        logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+        capsys.readouterr()
+        assert main(["resume", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error[CorruptCheckpoint]" in err and "history.jsonl line 5" in err
+        assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("config.json", lambda data: data[: len(data) // 2]),
+        ("config.json", lambda data: b"\xff\xfe" + data),
+        ("checkpoint.json", lambda data: b"\xff\xfe" + data),
+    ],
+    ids=["config-torn", "config-utf-8", "checkpoint-utf-8"],
+)
+def test_resume_unreadable_run_file_leaves_logs_untouched(tmp_path, capsys, name, damage):
+    out = mutator_rounds_run(tmp_path)
+    shutil.copy(out / "checkpoints" / "round_00001.json", out / "checkpoint.json")
+    (out / name).write_bytes(damage((out / name).read_bytes()))
+    logs = {log: (out / log).read_bytes() for log in ("events.jsonl", "history.jsonl")}
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
-    assert "error[CorruptCheckpoint]" in capsys.readouterr().err
-    assert {name: (out / name).read_bytes() for name in logs} == logs
+    assert f"error[CorruptCheckpoint]: {out / name}: " in capsys.readouterr().err
+    assert {log: (out / log).read_bytes() for log in logs} == logs
 
 
 # -- exports -----------------------------------------------------------------------
@@ -690,20 +733,40 @@ def test_export_bad_portfolio_flags_are_config_errors(tmp_path, capsys, command,
         {"score": float("nan")},
         {"eval_index": "2"},
         {"canonical": 5},
+        {"canonical": "C1"},
+        b'\xff\xfe{"score": 2.0}',
     ],
-    ids=["domain", "score-str", "score-bool", "score-nan", "eval-index-str", "canonical"],
+    ids=[
+        "domain", "score-str", "score-bool", "score-nan", "eval-index-str", "canonical",
+        "duplicate", "utf-8",
+    ],
 )
 @pytest.mark.parametrize("command", ["export-curve", "export-portfolio"])
 def test_export_bad_history_row_is_an_error(tmp_path, capsys, command, bad):
     history = tmp_path / "history.jsonl"
     write_history(history, [1.0, 2.0])
-    lines = history.read_text().splitlines()
-    lines[1] = json.dumps({**json.loads(lines[1]), **bad})
-    history.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = history.read_bytes().splitlines()
+    if not isinstance(bad, bytes):
+        bad = json.dumps({**json.loads(lines[1]), **bad}).encode()
+    history.write_bytes(lines[0] + b"\n" + bad + b"\n")
     out = tmp_path / "out.file"
     assert main([command, str(history), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error[CorruptCheckpoint]" in err and "line 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config_json",
+    [b'{"objective": {"direction": "minimize"', b'\xff\xfe{"objective": {}}'],
+    ids=["torn", "utf-8"],
+)
+def test_export_next_to_unreadable_config_is_an_error(tmp_path, capsys, config_json):
+    write_history(tmp_path / "history.jsonl", [9.0, 7.0])
+    (tmp_path / "config.json").write_bytes(config_json)
+    out = tmp_path / "curve.csv"
+    assert main(["export-curve", str(tmp_path / "history.jsonl"), "--out", str(out)]) == 1
+    assert f"error[CorruptCheckpoint]: {tmp_path / 'config.json'}: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -736,8 +799,17 @@ def test_token_report_from_summary(tmp_path, capsys):
 
 
 def test_token_report_recovers_from_events(tmp_path, capsys):
+    # a killed run: no summary.json, and a last event line torn mid-write
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
-    (tmp_path / "out" / "summary.json").unlink()
-    assert main(["token-report", str(tmp_path / "out")]) == 0
-    assert "total:" in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    total = json.loads((out_dir / "summary.json").read_text())["tokens"]["total"]
+    (out_dir / "summary.json").unlink()
+    with open(out_dir / "events.jsonl", "ab") as fh:
+        fh.write(b'{"seq": 99, "kind": "agent_call", "payload": {"role": "wor')
+    capsys.readouterr()
+    assert main(["token-report", str(out_dir)]) == 0
+    assert (
+        f"total: in={total['input_tokens']} out={total['output_tokens']} "
+        f"total={total['total_tokens']} calls={total['calls']}"
+    ) in capsys.readouterr().out

@@ -27,7 +27,7 @@ from agentopt.errors import (
     BudgetExhaustedDuringInit,
     OracleFailure,
 )
-from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_jsonl
+from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_log
 from agentopt.filtering import NO_CONSTRAINT
 from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.rng import RngHub
@@ -143,7 +143,7 @@ def test_budget_truncates_final_batch(tmp_path):
     engine.close()
     assert result.history.evals_used == 12
     assert oracle.calls == 12
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     final_eval = [e for e in events if e["kind"] == "eval_batch"][-1]
     assert final_eval["payload"]["truncated"] == 3
     # the improving candidate arriving on the exhausting batch is recorded
@@ -180,7 +180,7 @@ def test_explorer_persistence_pattern_improve_then_three_fails(tmp_path):
     engine, _ = build_engine(tmp_path, replies, count_a_oracle(), init, budget=100)
     result = engine.run()
     engine.close()
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     assert len(agent_calls(events, "explorer", round_idx=1)) == 4
     assert result.stop_reason == "stagnation"
     # counter resets on improvement: 4 iterations total, not max_fails alone
@@ -195,7 +195,7 @@ def test_parse_failure_counts_as_explorer_fail(tmp_path):
     engine, _ = build_engine(tmp_path, replies, count_a_oracle(), init, budget=50)
     result = engine.run()
     engine.close()
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     explorer = agent_calls(events, "explorer", round_idx=1)
     assert len(explorer) == 3
     assert result.stop_reason == "stagnation"
@@ -211,7 +211,7 @@ def test_duplicate_only_agents_stagnate_at_init_count(tmp_path):
     engine.close()
     assert result.stop_reason == "stagnation"
     assert result.history.evals_used == 8
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     reasons = [
         r["reason"]
         for e in events
@@ -255,7 +255,7 @@ def test_planner_creates_tasks_and_renames_default_collision(tmp_path):
     engine.close()
     assert {"ALPHA", "BETA", "SHUFFLE_V2"} <= set(result.registry.entries)
     assert result.registry.get("SHUFFLE").text != "TASK: an improved shuffle."
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     round1_tasks = [
         e["payload"]["task"] for e in agent_calls(events, "worker", round_idx=1)
     ]
@@ -277,7 +277,7 @@ def test_unparseable_plan_falls_back_to_defaults(tmp_path):
     )
     result = engine.run()
     engine.close()
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     tasks = [e["payload"]["task"] for e in agent_calls(events, "worker")]
     assert tasks == ["SIMILAR", "EXPLORE", "SHUFFLE"]
 
@@ -319,7 +319,7 @@ def test_worker_hill_climb_updates_and_outcome_counts(tmp_path):
     )
     result = engine.run()
     engine.close()
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
 
     traj0 = [
         e
@@ -362,7 +362,7 @@ def test_kxm_trajectories_spawned(tmp_path):
     )
     engine.run()
     engine.close()
-    events = read_jsonl(tmp_path / "events.jsonl")
+    events = read_log(tmp_path / "events.jsonl")
     round1 = agent_calls(events, "worker", round_idx=1)
     assert len(round1) == 6
     assert {(e["payload"]["task"], e["payload"]["trajectory"]) for e in round1} == {
@@ -394,7 +394,7 @@ def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, monkeypatch):
     result = engine.run()
     engine.close()
     assert result.stop_reason == "stagnation"
-    assert len(agent_calls(read_jsonl(tmp_path / "events.jsonl"), "worker")) == 9
+    assert len(agent_calls(read_log(tmp_path / "events.jsonl"), "worker")) == 9
     assert kernel_calls  # the worker phase's seed selection
 
     before = len(kernel_calls)
@@ -768,7 +768,7 @@ def test_replay_of_recorded_run_reproduces_history_bytes(tmp_path):
     engine.run()
     engine.close()
 
-    events = read_jsonl(first_dir / "events.jsonl")
+    events = read_log(first_dir / "events.jsonl")
     recorded = [
         (e["payload"]["role"], e["payload"]["reply"])
         for e in events
@@ -812,7 +812,7 @@ def assert_stopped_at_boundary(
     run_dir: Path, error: str, round_idx: int, phase: str, boundary: int
 ) -> None:
     """One ``error`` event, last, where the run stopped; checkpoint at ``boundary``."""
-    events = read_jsonl(run_dir / "events.jsonl")
+    events = read_log(run_dir / "events.jsonl")
     assert [e["kind"] for e in events].count("error") == 1
     last = events[-1]
     assert (last["kind"], last["round"], last["phase"]) == ("error", round_idx, phase)

@@ -12,11 +12,10 @@ from agentopt.events import (
     HistoryLog,
     load_checkpoint,
     load_history,
-    read_jsonl,
+    read_log,
     record_from_json,
     record_to_json,
-    truncate_jsonl,
-    validate_event_log,
+    resume_logs,
     write_checkpoint,
 )
 
@@ -26,7 +25,7 @@ def test_event_log_sequences_and_flushes(tmp_path):
     log = EventLog(path)
     log.emit("round_end", 1, "loop", {"x": 1})
     log.emit("checkpoint", 1, "loop", {})
-    rows = read_jsonl(path)  # readable before close: every write is flushed
+    rows = read_log(path)  # readable before close: every write is flushed
     assert [r["seq"] for r in rows] == [1, 2]
     assert rows[0]["kind"] == "round_end"
     assert rows[0]["round"] == 1 and rows[0]["phase"] == "loop"
@@ -68,41 +67,75 @@ def test_history_log_and_load(tmp_path):
     loaded = load_history(path)
     assert loaded.evals_used == 3
     assert loaded.score_of("BBB") == 1.0
-    partial = load_history(path, limit=2)
-    assert partial.evals_used == 2
+    assert [row["canonical"] for row in read_log(path, 2)] == ["AAA", "BBB"]
 
 
-def test_truncate_keeps_prefix_bytes(tmp_path):
-    path = tmp_path / "log.jsonl"
-    lines = [json.dumps({"seq": i}) for i in range(1, 6)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    original_prefix = ("\n".join(lines[:3]) + "\n").encode()
-    truncate_jsonl(path, 3)
-    assert path.read_bytes() == original_prefix
+def write_logs(run_dir, events: bytes, n_history: int = 0) -> None:
+    (run_dir / "events.jsonl").write_bytes(events)
+    rows = [
+        {"eval_index": i, "raw": f"C{i}", "canonical": f"C{i}", "domain": "generic",
+         "score": float(i), "origin": "init"}
+        for i in range(1, n_history + 1)
+    ]
+    (run_dir / "history.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+    )
 
 
-def test_truncate_beyond_length_is_corrupt(tmp_path):
+def at(events_seq: int, history_len: int = 0) -> Checkpoint:
+    return Checkpoint(1, False, history_len, events_seq, {}, {}, {}, {})
+
+
+def test_resume_cut_keeps_prefix_bytes(tmp_path):
+    lines = [json.dumps({"seq": i}).encode() + b"\n" for i in range(1, 6)]
+    write_logs(tmp_path, b"".join(lines), n_history=4)
+    history_lines = (tmp_path / "history.jsonl").read_bytes().splitlines(keepends=True)
+    history, cut = resume_logs(tmp_path, at(3, history_len=2))
+    assert [r.candidate.canonical for r in history.records] == ["C1", "C2"]
+    assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines)  # not cut yet
+    cut()
+    assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines[:3])
+    assert (tmp_path / "history.jsonl").read_bytes() == b"".join(history_lines[:2])
+
+
+def test_read_log_beyond_length_is_corrupt(tmp_path):
     path = tmp_path / "log.jsonl"
     path.write_text('{"seq": 1}\n', encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint):
-        truncate_jsonl(path, 5)
+    with pytest.raises(CorruptCheckpoint, match="1 complete lines, checkpoint expects 5"):
+        read_log(path, 5)
+    write_logs(tmp_path, b'{"seq": 1}\n', n_history=1)
+    with pytest.raises(CorruptCheckpoint, match="history.jsonl has 1 complete lines"):
+        resume_logs(tmp_path, at(1, history_len=2))
 
 
-def test_validate_event_log_gap_detection(tmp_path):
+def test_resume_seq_gap_is_corrupt(tmp_path):
+    write_logs(tmp_path, b'{"seq": 1}\n{"seq": 3}\n')
+    with pytest.raises(CorruptCheckpoint, match="line 2: seq is not 2"):
+        resume_logs(tmp_path, at(2))
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(b'{"seq": 2', "Expecting"), (b'\xff\xfe{"seq": 2}', "utf-8")],
+    ids=["json", "utf-8"],
+)
+def test_read_log_bad_line_is_corrupt_and_names_it(tmp_path, bad, reason):
     path = tmp_path / "events.jsonl"
-    path.write_text('{"seq": 1}\n{"seq": 3}\n', encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint):
-        validate_event_log(path, 2)
+    path.write_bytes(b'{"seq": 1}\n' + bad + b"\n")
+    with pytest.raises(CorruptCheckpoint, match=f"events.jsonl line 2: .*{reason}"):
+        read_log(path)
+    assert read_log(path, 1) == [{"seq": 1}]  # lines past the limit are not read
 
 
-def test_validate_event_log_tolerates_torn_tail(tmp_path):
+def test_read_log_leaves_out_torn_tail(tmp_path):
     # a kill signal can cut the final line mid-write; damage beyond the
     # checkpointed prefix must not block resume
+    write_logs(tmp_path, b'{"seq": 1}\n{"seq": 2}\n{"seq": 3, "tru')
     path = tmp_path / "events.jsonl"
-    path.write_text('{"seq": 1}\n{"seq": 2}\n{"seq": 3, "tru', encoding="utf-8")
-    validate_event_log(path, 2)
-    with pytest.raises(CorruptCheckpoint):
-        validate_event_log(path, 3)
+    assert read_log(path) == [{"seq": 1}, {"seq": 2}]
+    resume_logs(tmp_path, at(2))
+    with pytest.raises(CorruptCheckpoint, match="2 complete lines, checkpoint expects 3"):
+        resume_logs(tmp_path, at(3))
 
 
 def test_checkpoint_round_trip_and_archive(tmp_path):
@@ -136,6 +169,9 @@ def test_load_checkpoint_garbage_is_corrupt(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(tmp_path / "missing.json")
+    path.write_bytes(b'\xff\xfe{"version": 2}')
+    with pytest.raises(CorruptCheckpoint, match="utf-8"):
+        load_checkpoint(path)
     path.write_text('{"version": 1}', encoding="utf-8")
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
