@@ -216,10 +216,18 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
         if checkpoint.finished:
             print("run already finished; nothing to resume")
             return EXIT_OK
-        config = validate_config(read_json(run_dir / CONFIG_COPY_FILE))
+        config = validate_config(_read_run_config(run_dir / CONFIG_COPY_FILE))
     except AgentOptError as exc:
         return _open_failed(exc)
     return _execute(config, run_dir, checkpoint)
+
+
+def _read_run_config(path: Path) -> dict:
+    """The ``config.json`` a run wrote, which must hold a JSON object."""
+    cfg = read_json(path)
+    if not isinstance(cfg, dict):
+        raise CorruptCheckpoint(f"{path}: {type(cfg).__name__} is not a config object")
+    return cfg
 
 
 def _load_export(
@@ -232,7 +240,9 @@ def _load_export(
     """
     history = load_history(args.history)
     run_cfg = Path(args.history).parent / CONFIG_COPY_FILE
-    objective = read_json(run_cfg).get("objective", {}) if run_cfg.is_file() else {}
+    objective = _read_run_config(run_cfg).get("objective", {}) if run_cfg.is_file() else {}
+    if not isinstance(objective, dict):
+        raise CorruptCheckpoint(f"{run_cfg}: objective {objective!r} is not an object")
     if args.portfolio_size is not None:
         section = {"size": args.portfolio_size}
         if args.portfolio_beta is not None:
@@ -249,28 +259,23 @@ def _load_export(
 def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
     history, direction, portfolio_spec = _load_export(args)  # main() reports errors
     out_path = Path(args.out)
+    header = ["eval_index", "best_so_far"]
+    points = None
+    if portfolio_spec is not None:
+        header += ["portfolio_agg", "portfolio_complete"]
+        dist = MemoDistance(normalized_edit_distance)
+        points = portfolio_progress(history, portfolio_spec, dist, direction)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if portfolio_spec is None:
-            writer.writerow(["eval_index", "best_so_far"])
-            best: Optional[float] = None
-            for record in history.records:
-                if best is None or is_improvement(record.score, best, direction):
-                    best = record.score
-                writer.writerow([record.eval_index, best])
-        else:
-            writer.writerow(
-                ["eval_index", "best_so_far", "portfolio_agg", "portfolio_complete"]
-            )
-            dist = MemoDistance(normalized_edit_distance)
-            points = portfolio_progress(history, portfolio_spec, dist, direction)
-            best = None
-            for record, point in zip(history.records, points):
-                if best is None or is_improvement(record.score, best, direction):
-                    best = record.score
-                writer.writerow(
-                    [record.eval_index, best, point.agg_value, str(point.complete).lower()]
-                )
+        writer.writerow(header)
+        best: Optional[float] = None
+        for i, record in enumerate(history.records):
+            if best is None or is_improvement(record.score, best, direction):
+                best = record.score
+            row = [record.eval_index, best]
+            if points is not None:
+                row += [points[i].agg_value, str(points[i].complete).lower()]
+            writer.writerow(row)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -301,14 +306,19 @@ def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
 def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:
     # from events.jsonl alone, so killed runs without a summary report too
     ledger = TokenLedger()
-    for event in read_log(Path(args.run_dir) / EVENTS_FILE):  # main() reports errors
-        if event["kind"] == "agent_call":
+    events_path = Path(args.run_dir) / EVENTS_FILE
+    for lineno, event in enumerate(read_log(events_path), start=1):  # main() reports errors
+        try:
+            if event["kind"] != "agent_call":
+                continue
             payload = event["payload"]
             ledger.record(
                 payload["role"],
                 payload["backend"],
                 CompletionResult("", payload["input_tokens"], payload["output_tokens"], 0),
             )
+        except (KeyError, TypeError) as exc:
+            raise CorruptCheckpoint(f"{events_path} line {lineno}: {exc!r}") from exc
     tokens = ledger.report()
     for section in ("per_role", "per_backend"):
         print(f"{section}:")

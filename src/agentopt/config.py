@@ -35,7 +35,7 @@ from .core import (
     PortfolioSpec,
     canonicalize,
 )
-from .domains import DEFAULT_SEED_THRESHOLDS, DomainSpec, make_domain
+from .domains import BUILTIN, DomainSpec, make_domain
 from .engine import InitPlan, LoopParams
 from .errors import ConfigError, EmptyCandidate, InsufficientInit, MalformedScript
 from .filtering import (
@@ -56,32 +56,11 @@ from .oracles import (
 from .registry import TaskRegistry
 from .rng import RngHub
 
-# Synthetic starting points so a bare default config runs out of the box;
-# real experiments point init.source at their own data instead.
-DEFAULT_INIT_TEMPLATES = {
-    DomainKind.PEPTIDE: [
-        "KLWKKLLKWLKKLL",
-        "RWLRWLARWLARLA",
-        "FKKLWKLWKKFLKL",
-    ],
-    DomainKind.SMILES: [
-        "CCO",
-        "CC(=O)O",
-        "c1ccccc1",
-        "CCN(CC)CC",
-        "CC(C)CCO",
-    ],
-    DomainKind.GENERIC: [
-        "ABABABABAB",
-        "CDCDCDCDCD",
-        "EFEFEFEFEF",
-    ],
-}
-
 
 def default_config(domain_kind: str = "generic") -> dict:
     """Full configuration tree with every built-in default filled in."""
     kind = DomainKind(domain_kind)
+    defaults = BUILTIN[kind]
     return {
         "run": {"seed": 0, "output_dir": "runs/out"},
         "domain": {
@@ -92,7 +71,7 @@ def default_config(domain_kind: str = "generic") -> dict:
             "external_validator": None,
         },
         "objective": {
-            "direction": "minimize" if kind == DomainKind.PEPTIDE else "maximize",
+            "direction": defaults.direction.value,
             "budget": 20000,
             "description": None,
             "portfolio": None,
@@ -100,7 +79,7 @@ def default_config(domain_kind: str = "generic") -> dict:
         "loop": {
             "max_fails": 3,
             "seeds_m": 2,
-            "seed_threshold": DEFAULT_SEED_THRESHOLDS[kind],
+            "seed_threshold": defaults.seed_threshold,
             "registry_capacity": 20,
             "context": {"context_size": 20, "top_k": 8},
         },
@@ -127,7 +106,7 @@ def default_config(domain_kind: str = "generic") -> dict:
             "source": {
                 "kind": "templates_plus_mutations",
                 "path": None,
-                "templates": list(DEFAULT_INIT_TEMPLATES[kind]),
+                "templates": list(defaults.init_templates),
                 "templates_file": None,
             },
             "count": 100,
@@ -203,7 +182,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 def load_config_file(path: Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)
@@ -320,7 +299,7 @@ def validate_config(cfg: dict) -> RunConfig:
         loop = LoopParams(
             max_fails=_expect(merged, "loop.max_fails", int),
             seeds_m=_expect(merged, "loop.seeds_m", int),
-            seed_threshold=_number(merged, "loop.seed_threshold", float, None),
+            seed_threshold=_number(merged, "loop.seed_threshold", float),
             registry_capacity=_expect(merged, "loop.registry_capacity", int),
             context=ContextSpec(
                 context_size=_number(merged, "loop.context.context_size", int),

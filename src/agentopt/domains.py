@@ -1,8 +1,10 @@
 """Built-in domain descriptors: peptide sequences, SMILES strings, generic.
 
-Switching domains is meant to cost nothing but a different descriptor:
-validator, distance function, default tasks, prompt templates, and the
-default diversity threshold all hang off :class:`DomainSpec`.
+Switching domains is meant to cost nothing but a different descriptor. What
+a kind brings by default (direction, mutation alphabet, seed threshold,
+default tasks, init templates and validator) is written once, in
+:data:`BUILTIN`; ``config.default_config`` and :func:`make_domain` both read
+it, and :class:`DomainSpec` is what the engine gets.
 """
 
 from __future__ import annotations
@@ -12,46 +14,56 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .core import DomainKind
+from .core import Direction, DomainKind
 from .distance import DistanceFn, normalized_edit_distance
 from .errors import ConfigError
-from .filtering import (
-    PEPTIDE_ALPHABET,
-    GenericValidator,
-    PeptideValidator,
-    SmilesValidator,
-    Validator,
-)
+from .filtering import PeptideValidator, Validator, smiles_syntax_ok
 from .prompts import PromptPack, load_prompt_pack
 
-GENERIC_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-# Single-character atoms only, so random substitutions stay parseable.
-SMILES_ALPHABET = "CNOSPFIcnos"
 
-_DEFAULT_TASK_FILES: dict[DomainKind, list[tuple[str, str]]] = {
-    DomainKind.PEPTIDE: [
-        ("SIMILAR", "task_similar.txt"),
-        ("EXPLORE", "task_explore.txt"),
-        ("SHUFFLE", "task_shuffle.txt"),
-    ],
-    DomainKind.SMILES: [
-        ("SIMILAR", "task_similar.txt"),
-        ("EXPLORE", "task_explore.txt"),
-        ("SCAFFOLD_HOP", "task_scaffold_hop.txt"),
-    ],
-    DomainKind.GENERIC: [
-        ("SIMILAR", "task_similar.txt"),
-        ("EXPLORE", "task_explore.txt"),
-        ("SHUFFLE", "task_shuffle.txt"),
-    ],
-}
+@dataclass(frozen=True)
+class KindDefaults:
+    """The defaults of one built-in domain kind."""
 
-# Greedy seed-selection thresholds: peptides use 0.75 normalized edit
-# distance, molecules 0.5 on whatever distance is plugged in.
-DEFAULT_SEED_THRESHOLDS: dict[DomainKind, float] = {
-    DomainKind.PEPTIDE: 0.75,
-    DomainKind.SMILES: 0.5,
-    DomainKind.GENERIC: 0.75,
+    direction: Direction
+    # mutation alphabet; its order feeds rng.choice, so it fixes every mutant
+    alphabet: str
+    # greedy seed-selection threshold on the domain's distance
+    seed_threshold: float
+    # exactly three; each task's text is the file task_<name in lower case>.txt
+    task_names: tuple[str, ...]
+    # synthetic starting points, so a bare default config runs out of the box
+    init_templates: tuple[str, ...]
+    # None: a PeptideValidator over ``alphabet``, with length bounds from config
+    validator: Optional[Validator]
+
+
+BUILTIN: dict[DomainKind, KindDefaults] = {
+    DomainKind.PEPTIDE: KindDefaults(
+        direction=Direction.MINIMIZE,
+        alphabet="ACDEFGHIKLMNPQRSTVWY",
+        seed_threshold=0.75,
+        task_names=("SIMILAR", "EXPLORE", "SHUFFLE"),
+        init_templates=("KLWKKLLKWLKKLL", "RWLRWLARWLARLA", "FKKLWKLWKKFLKL"),
+        validator=None,
+    ),
+    DomainKind.SMILES: KindDefaults(
+        direction=Direction.MAXIMIZE,
+        # single-character atoms only, so random substitutions stay parseable
+        alphabet="CNOSPFIcnos",
+        seed_threshold=0.5,
+        task_names=("SIMILAR", "EXPLORE", "SCAFFOLD_HOP"),
+        init_templates=("CCO", "CC(=O)O", "c1ccccc1", "CCN(CC)CC", "CC(C)CCO"),
+        validator=smiles_syntax_ok,
+    ),
+    DomainKind.GENERIC: KindDefaults(
+        direction=Direction.MAXIMIZE,
+        alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+        seed_threshold=0.75,
+        task_names=("SIMILAR", "EXPLORE", "SHUFFLE"),
+        init_templates=("ABABABABAB", "CDCDCDCDCD", "EFEFEFEFEF"),
+        validator=bool,
+    ),
 }
 
 
@@ -62,14 +74,9 @@ class DomainSpec:
     kind: DomainKind
     validator: Validator
     distance: DistanceFn
-    default_tasks: list[tuple[str, str]]  # exactly 3 (name, text) pairs
+    default_tasks: list[tuple[str, str]]  # (name, text) pairs
     prompt_pack: PromptPack
     alphabet: str
-    default_seed_threshold: float
-
-    def __post_init__(self) -> None:
-        if len(self.default_tasks) != 3:
-            raise ValueError("a domain must define exactly 3 default tasks")
 
 
 def builtin_template_dir(kind: DomainKind) -> Path:
@@ -79,44 +86,34 @@ def builtin_template_dir(kind: DomainKind) -> Path:
 def make_domain(
     kind: DomainKind,
     template_dir: Optional[Path] = None,
-    distance: Optional[DistanceFn] = None,
     peptide_min_len: int = 5,
     peptide_max_len: int = 60,
     validator: Optional[Validator] = None,
 ) -> DomainSpec:
-    """Assemble a domain, allowing template/validator/distance overrides.
+    """Assemble a built-in domain, allowing template and validator overrides.
 
-    The built-in molecule distance is the edit-distance fallback; attach a
-    fingerprint distance through ``distance`` when a chemistry toolkit is
-    available.
+    The distance is normalized edit distance for every kind; attach a
+    fingerprint distance through ``DomainSpec.distance`` when a chemistry
+    toolkit is available.
     """
+    defaults = BUILTIN[kind]
     directory = Path(template_dir) if template_dir else builtin_template_dir(kind)
     pack = load_prompt_pack(directory)
     tasks = []
-    for name, filename in _DEFAULT_TASK_FILES[kind]:
-        task_path = directory / filename
+    for name in defaults.task_names:
+        task_path = directory / f"task_{name.lower()}.txt"
         if not task_path.is_file():
             raise ConfigError(f"missing default task file: {task_path}")
         tasks.append((name, task_path.read_text(encoding="utf-8").rstrip("\n")))
     if validator is None:
-        if kind == DomainKind.PEPTIDE:
-            validator = PeptideValidator(min_len=peptide_min_len, max_len=peptide_max_len)
-        elif kind == DomainKind.SMILES:
-            validator = SmilesValidator()
-        else:
-            validator = GenericValidator()
-    if kind == DomainKind.PEPTIDE:
-        alphabet = PEPTIDE_ALPHABET
-    elif kind == DomainKind.SMILES:
-        alphabet = SMILES_ALPHABET
-    else:
-        alphabet = GENERIC_ALPHABET
+        validator = defaults.validator or PeptideValidator(
+            defaults.alphabet, min_len=peptide_min_len, max_len=peptide_max_len
+        )
     return DomainSpec(
         kind=kind,
         validator=validator,
-        distance=distance or normalized_edit_distance,
+        distance=normalized_edit_distance,
         default_tasks=tasks,
         prompt_pack=pack,
-        alphabet=alphabet,
-        default_seed_threshold=DEFAULT_SEED_THRESHOLDS[kind],
+        alphabet=defaults.alphabet,
     )

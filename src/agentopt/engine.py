@@ -60,9 +60,9 @@ logger = logging.getLogger(__name__)
 class LoopParams:
     """Knobs of the orchestration loop itself."""
 
+    seed_threshold: float
     max_fails: int = 3
     seeds_m: int = 2
-    seed_threshold: Optional[float] = None  # None -> domain default
     registry_capacity: int = 20
     context: ContextSpec = field(default_factory=ContextSpec)
 
@@ -89,7 +89,6 @@ class TrajectoryState:
     """One live local-search trajectory inside a worker phase."""
 
     task_name: str
-    seed: Candidate
     x_curr: Candidate
     x_curr_score: float
     fails: int = 0
@@ -150,11 +149,6 @@ class Engine:
         )
         self.round = start_round
         self.direction = objective.direction
-        self.seed_threshold = (
-            loop.seed_threshold
-            if loop.seed_threshold is not None
-            else domain.default_seed_threshold
-        )
         self._registry_mutations = 0
         self._dist = MemoDistance(domain.distance)
         # last selections, each updated with the records appended since
@@ -400,12 +394,10 @@ class Engine:
 
     def _worker_phase(self, work: list[TaskEntry]) -> None:
         self._phase = "worker"
-        if not work:
-            return
         self._seeds = select_diverse_seeds(
             self.history,
             self.loop.seeds_m,
-            self.seed_threshold,
+            self.loop.seed_threshold,
             self._dist,
             self.direction,
             self._seeds,
@@ -416,7 +408,6 @@ class Engine:
                 trajectories.append(
                     TrajectoryState(
                         task_name=task.name,
-                        seed=seed.candidate,
                         x_curr=seed.candidate,
                         x_curr_score=seed.score,
                     )

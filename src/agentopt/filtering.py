@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import Candidate, History, canonicalize
-from .distance import similarity as _string_similarity
+from .distance import similarity
 from .errors import EmptyCandidate, OracleFailure
 
 if TYPE_CHECKING:
     from .domains import DomainSpec
-
-PEPTIDE_ALPHABET = "ACDEFGHIKLMNPQRSTVWY"
 
 REASON_INVALID = "invalid"
 REASON_DUP_BATCH = "duplicate_in_batch"
@@ -52,12 +50,12 @@ class FilterReport:
 
 
 class PeptideValidator:
-    """Accepts sequences over the 20 amino-acid letters within length bounds."""
+    """Accepts sequences over ``alphabet`` within length bounds."""
 
-    def __init__(self, min_len: int = 5, max_len: int = 60):
+    def __init__(self, alphabet: str, min_len: int = 5, max_len: int = 60):
         self.min_len = min_len
         self.max_len = max_len
-        self._alphabet = frozenset(PEPTIDE_ALPHABET)
+        self._alphabet = frozenset(alphabet)
 
     def __call__(self, canonical: str) -> bool:
         if not self.min_len <= len(canonical) <= self.max_len:
@@ -113,16 +111,6 @@ def smiles_syntax_ok(text: str) -> bool:
     return depth == 0 and not in_brackets and not open_rings
 
 
-class SmilesValidator:
-    def __call__(self, canonical: str) -> bool:
-        return smiles_syntax_ok(canonical)
-
-
-class GenericValidator:
-    def __call__(self, canonical: str) -> bool:
-        return bool(canonical)
-
-
 class ExternalLineValidator:
     """Delegate validity to a subprocess speaking a line protocol.
 
@@ -172,17 +160,8 @@ def _validate_many(validator: Validator, texts: list[str]) -> list[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Similarity and hard constraints
+# Hard constraints
 # ---------------------------------------------------------------------------
-
-
-def similarity(a: Candidate, b: Candidate) -> float:
-    """Edit-distance similarity of two candidates' canonical texts, in [0, 1].
-
-    1 minus the length-normalized edit distance, clamped at 0 because the
-    raw ratio (distance over the shorter length) can exceed 1.
-    """
-    return _string_similarity(a.canonical, b.canonical)
 
 
 class HardConstraint:
@@ -212,22 +191,9 @@ class TemplateSimilarityConstraint(HardConstraint):
 
     def allows(self, candidate: Candidate) -> bool:
         return any(
-            similarity(candidate, template) >= self.min_similarity
+            similarity(candidate.canonical, template.canonical) >= self.min_similarity
             for template in self.templates
         )
-
-
-class PredicateConstraint(HardConstraint):
-    """Wrap an arbitrary candidate predicate as a hard constraint."""
-
-    kind = "predicate"
-
-    def __init__(self, fn: Callable[[Candidate], bool], label: str = "predicate"):
-        self._fn = fn
-        self.kind = label
-
-    def allows(self, candidate: Candidate) -> bool:
-        return self._fn(candidate)
 
 
 # ---------------------------------------------------------------------------

@@ -34,17 +34,18 @@ from agentopt.core import (
     PortfolioSpec,
     canonicalize,
 )
-from agentopt.distance import MemoDistance, levenshtein, normalized_edit_distance
+from agentopt.distance import (
+    MemoDistance,
+    levenshtein,
+    normalized_edit_distance,
+    similarity,
+)
 from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams
 from agentopt.errors import NoCandidatesFound
 from agentopt.events import EventLog, HistoryLog, read_log
-from agentopt.filtering import (
-    NO_CONSTRAINT,
-    TemplateSimilarityConstraint,
-    similarity,
-)
+from agentopt.filtering import NO_CONSTRAINT, TemplateSimilarityConstraint
 from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.prompts import parse_candidates
 from agentopt.rng import RngHub
@@ -87,6 +88,7 @@ def build_engine(tmp_path, replies, oracle, init_texts, budget, **kwargs):
         portfolio=kwargs.pop("portfolio", None),
     )
     loop = LoopParams(
+        seed_threshold=0.75,
         max_fails=kwargs.pop("max_fails", 3),
         seeds_m=kwargs.pop("seeds_m", 2),
         context=ContextSpec(),
@@ -194,23 +196,64 @@ def test_algorithm_trace_conformance(tmp_path):
 # -- 3. hyperparameter defaults -------------------------------------------------------
 
 
+# The built-in per-kind defaults, pinned. The alphabet feeds the mutator's
+# rng.choice, so reordering it would change every mutator history.
+KIND_DEFAULTS = {
+    "peptide": {
+        "direction": "minimize",
+        "alphabet": "ACDEFGHIKLMNPQRSTVWY",
+        "seed_threshold": 0.75,
+        "tasks": ["SIMILAR", "EXPLORE", "SHUFFLE"],
+        "templates": ["KLWKKLLKWLKKLL", "RWLRWLARWLARLA", "FKKLWKLWKKFLKL"],
+    },
+    "smiles": {
+        "direction": "maximize",
+        "alphabet": "CNOSPFIcnos",
+        "seed_threshold": 0.5,
+        "tasks": ["SIMILAR", "EXPLORE", "SCAFFOLD_HOP"],
+        "templates": ["CCO", "CC(=O)O", "c1ccccc1", "CCN(CC)CC", "CC(C)CCO"],
+    },
+    "generic": {
+        "direction": "maximize",
+        "alphabet": "ABCDEFGHIJKLMNOPQRSTUVWXYZ",
+        "seed_threshold": 0.75,
+        "tasks": ["SIMILAR", "EXPLORE", "SHUFFLE"],
+        "templates": ["ABABABABAB", "CDCDCDCDCD", "EFEFEFEFEF"],
+    },
+}
+VALIDATOR_PROBES = ["KLWRK", "KLWR", "KLXZK", "K" * 60, "K" * 61, "CCO", "C(C", "c1cccc", ""]
+VALIDATOR_VERDICTS = {
+    "peptide": [True, False, False, True, False, False, False, False, False],
+    "smiles": [True, True, True, True, True, True, False, False, False],
+    "generic": [True, True, True, True, True, True, True, True, False],
+}
+
+
 def test_hyperparameter_defaults():
-    for kind, threshold in (("peptide", 0.75), ("smiles", 0.5)):
+    for kind, want in KIND_DEFAULTS.items():
         cfg = default_config(kind)
+        assert cfg["objective"]["direction"] == want["direction"]
         assert cfg["loop"]["context"]["context_size"] == 20
         assert cfg["loop"]["context"]["top_k"] == 8
         assert cfg["loop"]["max_fails"] == 3
         assert cfg["loop"]["seeds_m"] == 2
         assert cfg["loop"]["registry_capacity"] == 20
-        assert cfg["loop"]["seed_threshold"] == threshold
+        assert cfg["loop"]["seed_threshold"] == want["seed_threshold"]
         assert cfg["init"]["count"] == 100
+        assert cfg["init"]["source"]["templates"] == want["templates"]
         config = validate_config({"domain": {"kind": kind}})
+        assert config.objective.direction.value == want["direction"]
         assert config.loop.max_fails == 3
         assert config.loop.seeds_m == 2
         assert config.loop.context.context_size == 20
         assert config.loop.context.top_k == 8
         assert config.loop.registry_capacity == 20
-        assert config.loop.seed_threshold == threshold
+        assert config.loop.seed_threshold == want["seed_threshold"]
+        assert config.domain.alphabet == want["alphabet"]
+        assert [name for name, _ in config.domain.default_tasks] == want["tasks"]
+        assert [c.canonical for c in config.init_source.templates] == want["templates"]
+        verdicts = [bool(config.domain.validator(p)) for p in VALIDATOR_PROBES]
+        assert verdicts == VALIDATOR_VERDICTS[kind]
     ok("hyperparameter defaults")
 
 
@@ -378,7 +421,7 @@ def test_template_constraint_soundness(tmp_path, seed):
     beyond_init = [r for r in result.history.records if r.origin != "init"]
     assert beyond_init, "scenario must evaluate post-init candidates"
     for record in beyond_init:
-        best = max(similarity(record.candidate, t) for t in templates)
+        best = max(similarity(record.candidate.canonical, t.canonical) for t in templates)
         assert best >= 0.75, f"{record.candidate.canonical} violates the constraint"
 
     events = read_log(tmp_path / "events.jsonl")

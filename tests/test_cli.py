@@ -194,6 +194,16 @@ def test_validate_config_missing_file(tmp_path):
     assert main(["validate-config", "--config", str(tmp_path / "nope.yaml")]) == 1
 
 
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "config.yaml"
+    config.write_bytes(b"\xff\xfe" + f"run: {{output_dir: {out_dir}}}\n".encode())
+    for command in ("validate-config", "run"):
+        assert main([command, "--config", str(config)]) == 1
+        assert f"error[ConfigError]: cannot read config {config}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -212,6 +222,7 @@ def test_validate_config_missing_file(tmp_path):
         ["backends.roles.worker.temperature=-1"],
         ["loop.registry_capacity=3"],
         ["domain.kind=bogus"],
+        ["loop.seed_threshold=null"],
     ],
     ids=" ".join,
 )
@@ -255,19 +266,6 @@ def test_readme_config_examples_validate():
     assert len(blocks) >= 4
     for _, block in blocks:
         validate_config(yaml.safe_load(textwrap.dedent(block)))
-
-
-def test_default_config_loop_values():
-    for kind in ("peptide", "smiles", "generic"):
-        cfg = default_config(kind)
-        assert cfg["loop"]["context"]["context_size"] == 20
-        assert cfg["loop"]["context"]["top_k"] == 8
-        assert cfg["loop"]["max_fails"] == 3
-        assert cfg["loop"]["seeds_m"] == 2
-        assert cfg["loop"]["registry_capacity"] == 20
-        assert cfg["init"]["count"] == 100
-    assert default_config("peptide")["loop"]["seed_threshold"] == 0.75
-    assert default_config("smiles")["loop"]["seed_threshold"] == 0.5
 
 
 # -- init plan edge cases ---------------------------------------------------------
@@ -592,8 +590,9 @@ def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys):
         ("config.json", lambda data: data[: len(data) // 2]),
         ("config.json", lambda data: b"\xff\xfe" + data),
         ("checkpoint.json", lambda data: b"\xff\xfe" + data),
+        ("config.json", lambda data: b"[]"),
     ],
-    ids=["config-torn", "config-utf-8", "checkpoint-utf-8"],
+    ids=["config-torn", "config-utf-8", "checkpoint-utf-8", "config-not-object"],
 )
 def test_resume_unreadable_run_file_leaves_logs_untouched(tmp_path, capsys, name, damage):
     out = mutator_rounds_run(tmp_path)
@@ -758,8 +757,13 @@ def test_export_bad_history_row_is_an_error(tmp_path, capsys, command, bad):
 
 @pytest.mark.parametrize(
     "config_json",
-    [b'{"objective": {"direction": "minimize"', b'\xff\xfe{"objective": {}}'],
-    ids=["torn", "utf-8"],
+    [
+        b'{"objective": {"direction": "minimize"',
+        b'\xff\xfe{"objective": {}}',
+        b"[]",
+        b'{"objective": []}',
+    ],
+    ids=["torn", "utf-8", "not-object", "objective-not-object"],
 )
 def test_export_next_to_unreadable_config_is_an_error(tmp_path, capsys, config_json):
     write_history(tmp_path / "history.jsonl", [9.0, 7.0])
@@ -813,3 +817,11 @@ def test_token_report_recovers_from_events(tmp_path, capsys):
         f"total: in={total['input_tokens']} out={total['output_tokens']} "
         f"total={total['total_tokens']} calls={total['calls']}"
     ) in capsys.readouterr().out
+
+    # an agent_call event that lacks a field is named by its line
+    lines = (out_dir / "events.jsonl").read_bytes().splitlines(keepends=True)[:-1]
+    bad = b'{"seq": 1, "kind": "agent_call", "payload": {"role": "worker"}}\n'
+    (out_dir / "events.jsonl").write_bytes(b"".join(lines) + bad)
+    assert main(["token-report", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error[CorruptCheckpoint]: {out_dir / 'events.jsonl'} line {len(lines) + 1}: " in err

@@ -77,7 +77,9 @@ def build_engine(
     engine = Engine(
         domain=domain,
         objective=ObjectiveSpec(direction=direction, budget=budget, portfolio=portfolio),
-        loop=LoopParams(max_fails=max_fails, seeds_m=seeds_m, context=ContextSpec()),
+        loop=LoopParams(
+            seed_threshold=0.75, max_fails=max_fails, seeds_m=seeds_m, context=ContextSpec()
+        ),
         router=router,
         oracle=oracle,
         constraint=constraint,
@@ -398,7 +400,7 @@ def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, monkeypatch):
     assert kernel_calls  # the worker phase's seed selection
 
     before = len(kernel_calls)
-    args = (engine.history, 3, engine.seed_threshold)
+    args = (engine.history, 3, engine.loop.seed_threshold)
     seeds = engine_module.select_diverse_seeds(*args, engine._dist, Direction.MAXIMIZE)
     assert len(kernel_calls) == before
     # the same selection through the bare distance does reach the kernel
@@ -430,7 +432,12 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path):
 
     def select(previous):
         return engine_module.select_diverse_seeds(
-            engine.history, 8, engine.seed_threshold, counting, Direction.MAXIMIZE, previous
+            engine.history,
+            8,
+            engine.loop.seed_threshold,
+            counting,
+            Direction.MAXIMIZE,
+            previous,
         )
 
     assert select(previous).members == previous.members
@@ -459,13 +466,11 @@ def test_collapse_guard_vetoes_move_onto_live_trajectory(tmp_path):
     domain_kind = engine.domain.kind
     mine = TrajectoryState(
         task_name="SIMILAR",
-        seed=engine.history.records[0].candidate,
         x_curr=engine.history.records[0].candidate,
         x_curr_score=0.0,
     )
     other = TrajectoryState(
         task_name="SIMILAR",
-        seed=engine.history.records[1].candidate,
         x_curr=canonicalize("AAAB", domain_kind),
         x_curr_score=3.0,
     )
@@ -493,13 +498,11 @@ def test_collapse_guard_allows_distinct_improvements(tmp_path):
     engine._init_phase()
     mine = TrajectoryState(
         task_name="SIMILAR",
-        seed=engine.history.records[0].candidate,
         x_curr=engine.history.records[0].candidate,
         x_curr_score=0.0,
     )
     other = TrajectoryState(
         task_name="SIMILAR",
-        seed=engine.history.records[1].candidate,
         x_curr=canonicalize("AAAB", engine.domain.kind),
         x_curr_score=3.0,
     )

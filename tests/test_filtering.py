@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentopt.core import History
+from agentopt.distance import similarity
 from agentopt.errors import OracleFailure
 from agentopt.filtering import (
     NO_CONSTRAINT,
@@ -17,10 +18,8 @@ from agentopt.filtering import (
     REASON_INVALID,
     ExternalLineValidator,
     PeptideValidator,
-    PredicateConstraint,
     TemplateSimilarityConstraint,
     filter_batch,
-    similarity,
     smiles_syntax_ok,
 )
 
@@ -31,14 +30,14 @@ from .conftest import cand
 
 
 def test_peptide_alphabet_validation(peptide_domain):
-    validator = PeptideValidator(min_len=4)
+    validator = PeptideValidator(peptide_domain.alphabet, min_len=4)
     assert validator("KLWR") is True
     assert validator("KLXZ") is False  # X and Z are outside the alphabet
     assert validator("ACDEFGHIKLMNPQRSTVWY") is True
 
 
-def test_peptide_length_bounds():
-    validator = PeptideValidator(min_len=5, max_len=8)
+def test_peptide_length_bounds(peptide_domain):
+    validator = PeptideValidator(peptide_domain.alphabet, min_len=5, max_len=8)
     assert validator("KKKK") is False
     assert validator("KKKKK") is True
     assert validator("K" * 8) is True
@@ -109,26 +108,6 @@ def test_external_validator_miscounted_output_fails():
         validator.validate_many(["A", "B"])
 
 
-# -- similarity -----------------------------------------------------------------
-
-
-def test_similarity_candidate_examples():
-    assert similarity(cand("KLWR"), cand("KLWR")) == 1.0
-    assert similarity(cand("KITTEN"), cand("SITTING")) == 0.5
-    assert similarity(cand("AB"), cand("XYXYXY")) == 0.0
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.text(alphabet="ACDEF", min_size=1, max_size=12),
-    st.text(alphabet="ACDEF", min_size=1, max_size=12),
-)
-def test_similarity_symmetric_and_reflexive(a, b):
-    ca, cb = cand(a), cand(b)
-    assert similarity(ca, cb) == similarity(cb, ca)
-    assert similarity(ca, ca) == 1.0
-
-
 # -- constraints ------------------------------------------------------------------
 
 
@@ -154,12 +133,6 @@ def test_template_constraint_validates_params():
         TemplateSimilarityConstraint([], 0.75)
     with pytest.raises(ValueError):
         TemplateSimilarityConstraint([cand("AAAA")], 0.0)
-
-
-def test_predicate_constraint():
-    constraint = PredicateConstraint(lambda c: len(c.canonical) <= 5, "max-length")
-    assert constraint.allows(cand("ABC")) is True
-    assert constraint.allows(cand("ABCDEF")) is False
 
 
 # -- filter_batch ------------------------------------------------------------------
@@ -241,4 +214,4 @@ def test_template_feasibility_of_accepted(generic_domain, batch):
     constraint = TemplateSimilarityConstraint(templates, 0.75)
     report = filter_batch(batch, History(), constraint, generic_domain)
     for accepted in report.accepted:
-        assert max(similarity(accepted, t) for t in templates) >= 0.75
+        assert max(similarity(accepted.canonical, t.canonical) for t in templates) >= 0.75
