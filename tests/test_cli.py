@@ -268,6 +268,19 @@ def test_readme_config_examples_validate():
         validate_config(yaml.safe_load(textwrap.dedent(block)))
 
 
+def test_default_config_loop_values():
+    for kind in ("peptide", "smiles", "generic"):
+        cfg = default_config(kind)
+        assert cfg["loop"]["context"]["context_size"] == 20
+        assert cfg["loop"]["context"]["top_k"] == 8
+        assert cfg["loop"]["max_fails"] == 3
+        assert cfg["loop"]["seeds_m"] == 2
+        assert cfg["loop"]["registry_capacity"] == 20
+        assert cfg["init"]["count"] == 100
+    assert default_config("peptide")["loop"]["seed_threshold"] == 0.75
+    assert default_config("smiles")["loop"]["seed_threshold"] == 0.5
+
+
 # -- init plan edge cases ---------------------------------------------------------
 
 
