@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 import re
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import BackendUnavailable, BadResponse, MalformedScript
 from .rng import pack_state, unpack_state
@@ -291,24 +292,66 @@ class MutatorBackend(Backend):
         return json.dumps({"candidates": candidates})
 
 
+RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+MAX_RETRIES = 3
+RETRY_BACKOFF_MS = 500
+
+
+def post_json(
+    url: str,
+    payload: dict,
+    timeout_s: float,
+    headers: Optional[dict[str, str]] = None,
+    max_retries: int = MAX_RETRIES,
+    retry_backoff_ms: int = RETRY_BACKOFF_MS,
+    on_failed_attempt: Optional[Callable[[], None]] = None,
+):
+    """POST ``payload`` as JSON and return the 200 response.
+
+    Transport errors and :data:`RETRYABLE_STATUS` are retried with exponential
+    backoff, each failure reported to ``on_failed_attempt``, and then raise
+    ``BackendUnavailable`` from the last error. Other statuses raise ``BadResponse``.
+    """
+    import requests  # here, not at the top: it adds about 8 MB to peak RSS
+
+    last_error: Optional[Exception] = None
+    for attempt in range(max_retries + 1):
+        if attempt:
+            time.sleep(retry_backoff_ms * (2 ** (attempt - 1)) / 1000.0)
+        try:
+            response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
+        except requests.RequestException as exc:
+            last_error = exc
+        else:
+            if response.status_code == 200:
+                return response
+            if response.status_code not in RETRYABLE_STATUS:
+                raise BadResponse(
+                    f"HTTP {response.status_code} from {url}: {response.text[:200]}"
+                )
+            last_error = BackendUnavailable(f"HTTP {response.status_code} from {url}")
+        if on_failed_attempt is not None:
+            on_failed_attempt()
+    raise BackendUnavailable(
+        f"gave up on {url} after {max_retries + 1} attempts: {last_error}"
+    ) from last_error
+
+
 class HttpBackend(Backend):
     """Client for OpenAI-compatible ``chat/completions`` endpoints.
 
-    Retries transport errors, 429s, and 5xx responses with exponential
-    backoff; anything else malformed raises ``BadResponse`` immediately. API
-    keys are read from the environment variable named in the config, never
-    from config values themselves.
+    Retries as :func:`post_json` does; a malformed reply raises
+    ``BadResponse``. API keys are read from the environment variable named in
+    the config, never from config values themselves.
     """
-
-    RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
 
     def __init__(
         self,
         endpoint_url: str,
         model_name: str,
         api_key_env_var: Optional[str] = None,
-        max_retries: int = 3,
-        retry_backoff_ms: int = 500,
+        max_retries: int = MAX_RETRIES,
+        retry_backoff_ms: int = RETRY_BACKOFF_MS,
         timeout_s: float = 300.0,
         ledger: Optional[TokenLedger] = None,
         name: Optional[str] = None,
@@ -325,14 +368,9 @@ class HttpBackend(Backend):
         self.name = name or f"http:{model_name}"
 
     def _headers(self) -> dict[str, str]:
-        import os
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env_var:
-            key = os.environ.get(self.api_key_env_var)
-            if key:
-                headers["Authorization"] = f"Bearer {key}"
-        return headers
+        # requests sets Content-Type itself for a JSON body
+        key = self.api_key_env_var and os.environ.get(self.api_key_env_var)
+        return {"Authorization": f"Bearer {key}"} if key else {}
 
     def _payload(self, request: CompletionRequest) -> dict:
         messages = []
@@ -347,43 +385,17 @@ class HttpBackend(Backend):
         }
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        import requests
-
-        payload = self._payload(request)
-        last_error: Optional[Exception] = None
         start = time.monotonic()
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                delay = self.retry_backoff_ms * (2 ** (attempt - 1)) / 1000.0
-                time.sleep(delay)
-            try:
-                response = requests.post(
-                    self.endpoint_url,
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout_s,
-                )
-            except requests.RequestException as exc:
-                last_error = exc
-                self._note_failure(request)
-                continue
-            if response.status_code in self.RETRYABLE_STATUS:
-                last_error = BackendUnavailable(
-                    f"HTTP {response.status_code} from {self.endpoint_url}"
-                )
-                self._note_failure(request)
-                continue
-            if response.status_code != 200:
-                raise BadResponse(
-                    f"HTTP {response.status_code} from {self.endpoint_url}: "
-                    f"{response.text[:200]}"
-                )
-            latency_ms = int((time.monotonic() - start) * 1000)
-            return self._parse_body(response, latency_ms)
-        raise BackendUnavailable(
-            f"gave up on {self.endpoint_url} after {self.max_retries + 1} attempts: "
-            f"{last_error}"
+        response = post_json(
+            self.endpoint_url,
+            self._payload(request),
+            self.timeout_s,
+            headers=self._headers(),
+            max_retries=self.max_retries,
+            retry_backoff_ms=self.retry_backoff_ms,
+            on_failed_attempt=lambda: self._note_failure(request),
         )
+        return self._parse_body(response, int((time.monotonic() - start) * 1000))
 
     def _note_failure(self, request: CompletionRequest) -> None:
         if self.ledger is not None:

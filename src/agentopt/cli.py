@@ -14,6 +14,7 @@ from typing import Optional
 from .backends import CompletionResult, TokenLedger
 from .config import (
     RunConfig,
+    _expect,
     apply_overrides,
     build_init_plan,
     build_oracle,
@@ -240,7 +241,8 @@ def _load_export(
     """
     history = load_history(args.history)
     run_cfg = Path(args.history).parent / CONFIG_COPY_FILE
-    objective = _read_run_config(run_cfg).get("objective", {}) if run_cfg.is_file() else {}
+    cfg = _read_run_config(run_cfg) if run_cfg.is_file() else {}
+    objective = cfg.get("objective", {})
     if not isinstance(objective, dict):
         raise CorruptCheckpoint(f"{run_cfg}: objective {objective!r} is not an object")
     if args.portfolio_size is not None:
@@ -248,7 +250,7 @@ def _load_export(
         if args.portfolio_beta is not None:
             section["beta"] = args.portfolio_beta
     else:
-        section = objective.get("portfolio")
+        section = _expect(cfg, "objective.portfolio", dict, None)
     try:
         direction = Direction(args.direction or objective.get("direction", "maximize"))
     except ValueError as exc:

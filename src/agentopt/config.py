@@ -17,6 +17,8 @@ from typing import Any
 import yaml
 
 from .backends import (
+    MAX_RETRIES,
+    RETRY_BACKOFF_MS,
     ROLES,
     Backend,
     HttpBackend,
@@ -439,8 +441,8 @@ def _build_backend(config: RunConfig, slot: str, ledger: TokenLedger) -> Backend
                 endpoint_url=_expect(cfg, f"{at}.endpoint_url", str),
                 model_name=_expect(cfg, f"{at}.model_name", str),
                 api_key_env_var=_expect(cfg, f"{at}.api_key_env_var", str, None),
-                max_retries=_number(cfg, f"{at}.max_retries", int, 3),
-                retry_backoff_ms=_number(cfg, f"{at}.retry_backoff_ms", int, 500),
+                max_retries=_number(cfg, f"{at}.max_retries", int, MAX_RETRIES),
+                retry_backoff_ms=_number(cfg, f"{at}.retry_backoff_ms", int, RETRY_BACKOFF_MS),
                 timeout_s=_number(cfg, f"{at}.timeout_s", float, 300.0),
                 ledger=ledger,
             )

@@ -8,13 +8,13 @@ so the loop can surface the known value instead of re-paying for it.
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import Candidate, History, canonicalize
 from .distance import similarity
-from .errors import EmptyCandidate, OracleFailure
+from .errors import EmptyCandidate
+from .oracles import run_lines
 
 if TYPE_CHECKING:
     from .domains import DomainSpec
@@ -124,26 +124,8 @@ class ExternalLineValidator:
         self.timeout_s = timeout_s
 
     def validate_many(self, texts: Sequence[str]) -> list[bool]:
-        if not texts:
-            return []
-        try:
-            proc = subprocess.run(
-                self.command,
-                input="\n".join(texts) + "\n",
-                capture_output=True,
-                text=True,
-                timeout=self.timeout_s,
-                check=False,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise OracleFailure(f"external validator failed: {exc}") from exc
-        lines = proc.stdout.splitlines()
-        if proc.returncode != 0 or len(lines) != len(texts):
-            raise OracleFailure(
-                f"external validator returned {len(lines)} verdicts for "
-                f"{len(texts)} candidates (exit {proc.returncode})"
-            )
-        return [line.strip().upper() == "VALID" for line in lines]
+        answers = run_lines(self.command, texts, self.timeout_s, "external validator")
+        return [line.strip().upper() == "VALID" for line in answers]
 
     def __call__(self, text: str) -> bool:
         return self.validate_many([text])[0]
@@ -209,8 +191,9 @@ def filter_batch(
 ) -> FilterReport:
     """Run the full pre-evaluation pipeline over one agent batch.
 
-    Order: validity, within-batch dedup (first occurrence kept), dedup against
-    history (rejects carry the memoized score), then the hard constraint.
+    Order: validity (exactly one line, then the domain's validator),
+    within-batch dedup (first occurrence kept), dedup against history
+    (rejects carry the memoized score), then the hard constraint.
     Accepted candidates are exactly those the oracle may be charged for.
     """
     accepted: list[Candidate] = []
@@ -225,7 +208,8 @@ def filter_batch(
         except EmptyCandidate:
             candidate = None
         canonicals.append(candidate)
-        if candidate is not None:
+        # one line only: a line protocol would read a line break as two candidates
+        if candidate is not None and candidate.canonical.splitlines() == [candidate.canonical]:
             to_check.append(candidate.canonical)
             check_slots.append(slot)
 

@@ -16,8 +16,10 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
+from .backends import post_json
 from .core import Candidate, DomainKind, canonicalize
-from .errors import EmptyCandidate, InsufficientInit, OracleFailure, OracleTimeout
+from .errors import BackendUnavailable, BadResponse, EmptyCandidate, InsufficientInit
+from .errors import OracleFailure, OracleTimeout
 
 
 class Oracle:
@@ -40,16 +42,17 @@ class Oracle:
         return self.evaluate_many([candidate])[0]
 
     def evaluate_many(self, candidates: Sequence[Candidate]) -> list[float]:
-        """Score a batch; every returned value is checked for finiteness."""
+        """Score a batch; every value must be a finite number (a bool is none)."""
         texts = [c.canonical for c in candidates]
         if not texts:
             return []
         scores: list[float] = []
         for text, value in zip(texts, self._score_many(texts), strict=True):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not math.isfinite(value):
                 raise OracleFailure(
-                    f"oracle {self.name} returned non-finite score {value!r} "
-                    f"for {text!r}"
+                    f"oracle {self.name} returned {value!r} for {text!r}, "
+                    f"not a finite number"
                 )
             scores.append(float(value))
         with self._lock:
@@ -202,6 +205,40 @@ def make_synthetic(name: str, params: dict) -> Oracle:
     return factory(**params)
 
 
+def run_lines(
+    command: Sequence[str], lines: Sequence[str], timeout_s: float, what: str
+) -> list[str]:
+    """One stdout line of ``command`` per line of ``lines`` sent to its stdin.
+
+    Raises ``OracleTimeout`` after ``timeout_s``, else ``OracleFailure`` for an
+    input that is not one line, a command that cannot start or exits non-zero,
+    or a miscount.
+    """
+    if not lines:
+        return []
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise OracleFailure(f"{what} input {line!r} is not exactly one line")
+    try:
+        proc = subprocess.run(
+            command,
+            input="\n".join(lines) + "\n",
+            capture_output=True,
+            text=True,
+            timeout=timeout_s,
+        )
+    except subprocess.TimeoutExpired as exc:
+        raise OracleTimeout(f"{what} timed out after {timeout_s}s") from exc
+    except OSError as exc:
+        raise OracleFailure(f"cannot run {what} command: {exc}") from exc
+    if proc.returncode != 0:
+        raise OracleFailure(f"{what} exited {proc.returncode}: {proc.stderr.strip()[:200]}")
+    answers = proc.stdout.splitlines()
+    if len(answers) != len(lines):
+        raise OracleFailure(f"{what} answered {len(answers)} lines for {len(lines)} inputs")
+    return answers
+
+
 class SubprocessOracle(Oracle):
     """Line-protocol oracle: N candidate lines on stdin, N score lines back.
 
@@ -222,40 +259,15 @@ class SubprocessOracle(Oracle):
         self.name = f"subprocess:{Path(command[0]).name}"
 
     def _score_many(self, texts: list[str]) -> list[float]:
+        answers = run_lines(self.command, texts, self.timeout_s, "oracle")
         try:
-            proc = subprocess.run(
-                self.command,
-                input="\n".join(texts) + "\n",
-                capture_output=True,
-                text=True,
-                timeout=self.timeout_s,
-                check=False,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise OracleTimeout(f"oracle timed out after {self.timeout_s}s") from exc
-        except OSError as exc:
-            raise OracleFailure(f"cannot run oracle command: {exc}") from exc
-        if proc.returncode != 0:
-            raise OracleFailure(
-                f"oracle exited {proc.returncode}: {proc.stderr.strip()[:200]}"
-            )
-        lines = proc.stdout.splitlines()
-        if len(lines) != len(texts):
-            raise OracleFailure(
-                f"oracle answered {len(lines)} lines for {len(texts)} candidates"
-            )
-        return [_parse_score(line) for line in lines]
-
-
-def _parse_score(line: str) -> float:
-    try:
-        return float(line.strip())
-    except ValueError as exc:
-        raise OracleFailure(f"unparseable oracle output line: {line!r}") from exc
+            return [float(line) for line in answers]
+        except ValueError as exc:
+            raise OracleFailure(f"unparseable oracle output: {exc}") from exc
 
 
 class HttpOracle(Oracle):
-    """POSTs ``{"candidate": text}`` and expects ``{"score": number}`` back."""
+    """POSTs ``{"candidate": text}`` by ``post_json``, expects ``{"score": number}``."""
 
     def __init__(self, url: str, timeout_s: float = 60.0):
         super().__init__()
@@ -266,25 +278,16 @@ class HttpOracle(Oracle):
         self.name = f"http:{url}"
 
     def _score(self, canonical: str) -> float:
-        import requests
-
         try:
-            response = requests.post(
-                self.url, json={"candidate": canonical}, timeout=self.timeout_s
-            )
-        except requests.Timeout as exc:
-            raise OracleTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise OracleFailure(str(exc)) from exc
-        if response.status_code != 200:
-            raise OracleFailure(f"oracle HTTP {response.status_code}")
+            response = post_json(self.url, {"candidate": canonical}, self.timeout_s)
+        except (BackendUnavailable, BadResponse) as exc:
+            import requests  # post_json has imported it already
+            timed_out = isinstance(exc.__cause__, requests.Timeout)
+            raise (OracleTimeout if timed_out else OracleFailure)(f"oracle {exc}") from exc
         try:
-            value = response.json()["score"]
+            return response.json()["score"]
         except (ValueError, KeyError, TypeError) as exc:
             raise OracleFailure(f"malformed oracle payload: {exc}") from exc
-        if not isinstance(value, (int, float)):
-            raise OracleFailure(f"oracle score is not a number: {value!r}")
-        return float(value)
 
 
 # ---------------------------------------------------------------------------

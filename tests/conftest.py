@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import strategies as st
@@ -115,3 +117,55 @@ def smiles_domain():
 @pytest.fixture(scope="session")
 def generic_domain():
     return make_domain(DomainKind.GENERIC)
+
+
+class ScoreHandler(BaseHTTPRequestHandler):
+    """Loopback HTTP scorer: ``{"candidate": text}`` in, ``{"score": ...}`` out.
+
+    The ``score_server`` fixture sets the class attributes on a fresh
+    subclass: ``statuses`` are answered first, one per request, then 200s
+    carrying ``score(text)``; with ``hang`` set, no request is answered until
+    the test ends. ``candidates`` records every request in order.
+    """
+
+    statuses: list[int]
+    candidates: list[str]
+    hang: bool
+    release: threading.Event
+
+    @staticmethod
+    def score(text: str):
+        return float(text.count("A"))
+
+    def do_POST(self):
+        text = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["candidate"]
+        self.candidates.append(text)
+        if self.hang:
+            self.release.wait(10)
+            return
+        status = self.statuses.pop(0) if self.statuses else 200
+        raw = json.dumps({"score": self.score(text)}).encode() if status == 200 else b""
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def score_server():
+    """A running ``ScoreHandler`` subclass; its ``url`` is where to POST."""
+    handler = type(
+        "Handler",
+        (ScoreHandler,),
+        {"statuses": [], "candidates": [], "hang": False, "release": threading.Event()},
+    )
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    handler.url = f"http://127.0.0.1:{server.server_address[1]}/score"
+    yield handler
+    handler.release.set()
+    server.shutdown()
+    server.server_close()

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -408,6 +410,44 @@ def test_oracle_failure_during_init_leaves_no_checkpoint(tmp_path, capsys):
     assert "error[CorruptCheckpoint]" in capsys.readouterr().err
 
 
+def http_oracle_run_config(tmp_path: Path, url: str) -> Path:
+    """The scripted run, scored by the loopback server's count of A."""
+    config = yaml.safe_load(scripted_run_config(tmp_path).read_text())
+    config["oracle"] = {"kind": "http", "url": url}
+    return write_yaml(tmp_path / "config.yaml", config)
+
+
+def test_http_oracle_run_rides_out_a_503(tmp_path, score_server):
+    histories = []
+    for name, statuses in (("steady", []), ("flaky", [503])):
+        score_server.statuses = statuses
+        (tmp_path / name).mkdir()
+        config = http_oracle_run_config(tmp_path / name, score_server.url)
+        assert main(["run", "--config", str(config)]) == 0
+        histories.append((tmp_path / name / "out" / "history.jsonl").read_bytes())
+    assert histories[0] == histories[1]
+    assert len(histories[0].splitlines()) == 26
+    assert len(score_server.candidates) == 2 * 26 + 1
+
+
+def test_http_oracle_run_stops_at_a_418(tmp_path, capsys, score_server):
+    score_server.statuses = [418]
+    config = http_oracle_run_config(tmp_path, score_server.url)
+    assert main(["run", "--config", str(config)]) == 2
+    assert "error[OracleFailure]: oracle HTTP 418" in capsys.readouterr().err
+    assert len(score_server.candidates) == 1
+
+
+def test_cli_import_does_not_load_requests():
+    # requests adds about 8 MB to peak RSS; only runs that post pay for it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = "import sys, agentopt.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
 def test_new_run_does_not_inherit_old_checkpoint(tmp_path, capsys):
     config = yaml.safe_load(mutator_run_config(tmp_path).read_text())
     assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 0
@@ -720,19 +760,38 @@ def test_export_portfolio_shape(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, portfolio",
     [
-        ("export-curve", ["--portfolio-size", "1"]),
-        ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "2"]),
-        ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "0"]),
+        ("export-curve", ["--portfolio-size", "1"], None),
+        ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "2"], None),
+        ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "0"], None),
+        ("export-curve", [], "abc"),
+        ("export-portfolio", [], "abc"),
+        ("export-curve", [], [3]),
+        ("export-portfolio", [], [3]),
+    ],
+    ids=[
+        "export-curve-flags0", "export-portfolio-flags1", "export-portfolio-flags2",
+        "export-curve-config-str", "export-portfolio-config-str",
+        "export-curve-config-list", "export-portfolio-config-list",
     ],
 )
-def test_export_bad_portfolio_flags_are_config_errors(tmp_path, capsys, command, flags):
+def test_export_bad_portfolio_flags_are_config_errors(
+    tmp_path, capsys, command, flags, portfolio
+):
     history = tmp_path / "history.jsonl"
     write_history(history, [1.0, 2.0])
+    if portfolio is not None:  # from the run's config.json beside the history
+        (tmp_path / "config.json").write_text(
+            json.dumps({"objective": {"portfolio": portfolio}}), encoding="utf-8"
+        )
     out = tmp_path / "out.file"
     assert main([command, str(history), "--out", str(out), *flags]) == 1
-    assert "error[ConfigError]: objective.portfolio:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if portfolio is None:
+        assert "error[ConfigError]: objective.portfolio:" in err
+    else:
+        assert f"error[ConfigError]: config key objective.portfolio is {portfolio!r}" in err
     assert not out.exists()
 
 

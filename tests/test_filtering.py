@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from agentopt.core import History
 from agentopt.distance import similarity
-from agentopt.errors import OracleFailure
+from agentopt.errors import OracleFailure, OracleTimeout
 from agentopt.filtering import (
     NO_CONSTRAINT,
     REASON_CONSTRAINT,
@@ -24,6 +25,8 @@ from agentopt.filtering import (
 )
 
 from .conftest import cand
+
+ECHO_VALID = "import sys\nfor line in sys.stdin:\n    print('VALID')\n"
 
 
 # -- validators ---------------------------------------------------------------
@@ -108,6 +111,14 @@ def test_external_validator_miscounted_output_fails():
         validator.validate_many(["A", "B"])
 
 
+def test_external_validator_timeout_is_an_oracle_timeout():
+    validator = ExternalLineValidator(
+        [sys.executable, "-c", "import time; time.sleep(5)"], timeout_s=0.2
+    )
+    with pytest.raises(OracleTimeout, match="external validator timed out"):
+        validator.validate_many(["A"])
+
+
 # -- constraints ------------------------------------------------------------------
 
 
@@ -172,7 +183,9 @@ def test_filter_batch_constraint_rejection(peptide_domain):
     assert report.rejected[0].reason == REASON_CONSTRAINT
 
 
-def test_filter_batch_canonicalizes_or_rejects_invalid(peptide_domain, smiles_domain):
+def test_filter_batch_canonicalizes_or_rejects_invalid(
+    peptide_domain, smiles_domain, generic_domain
+):
     report = filter_batch(
         ["klwrk", "KLXZ!", "   "], History(), NO_CONSTRAINT, peptide_domain
     )
@@ -184,6 +197,15 @@ def test_filter_batch_canonicalizes_or_rejects_invalid(peptide_domain, smiles_do
     report = filter_batch(["CC(C"], History(), NO_CONSTRAINT, smiles_domain)
     assert report.accepted == []
     assert [r.reason for r in report.rejected] == [REASON_INVALID]
+    # a line break would make a line-protocol oracle or validator miscount
+    report = filter_batch(["AB\nCD", "XYZ"], History(), NO_CONSTRAINT, generic_domain)
+    assert [c.canonical for c in report.accepted] == ["XYZ"]
+    assert [(r.raw, r.reason) for r in report.rejected] == [("AB\nCD", REASON_INVALID)]
+    all_valid = ExternalLineValidator([sys.executable, "-c", ECHO_VALID])
+    external = dataclasses.replace(smiles_domain, validator=all_valid)
+    report = filter_batch(["C\nC", "CC"], History(), NO_CONSTRAINT, external)
+    assert [c.canonical for c in report.accepted] == ["CC"]
+    assert [(r.raw, r.reason) for r in report.rejected] == [("C\nC", REASON_INVALID)]
 
 
 def test_filter_report_partitions_input(generic_domain):

@@ -1,10 +1,7 @@
 from __future__ import annotations
 
-import json
 import random
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +19,7 @@ from agentopt.oracles import (
     make_synthetic,
     mutate_once,
     read_candidate_file,
+    run_lines,
     template_mutants,
 )
 
@@ -176,31 +174,40 @@ def test_subprocess_timeout():
         oracle.evaluate(cand("A"))
 
 
+def test_run_lines_refuses_an_input_with_a_line_break():
+    # sent as is, the two lines would come back as three answers
+    with pytest.raises(OracleFailure, match=r"oracle input 'AB\\nCD' is not exactly one line"):
+        SubprocessOracle([sys.executable, "-c", ECHO_HALF]).evaluate_many(
+            [cand("AB\nCD"), cand("XYZ")]
+        )
+    for line in ("AB\n", "", "A\rB"):
+        with pytest.raises(OracleFailure, match="not exactly one line"):
+            run_lines([sys.executable, "-c", ECHO_HALF], [line], 5.0, "oracle")
+    assert run_lines([sys.executable, "-c", ECHO_HALF], ["A B"], 5.0, "oracle") == ["0.5"]
+
+
 # -- http oracle ---------------------------------------------------------------------
 
 
-class ScoreHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        raw = json.dumps({"score": float(len(body["candidate"]))}).encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):
-        pass
+def test_http_oracle_round_trip(score_server):
+    oracle = HttpOracle(score_server.url)
+    assert oracle.evaluate(cand("AAAA")) == 4.0
 
 
-def test_http_oracle_round_trip():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), ScoreHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        oracle = HttpOracle(f"http://127.0.0.1:{server.server_address[1]}/score")
-        assert oracle.evaluate(cand("AAAA")) == 4.0
-    finally:
-        server.shutdown()
-        server.server_close()
+def test_http_oracle_rejects_a_boolean_score(score_server):
+    score_server.score = staticmethod(lambda text: True)
+    with pytest.raises(OracleFailure, match="True .* not a finite number"):
+        HttpOracle(score_server.url).evaluate(cand("AAAA"))
+
+
+def test_http_oracle_times_out_after_every_retry(score_server, monkeypatch):
+    sleeps: list[float] = []
+    monkeypatch.setattr("agentopt.backends.time.sleep", sleeps.append)
+    score_server.hang = True
+    with pytest.raises(OracleTimeout, match="after 4 attempts"):
+        HttpOracle(score_server.url, timeout_s=0.2).evaluate(cand("AAAA"))
+    assert sleeps == [0.5, 1.0, 2.0]
+    assert score_server.candidates == ["AAAA"] * 4
 
 
 # -- init sources ----------------------------------------------------------------------
