@@ -24,7 +24,7 @@ from .config import (
     validate_config,
 )
 from .core import Direction, History, PortfolioSpec, is_improvement
-from .distance import MemoDistance, normalized_edit_distance
+from .distance import EditDistanceIndex
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
 from .errors import AgentOptError, ConfigError, CorruptCheckpoint
@@ -236,8 +236,9 @@ def _load_export(
 ) -> tuple[History, Direction, Optional[PortfolioSpec]]:
     """The history an export reads, its direction and its portfolio spec.
 
-    The flags win; otherwise both come from the ``objective`` section of the
-    run's ``config.json`` beside the history, if there is one.
+    Both come from the ``objective`` section of the run's ``config.json``
+    beside the history, if there is one. Each flag given overrides its own
+    key there; a portfolio key that neither sets takes its default.
     """
     history = load_history(args.history)
     run_cfg = Path(args.history).parent / CONFIG_COPY_FILE
@@ -245,12 +246,11 @@ def _load_export(
     objective = cfg.get("objective", {})
     if not isinstance(objective, dict):
         raise CorruptCheckpoint(f"{run_cfg}: objective {objective!r} is not an object")
-    if args.portfolio_size is not None:
-        section = {"size": args.portfolio_size}
-        if args.portfolio_beta is not None:
-            section["beta"] = args.portfolio_beta
-    else:
-        section = _expect(cfg, "objective.portfolio", dict, None)
+    section = _expect(cfg, "objective.portfolio", dict, None)
+    flags = {"size": args.portfolio_size, "beta": args.portfolio_beta}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if flags:
+        section = {**(section or {}), **flags}
     try:
         direction = Direction(args.direction or objective.get("direction", "maximize"))
     except ValueError as exc:
@@ -265,8 +265,9 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
     points = None
     if portfolio_spec is not None:
         header += ["portfolio_agg", "portfolio_complete"]
-        dist = MemoDistance(normalized_edit_distance)
-        points = portfolio_progress(history, portfolio_spec, dist, direction)
+        points = portfolio_progress(
+            history, portfolio_spec, EditDistanceIndex(), direction
+        )
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -285,7 +286,7 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
 def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
     history, direction, spec = _load_export(args)  # main() reports errors
     portfolio = best_portfolio_greedy(
-        history, spec or PortfolioSpec(), normalized_edit_distance, direction
+        history, spec or PortfolioSpec(), EditDistanceIndex(), direction
     )
     payload = [
         {

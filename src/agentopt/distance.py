@@ -10,11 +10,7 @@ similarity clamps that into [0, 1].
 
 from __future__ import annotations
 
-from typing import Callable
-
-# A distance takes two canonical texts and returns a value >= 0,
-# with dist(a, a) == 0 and dist(a, b) == dist(b, a).
-DistanceFn = Callable[[str, str], float]
+from typing import Optional
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -68,22 +64,73 @@ def similarity(a: str, b: str) -> float:
     return 1.0 - min(1.0, normalized_edit_distance(a, b))
 
 
-class MemoDistance:
-    """Wrap a distance with an unordered-pair cache.
+class EditDistanceIndex:
+    """Answers "is ``normalized_edit_distance(a, b) >= threshold``?" for a run.
 
-    The engine holds one for the whole run and serves both seed selection
-    and portfolio selection from it: both walk the same strong candidates
-    round after round, so after the first round most pairs are cache hits.
+    The engine keeps one for the whole run, shared by seed selection and the
+    portfolio, and each export builds its own. Cheap bounds are tried before
+    the memoized kernel:
+
+    - the length bound ``edits(a, b) >= |len a - len b|`` proves "far";
+    - each text keeps a witness, the last text found too close to it, with
+      an upper bound on their edits; the triangle inequality
+      ``edits(a, b) <= bound(a, w) + edits(w, b)`` proves "too close".
+
+    A bound goes through the same expression as the exact count,
+    ``edits / shorter``, and dividing by the same positive length is
+    monotone, so every verdict equals the exact one.
     """
 
-    def __init__(self, fn: DistanceFn):
-        self._fn = fn
-        self._cache: dict[tuple[str, str], float] = {}
+    def __init__(self) -> None:
+        self._edits: dict[tuple[str, str], int] = {}
+        self._witness: dict[str, tuple[str, int]] = {}
 
-    def __call__(self, a: str, b: str) -> float:
+    def _known(self, a: str, b: str) -> Optional[int]:
+        """An upper bound on ``edits(a, b)`` already at hand, if any."""
+        edits = self._edits.get((a, b) if a <= b else (b, a))
+        if edits is not None:
+            return edits
+        for x, y in ((a, b), (b, a)):
+            witness = self._witness.get(x)
+            if witness is not None and witness[0] == y:
+                return witness[1]
+        return None
+
+    def _upper(self, a: str, b: str) -> Optional[int]:
+        """An upper bound on ``edits(a, b)`` through either text's witness."""
+        best = None
+        for x, y in ((a, b), (b, a)):
+            witness = self._witness.get(x)
+            if witness is None:
+                continue
+            w, bound = witness
+            rest = 0 if w == y else self._known(w, y)
+            if rest is not None and (best is None or bound + rest < best):
+                best = bound + rest
+        return best
+
+    def far(self, a: str, b: str, threshold: float) -> bool:
+        """``normalized_edit_distance(a, b) >= threshold``."""
+        len_a, len_b = len(a), len(b)
+        shorter = len_a if len_a < len_b else len_b
+        if shorter == 0:
+            return normalized_edit_distance(a, b) >= threshold
+        if abs(len_a - len_b) / shorter >= threshold:
+            return True
         key = (a, b) if a <= b else (b, a)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._fn(a, b)
-            self._cache[key] = value
-        return value
+        edits = self._edits.get(key)
+        if edits is None:
+            upper = self._upper(a, b)
+            if upper is not None and upper / shorter < threshold:
+                self._close(a, b, upper)
+                return False
+            # looked up as the module global, so a wrapper sees every call
+            edits = self._edits[key] = levenshtein(a, b)
+        if edits / shorter >= threshold:
+            return True
+        self._close(a, b, edits)
+        return False
+
+    def _close(self, a: str, b: str, bound: int) -> None:
+        self._witness[a] = (b, bound)
+        self._witness[b] = (a, bound)

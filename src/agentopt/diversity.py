@@ -3,7 +3,8 @@
 Both use the same greedy rule: walk the history best-to-worst and keep a
 record only if it sits at least ``threshold`` away from everything already
 kept. Greedy is not optimal in general, but it is deterministic, cheap, and
-always feasible, which is what the loop needs at every step.
+always feasible, which is what the loop needs at every step. Every "is it
+far enough?" question goes to one ``EditDistanceIndex``.
 
 Both also update an earlier selection instead of rebuilding it as the
 history grows. Greedy's verdict on a record depends only on the records kept
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import RANK_KEYS, Direction, History, PortfolioSpec, ScoredRecord
-from .distance import DistanceFn
+from .distance import EditDistanceIndex
 from .errors import EmptyHistory
 
 
@@ -33,26 +34,27 @@ class Selection:
 
 
 def _fits(
-    record: ScoredRecord, kept: list[ScoredRecord], threshold: float, dist: DistanceFn
+    record: ScoredRecord,
+    kept: list[ScoredRecord],
+    threshold: float,
+    distances: EditDistanceIndex,
 ) -> bool:
-    return all(
-        dist(record.candidate.canonical, k.candidate.canonical) >= threshold
-        for k in kept
-    )
+    text = record.candidate.canonical
+    return all(distances.far(text, k.candidate.canonical, threshold) for k in kept)
 
 
 def _greedy_select(
     ranked: list[ScoredRecord],
     max_size: int,
     threshold: float,
-    dist: DistanceFn,
+    distances: EditDistanceIndex,
     kept: list[ScoredRecord],
 ) -> list[ScoredRecord]:
     """Extend ``kept`` in place by a greedy walk over a best-first ranking."""
     for record in ranked:
         if len(kept) == max_size:
             break
-        if _fits(record, kept, threshold, dist):
+        if _fits(record, kept, threshold, distances):
             kept.append(record)
     return kept
 
@@ -62,7 +64,7 @@ def _greedy_update(
     previous: Optional[Selection],
     max_size: int,
     threshold: float,
-    dist: DistanceFn,
+    distances: EditDistanceIndex,
     direction: Direction,
 ) -> list[ScoredRecord]:
     """Greedy selection of the whole history, from ``previous`` when given.
@@ -76,11 +78,11 @@ def _greedy_update(
         above = members[: bisect.bisect_left(members, key(record), key=key)]
         if len(above) == max_size:
             break  # greedy filled up above this record and every later one
-        if _fits(record, above, threshold, dist):
+        if _fits(record, above, threshold, distances):
             ranked = history.ranked(direction)
             start = bisect.bisect_left(ranked, key(record), key=key)
             return _greedy_select(
-                ranked[start + 1 :], max_size, threshold, dist, above + [record]
+                ranked[start + 1 :], max_size, threshold, distances, above + [record]
             )
     return members
 
@@ -89,7 +91,7 @@ def select_diverse_seeds(
     history: History,
     m: int,
     threshold: float,
-    dist: DistanceFn,
+    distances: EditDistanceIndex,
     direction: Direction,
     previous: Optional[Selection] = None,
 ) -> Selection:
@@ -104,7 +106,7 @@ def select_diverse_seeds(
         raise EmptyHistory("cannot select seeds from an empty history")
     if m < 1:
         raise ValueError("seed count must be >= 1")
-    members = _greedy_update(history, previous, m, threshold, dist, direction)
+    members = _greedy_update(history, previous, m, threshold, distances, direction)
     return Selection(members=members, seen=len(history))
 
 
@@ -119,7 +121,7 @@ class Portfolio(Selection):
 def best_portfolio_greedy(
     history: History,
     spec: PortfolioSpec,
-    dist: DistanceFn,
+    distances: EditDistanceIndex,
     direction: Direction,
     previous: Optional[Portfolio] = None,
 ) -> Portfolio:
@@ -130,7 +132,9 @@ def best_portfolio_greedy(
     """
     if len(history) == 0:
         raise EmptyHistory("cannot build a portfolio from an empty history")
-    members = _greedy_update(history, previous, spec.size, spec.beta, dist, direction)
+    members = _greedy_update(
+        history, previous, spec.size, spec.beta, distances, direction
+    )
     return Portfolio(
         members=members,
         seen=len(history),
@@ -149,7 +153,7 @@ class PortfolioPoint:
 def portfolio_progress(
     history: History,
     spec: PortfolioSpec,
-    dist: DistanceFn,
+    distances: EditDistanceIndex,
     direction: Direction,
 ) -> list[PortfolioPoint]:
     """Portfolio aggregate over every prefix of the history.
@@ -162,7 +166,7 @@ def portfolio_progress(
     portfolio = None
     for record in history.records:
         added = replay.append(record.candidate, record.score, record.origin)
-        portfolio = best_portfolio_greedy(replay, spec, dist, direction, portfolio)
+        portfolio = best_portfolio_greedy(replay, spec, distances, direction, portfolio)
         points.append(
             PortfolioPoint(
                 eval_index=added.eval_index,

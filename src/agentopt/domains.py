@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 from .core import Direction, DomainKind
-from .distance import DistanceFn, normalized_edit_distance
 from .errors import ConfigError
 from .filtering import PeptideValidator, Validator, smiles_syntax_ok
 from .prompts import PromptPack, load_prompt_pack
@@ -28,7 +27,7 @@ class KindDefaults:
     direction: Direction
     # mutation alphabet; its order feeds rng.choice, so it fixes every mutant
     alphabet: str
-    # greedy seed-selection threshold on the domain's distance
+    # greedy seed-selection threshold on normalized edit distance
     seed_threshold: float
     # exactly three; each task's text is the file task_<name in lower case>.txt
     task_names: tuple[str, ...]
@@ -73,7 +72,6 @@ class DomainSpec:
 
     kind: DomainKind
     validator: Validator
-    distance: DistanceFn
     default_tasks: list[tuple[str, str]]  # (name, text) pairs
     prompt_pack: PromptPack
     alphabet: str
@@ -90,12 +88,7 @@ def make_domain(
     peptide_max_len: int = 60,
     validator: Optional[Validator] = None,
 ) -> DomainSpec:
-    """Assemble a built-in domain, allowing template and validator overrides.
-
-    The distance is normalized edit distance for every kind; attach a
-    fingerprint distance through ``DomainSpec.distance`` when a chemistry
-    toolkit is available.
-    """
+    """Assemble a built-in domain, allowing template and validator overrides."""
     defaults = BUILTIN[kind]
     directory = Path(template_dir) if template_dir else builtin_template_dir(kind)
     pack = load_prompt_pack(directory)
@@ -112,7 +105,6 @@ def make_domain(
     return DomainSpec(
         kind=kind,
         validator=validator,
-        distance=normalized_edit_distance,
         default_tasks=tasks,
         prompt_pack=pack,
         alphabet=defaults.alphabet,

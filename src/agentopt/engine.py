@@ -32,7 +32,7 @@ from .diversity import (
     best_portfolio_greedy,
     select_diverse_seeds,
 )
-from .distance import MemoDistance
+from .distance import EditDistanceIndex
 from .domains import DomainSpec
 from .errors import (
     BudgetExhaustedDuringInit,
@@ -150,7 +150,7 @@ class Engine:
         self.round = start_round
         self.direction = objective.direction
         self._registry_mutations = 0
-        self._dist = MemoDistance(domain.distance)
+        self._distances = EditDistanceIndex()
         # last selections, each updated with the records appended since
         self._seeds: Optional[Selection] = None
         self._portfolio: Optional[Portfolio] = None
@@ -250,7 +250,7 @@ class Engine:
         self._portfolio = best_portfolio_greedy(
             self.history,
             self.objective.portfolio,
-            self._dist,
+            self._distances,
             self.direction,
             self._portfolio,
         )
@@ -398,7 +398,7 @@ class Engine:
             self.history,
             self.loop.seeds_m,
             self.loop.seed_threshold,
-            self._dist,
+            self._distances,
             self.direction,
             self._seeds,
         )

@@ -172,10 +172,16 @@ class TemplateSimilarityConstraint(HardConstraint):
         self.min_similarity = min_similarity
 
     def allows(self, candidate: Candidate) -> bool:
-        return any(
-            similarity(candidate.canonical, template.canonical) >= self.min_similarity
-            for template in self.templates
-        )
+        text = candidate.canonical
+        for template in self.templates:
+            shorter = min(len(text), len(template.canonical))
+            # edits >= |len a - len b|: skip a template this bound already rules out
+            gap = abs(len(text) - len(template.canonical))
+            if shorter and 1.0 - min(1.0, gap / shorter) < self.min_similarity:
+                continue
+            if similarity(text, template.canonical) >= self.min_similarity:
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------

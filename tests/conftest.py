@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import strategies as st
 
+import agentopt.distance as distance_module
 from agentopt.core import Candidate, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
 
@@ -102,6 +103,24 @@ def multi_round_replies(n_rounds: int) -> list[tuple[str, str]]:
             replies.append(("planner", '{"SIMILAR": "USE_EXISTING"}'))
             replies += [("worker", "no json in this reply")] * 6
     return replies
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list[tuple[str, str]]:
+    """Kernel calls, counted at ``agentopt.distance.levenshtein``.
+
+    Every distance path looks the kernel up there, and the benchmark's
+    tracer counts it there too.
+    """
+    calls: list[tuple[str, str]] = []
+    kernel = distance_module.levenshtein
+
+    def counting(a: str, b: str) -> int:
+        calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(distance_module, "levenshtein", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

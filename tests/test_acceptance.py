@@ -8,6 +8,7 @@ opt-in via environment variables and skipped otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -35,7 +36,7 @@ from agentopt.core import (
     canonicalize,
 )
 from agentopt.distance import (
-    MemoDistance,
+    EditDistanceIndex,
     levenshtein,
     normalized_edit_distance,
     similarity,
@@ -324,8 +325,10 @@ def test_portfolio_feasibility_and_gap():
     constraint_bit = 0
     for _ in range(200):
         history = _clustered_history(rng)
-        dist = MemoDistance(normalized_edit_distance)
-        portfolio = best_portfolio_greedy(history, spec, dist, Direction.MAXIMIZE)
+        dist = functools.cache(normalized_edit_distance)  # the exact distance
+        portfolio = best_portfolio_greedy(
+            history, spec, EditDistanceIndex(), Direction.MAXIMIZE
+        )
         for a, b in itertools.combinations(portfolio.members, 2):
             assert dist(a.candidate.canonical, b.candidate.canonical) >= spec.beta
         top_by_score = [

@@ -765,6 +765,7 @@ def test_export_portfolio_shape(tmp_path):
         ("export-curve", ["--portfolio-size", "1"], None),
         ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "2"], None),
         ("export-portfolio", ["--portfolio-size", "3", "--portfolio-beta", "0"], None),
+        ("export-portfolio", ["--portfolio-beta", "5"], None),
         ("export-curve", [], "abc"),
         ("export-portfolio", [], "abc"),
         ("export-curve", [], [3]),
@@ -772,6 +773,7 @@ def test_export_portfolio_shape(tmp_path):
     ],
     ids=[
         "export-curve-flags0", "export-portfolio-flags1", "export-portfolio-flags2",
+        "export-portfolio-flags3",
         "export-curve-config-str", "export-portfolio-config-str",
         "export-curve-config-list", "export-portfolio-config-list",
     ],
@@ -844,6 +846,56 @@ def test_export_next_to_unreadable_config_is_an_error(tmp_path, capsys, config_j
     assert main(["export-curve", str(tmp_path / "history.jsonl"), "--out", str(out)]) == 1
     assert f"error[CorruptCheckpoint]: {tmp_path / 'config.json'}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_texts(path: Path, pairs: list[tuple[str, float]]) -> None:
+    rows = [
+        {
+            "eval_index": i,
+            "raw": text,
+            "canonical": text,
+            "domain": "generic",
+            "score": score,
+            "origin": "init",
+        }
+        for i, (text, score) in enumerate(pairs, start=1)
+    ]
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "section, flags, expected",
+    [
+        ({"size": 2, "beta": 0.75}, ["--portfolio-beta", "0.1"], ["AAAAA", "AAAAB"]),
+        ({"size": 2, "beta": 0.1}, ["--portfolio-size", "3"], ["AAAAA", "AAAAB", "DDDDD"]),
+        ({"size": 2, "beta": 0.75}, [], ["AAAAA", "DDDDD"]),
+        (None, ["--portfolio-beta", "0.1"], ["AAAAA", "AAAAB", "DDDDD"]),  # size 20
+    ],
+    ids=["beta-alone", "size-alone", "config-only", "beta-alone-default-size"],
+)
+def test_export_portfolio_flag_overrides_only_its_key(tmp_path, section, flags, expected):
+    history = tmp_path / "history.jsonl"
+    write_texts(history, [("AAAAA", 5.0), ("AAAAB", 4.0), ("DDDDD", 3.0)])
+    if section is not None:
+        (tmp_path / "config.json").write_text(
+            json.dumps({"objective": {"portfolio": section}}), encoding="utf-8"
+        )
+    out = tmp_path / "portfolio.json"
+    assert main(["export-portfolio", str(history), "--out", str(out), *flags]) == 0
+    assert [m["sequence"] for m in json.loads(out.read_text())] == expected
+
+
+def test_export_curve_beta_alone_writes_portfolio_columns(tmp_path):
+    history = tmp_path / "history.jsonl"
+    write_texts(history, [("AAAAA", 5.0), ("AAAAB", 4.0), ("DDDDD", 3.0)])
+    out = tmp_path / "curve.csv"
+    assert main(["export-curve", str(history), "--out", str(out), "--portfolio-beta", "0.5"]) == 0
+    table = list(csv.reader(out.read_text().splitlines()))
+    assert table[0] == ["eval_index", "best_so_far", "portfolio_agg", "portfolio_complete"]
+    # the default size of 20 is never reached; AAAAB sits 0.2 from AAAAA
+    assert [row[2:] for row in table[1:]] == [
+        ["5.0", "false"], ["5.0", "false"], ["4.0", "false"]
+    ]
 
 
 def test_export_portfolio_reads_spec_from_sibling_config(tmp_path):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentopt.distance import (
-    MemoDistance,
+    EditDistanceIndex,
     levenshtein,
     normalized_edit_distance,
     similarity,
@@ -94,15 +95,73 @@ def test_similarity_bounds_symmetry_identity(a, b):
     assert similarity(a, a) == 1.0
 
 
-def test_memo_distance_returns_cached_values():
-    calls = []
+def test_index_memoizes_kernel_counts(kernel_calls):
+    index = EditDistanceIndex()
+    assert index.far("ABCD", "ABXD", 0.25) is True  # 1 edit over 4
+    assert index.far("ABXD", "ABCD", 0.3) is False  # flipped order, same memo slot
+    assert kernel_calls == [("ABCD", "ABXD")]
 
-    def spy(a: str, b: str) -> float:
-        calls.append((a, b))
-        return normalized_edit_distance(a, b)
 
-    memo = MemoDistance(spy)
-    first = memo("ABCD", "ABXD")
-    second = memo("ABXD", "ABCD")  # flipped order hits the same cache slot
-    assert first == second
-    assert len(calls) == 1
+def test_length_bound_settles_far_without_the_kernel(kernel_calls):
+    index = EditDistanceIndex()
+    assert index.far("AB", "ABCDEFGH", 0.75) is True  # at least 6 edits over 2
+    assert index.far("ABCDEFGHIJ", "ABCDEFGHIJKLM", 0.3) is True  # 3 over 10
+    assert index.far("ABCDEFGHIJ", "ABCDEFGHIJKL", 0.3) is False  # 2 over 10: open
+    assert kernel_calls == [("ABCDEFGHIJ", "ABCDEFGHIJKL")]
+
+
+def test_witness_settles_too_close_without_the_kernel(kernel_calls):
+    a, w, b = "AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAAABB"
+    index = EditDistanceIndex()
+    assert index.far(a, w, 0.5) is False  # 1 edit: a and w witness each other
+    assert index.far(w, b, 0.5) is False  # 1 edit
+    assert len(kernel_calls) == 2
+    # edits(a, b) <= edits(a, w) + edits(w, b) = 2, and 2 / 10 < 0.5
+    assert index.far(a, b, 0.5) is False
+    assert len(kernel_calls) == 2
+
+
+def test_witness_bound_at_the_threshold_leaves_the_verdict_to_the_kernel(kernel_calls):
+    a, w, b = "AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAABBB"
+    index = EditDistanceIndex()
+    assert index.far(a, w, 0.3) is False  # 1 edit
+    assert index.far(w, b, 0.3) is False  # 2 edits
+    # the bound is 1 + 2 = 3 edits, and 3 / 10 is not below 0.3: only the
+    # kernel can tell, and the exact 3 edits make the pair far
+    assert index.far(a, b, 0.3) is True
+    assert kernel_calls[-1] == (a, b)
+    assert normalized_edit_distance(a, b) == 0.3
+
+
+# Texts over two letters sit within every threshold of each other now and
+# then; a threshold k / m sits exactly on some pair's distance.
+INDEX_TEXTS = st.lists(
+    st.text(alphabet="AB", max_size=12), min_size=2, max_size=8, unique=True
+)
+THRESHOLDS = st.sampled_from([0.25, 0.3, 0.5, 0.75, 1.0, 1.5]) | st.builds(
+    lambda k, m: k / m, st.integers(0, 12), st.integers(1, 12)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=INDEX_TEXTS,
+    queries=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), THRESHOLDS), max_size=40
+    ),
+)
+@example(
+    texts=["AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAABBB"],
+    queries=[(0, 1, 0.3), (1, 2, 0.3), (0, 2, 0.3)],
+)
+def test_index_verdict_equals_exact_distance(texts, queries):
+    index = EditDistanceIndex()
+    # cold: the first queries meet empty memo and witness tables
+    for i, j, threshold in queries:
+        a, b = texts[i % len(texts)], texts[j % len(texts)]
+        assert index.far(a, b, threshold) == (normalized_edit_distance(a, b) >= threshold)
+    # warmed: every pair again, with the witnesses the queries left behind
+    for a, b in itertools.product(texts, repeat=2):
+        for threshold in (0.3, 0.5, 0.75):
+            expected = normalized_edit_distance(a, b) >= threshold
+            assert index.far(a, b, threshold) == expected

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentopt.core import Direction, History, PortfolioSpec
-from agentopt.distance import normalized_edit_distance
+from agentopt.distance import EditDistanceIndex, normalized_edit_distance
 from agentopt.diversity import (
-    _greedy_select,
     best_portfolio_greedy,
     portfolio_progress,
     select_diverse_seeds,
@@ -34,7 +33,7 @@ def texts(selection) -> list[str]:
 
 
 def reference_greedy(history: History, m: int, threshold: float, direction):
-    """Independent reimplementation of greedy diverse selection."""
+    """Independent reimplementation of greedy diverse selection, on the bare kernel."""
     ranked = sorted(
         history.records,
         key=lambda r: (
@@ -51,7 +50,7 @@ def reference_greedy(history: History, m: int, threshold: float, direction):
             kept.append(record)
             if len(kept) == m:
                 break
-    return [r.candidate.canonical for r in kept]
+    return kept
 
 
 # -- seeds ---------------------------------------------------------------------
@@ -61,7 +60,7 @@ def test_identical_candidates_yield_single_seed():
     # same canonical can only appear once in a history, so "identical" here
     # means distance-zero variants are impossible; use near-zero instead
     history = history_of([("AAAA", 5.0), ("AAAB", 4.0), ("AABA", 3.0)])
-    seeds = select_diverse_seeds(history, 3, 0.75, DIST, Direction.MAXIMIZE)
+    seeds = select_diverse_seeds(history, 3, 0.75, EditDistanceIndex(), Direction.MAXIMIZE)
     assert texts(seeds) == ["AAAA"]
 
 
@@ -69,7 +68,7 @@ def test_greedy_skips_near_duplicate_of_best():
     history = history_of(
         [("KLWRKLLR", 9.0), ("KLWRKLLK", 8.0), ("DDDDDDDD", 7.0)]
     )
-    seeds = select_diverse_seeds(history, 2, 0.75, DIST, Direction.MAXIMIZE)
+    seeds = select_diverse_seeds(history, 2, 0.75, EditDistanceIndex(), Direction.MAXIMIZE)
     assert texts(seeds) == ["KLWRKLLR", "DDDDDDDD"]
 
 
@@ -77,8 +76,10 @@ def test_seed_selection_matches_reference_greedy():
     rng = random.Random(23)
     for _ in range(40):
         history = random_history(rng, 30)
-        seeds = select_diverse_seeds(history, 3, 0.6, DIST, Direction.MAXIMIZE)
-        assert texts(seeds) == reference_greedy(history, 3, 0.6, Direction.MAXIMIZE)
+        seeds = select_diverse_seeds(
+            history, 3, 0.6, EditDistanceIndex(), Direction.MAXIMIZE
+        )
+        assert seeds.members == reference_greedy(history, 3, 0.6, Direction.MAXIMIZE)
         for a, b in itertools.combinations(texts(seeds), 2):
             assert DIST(a, b) >= 0.6
 
@@ -88,20 +89,22 @@ def test_seeds_always_include_global_best():
     for _ in range(20):
         history = random_history(rng, 25)
         best = history.best_record(Direction.MAXIMIZE)
-        seeds = select_diverse_seeds(history, 2, 0.75, DIST, Direction.MAXIMIZE)
+        seeds = select_diverse_seeds(
+            history, 2, 0.75, EditDistanceIndex(), Direction.MAXIMIZE
+        )
         assert seeds.members[0] == best
 
 
 def test_seeds_empty_history_raises():
     with pytest.raises(EmptyHistory):
-        select_diverse_seeds(History(), 2, 0.75, DIST, Direction.MAXIMIZE)
+        select_diverse_seeds(History(), 2, 0.75, EditDistanceIndex(), Direction.MAXIMIZE)
 
 
 def test_seeds_are_deterministic():
     rng = random.Random(31)
     history = random_history(rng, 40)
-    a = select_diverse_seeds(history, 4, 0.5, DIST, Direction.MINIMIZE)
-    b = select_diverse_seeds(history, 4, 0.5, DIST, Direction.MINIMIZE)
+    a = select_diverse_seeds(history, 4, 0.5, EditDistanceIndex(), Direction.MINIMIZE)
+    b = select_diverse_seeds(history, 4, 0.5, EditDistanceIndex(), Direction.MINIMIZE)
     assert texts(a) == texts(b)
 
 
@@ -113,7 +116,7 @@ def test_portfolio_unconstrained_takes_top_m():
         [("AAAAA", 5.0), ("DDDDD", 4.0), ("KKKKK", 3.0), ("WWWWW", 2.0)]
     )
     portfolio = best_portfolio_greedy(
-        history, PortfolioSpec(size=3, beta=0.75), DIST, Direction.MAXIMIZE
+        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex(), Direction.MAXIMIZE
     )
     assert [r.score for r in portfolio.members] == [5.0, 4.0, 3.0]
     assert portfolio.agg_value == 4.0
@@ -125,7 +128,7 @@ def test_portfolio_constraint_skips_second_best():
         [("KLWRKLLR", 9.0), ("KLWRKLLK", 8.0), ("DDDDDDDD", 7.0), ("WWWWWWWW", 6.0)]
     )
     portfolio = best_portfolio_greedy(
-        history, PortfolioSpec(size=3, beta=0.75), DIST, Direction.MAXIMIZE
+        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex(), Direction.MAXIMIZE
     )
     texts = [r.candidate.canonical for r in portfolio.members]
     assert "KLWRKLLK" not in texts
@@ -135,7 +138,7 @@ def test_portfolio_constraint_skips_second_best():
 def test_portfolio_incomplete_flagged():
     history = history_of([("AAAA", 2.0), ("AAAB", 1.0)])
     portfolio = best_portfolio_greedy(
-        history, PortfolioSpec(size=3, beta=0.75), DIST, Direction.MAXIMIZE
+        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex(), Direction.MAXIMIZE
     )
     assert portfolio.complete is False
     assert len(portfolio.members) == 1
@@ -169,7 +172,9 @@ def test_portfolio_feasibility_and_gap_vs_brute_force():
     gaps = []
     for _ in range(40):
         history = random_history(rng, rng.randint(4, 10), min_len=4, max_len=9)
-        portfolio = best_portfolio_greedy(history, spec, DIST, Direction.MAXIMIZE)
+        portfolio = best_portfolio_greedy(
+            history, spec, EditDistanceIndex(), Direction.MAXIMIZE
+        )
         for a, b in itertools.combinations(portfolio.members, 2):
             assert DIST(a.candidate.canonical, b.candidate.canonical) >= spec.beta
         exact = brute_force_best(history, spec, Direction.MAXIMIZE)
@@ -196,7 +201,7 @@ def test_greedy_can_be_suboptimal_and_gap_oracle_sees_it():
         ]
     )
     spec = PortfolioSpec(size=2, beta=0.75)
-    greedy = best_portfolio_greedy(history, spec, DIST, Direction.MAXIMIZE)
+    greedy = best_portfolio_greedy(history, spec, EditDistanceIndex(), Direction.MAXIMIZE)
     assert [r.score for r in greedy.members] == [10.0, 1.0]
     assert greedy.complete is True
     exact = brute_force_best(history, spec, Direction.MAXIMIZE)
@@ -208,13 +213,15 @@ def test_portfolio_progress_matches_scratch_recompute():
     rng = random.Random(41)
     history = random_history(rng, 50, min_len=4, max_len=12)
     spec = PortfolioSpec(size=3, beta=0.6)
-    points = portfolio_progress(history, spec, DIST, Direction.MAXIMIZE)
+    points = portfolio_progress(history, spec, EditDistanceIndex(), Direction.MAXIMIZE)
     assert len(points) == 50
     for t, point in enumerate(points, start=1):
         prefix = History()
         for record in history.records[:t]:
             prefix.append(record.candidate, record.score, record.origin)
-        expected = best_portfolio_greedy(prefix, spec, DIST, Direction.MAXIMIZE)
+        expected = best_portfolio_greedy(
+            prefix, spec, EditDistanceIndex(), Direction.MAXIMIZE
+        )
         assert point.eval_index == t
         assert point.agg_value == pytest.approx(expected.agg_value)
         assert point.complete == expected.complete
@@ -225,7 +232,10 @@ def test_portfolio_progress_full_agg_never_worsens():
     for _ in range(10):
         history = random_history(rng, 40, min_len=4, max_len=10)
         points = portfolio_progress(
-            history, PortfolioSpec(size=3, beta=0.5), DIST, Direction.MAXIMIZE
+            history,
+            PortfolioSpec(size=3, beta=0.5),
+            EditDistanceIndex(),
+            Direction.MAXIMIZE,
         )
         previous = None
         for point in points:
@@ -238,7 +248,10 @@ def test_portfolio_progress_full_agg_never_worsens():
 def test_portfolio_empty_history_raises():
     with pytest.raises(EmptyHistory):
         best_portfolio_greedy(
-            History(), PortfolioSpec(size=3, beta=0.5), DIST, Direction.MAXIMIZE
+            History(),
+            PortfolioSpec(size=3, beta=0.5),
+            EditDistanceIndex(),
+            Direction.MAXIMIZE,
         )
 
 
@@ -277,16 +290,54 @@ BATCHES = st.lists(
 def test_incremental_selection_matches_scratch_greedy(direction, max_size, threshold, batches):
     history = History()
     seeds = portfolio = None
+    distances = EditDistanceIndex()  # one for the whole history, as in the engine
     for batch in batches:
         for text, score in batch:
             if not history.contains(text):
                 history.append(cand(text), float(score), "init")
-        scratch = _greedy_select(history.ranked(direction), max_size, threshold, DIST, [])
-        seeds = select_diverse_seeds(history, max_size, threshold, DIST, direction, seeds)
+        scratch = reference_greedy(history, max_size, threshold, direction)
+        seeds = select_diverse_seeds(
+            history, max_size, threshold, distances, direction, seeds
+        )
         assert seeds.members == scratch
         assert seeds.seen == len(history)
         if max_size >= 2:
             spec = PortfolioSpec(size=max_size, beta=threshold)
-            portfolio = best_portfolio_greedy(history, spec, DIST, direction, portfolio)
-            assert portfolio == best_portfolio_greedy(history, spec, DIST, direction)
+            portfolio = best_portfolio_greedy(
+                history, spec, distances, direction, portfolio
+            )
+            fresh = best_portfolio_greedy(history, spec, EditDistanceIndex(), direction)
+            assert portfolio == fresh
             assert portfolio.members == scratch
+
+
+# Texts over two letters of 6 to 10 characters: near each other often enough
+# that the 0.75 seeds and the 0.5 portfolio reject records, and one index
+# answers both, so each reuses what the other learned.
+LONG_BATCHES = st.lists(
+    st.lists(
+        st.tuples(st.text(alphabet="AB", min_size=6, max_size=10), st.integers(-3, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@settings(max_examples=100, deadline=None)
+@given(batches=LONG_BATCHES)
+def test_seeds_and_portfolio_through_one_index_match_scratch_greedy(direction, batches):
+    history = History()
+    distances = EditDistanceIndex()
+    spec = PortfolioSpec(size=4, beta=0.5)
+    seeds = portfolio = None
+    for batch in batches:
+        for text, score in batch:
+            if not history.contains(text):
+                history.append(cand(text), float(score), "init")
+        seeds = select_diverse_seeds(history, 3, 0.75, distances, direction, seeds)
+        assert seeds.members == reference_greedy(history, 3, 0.75, direction)
+        portfolio = best_portfolio_greedy(history, spec, distances, direction, portfolio)
+        assert portfolio.members == reference_greedy(history, 4, 0.5, direction)

@@ -18,6 +18,7 @@ from agentopt import cli
 from agentopt.backends import Backend, RoleRouter, ScriptedBackend, TokenLedger
 from agentopt.context import ContextSpec
 from agentopt.core import Direction, DomainKind, ObjectiveSpec, PortfolioSpec, canonicalize
+from agentopt.distance import EditDistanceIndex
 from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
@@ -28,11 +29,11 @@ from agentopt.errors import (
     OracleFailure,
 )
 from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_log
-from agentopt.filtering import NO_CONSTRAINT
+from agentopt.filtering import NO_CONSTRAINT, TemplateSimilarityConstraint
 from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.rng import RngHub
 
-from .conftest import candidates_reply, diverse_init, multi_round_replies
+from .conftest import cand, candidates_reply, diverse_init, multi_round_replies
 
 GARBAGE = "thinking out loud, no answer here"
 
@@ -377,16 +378,7 @@ def test_kxm_trajectories_spawned(tmp_path):
     }
 
 
-def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, monkeypatch):
-    # counted where bench/tracing.py wraps the kernel: the module global
-    kernel_calls = []
-    kernel = distance_module.levenshtein
-
-    def counting_kernel(a, b):
-        kernel_calls.append((a, b))
-        return kernel(a, b)
-
-    monkeypatch.setattr(distance_module, "levenshtein", counting_kernel)
+def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, kernel_calls):
     # one round in which no agent reply parses: the history stays the init
     replies = [("explorer", GARBAGE), ("planner", GARBAGE)] + [("worker", GARBAGE)] * 9
     engine, _ = build_engine(
@@ -401,14 +393,46 @@ def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, monkeypatch):
 
     before = len(kernel_calls)
     args = (engine.history, 3, engine.loop.seed_threshold)
-    seeds = engine_module.select_diverse_seeds(*args, engine._dist, Direction.MAXIMIZE)
-    assert len(kernel_calls) == before
-    # the same selection through the bare distance does reach the kernel
-    bare = engine_module.select_diverse_seeds(
-        *args, engine.domain.distance, Direction.MAXIMIZE
+    seeds = engine_module.select_diverse_seeds(
+        *args, engine._distances, Direction.MAXIMIZE
     )
-    assert bare == seeds
+    assert len(kernel_calls) == before
+    # the same selection through a fresh index does reach the kernel
+    fresh = engine_module.select_diverse_seeds(
+        *args, EditDistanceIndex(), Direction.MAXIMIZE
+    )
+    assert fresh == seeds
     assert len(kernel_calls) > before
+
+    # the template constraint reaches the same kernel, for the templates the
+    # length bound leaves open
+    constraint = TemplateSimilarityConstraint([cand("B" * 16), cand("BBBBBB")], 0.75)
+    before = len(kernel_calls)
+    assert constraint.allows(cand("BBBBBC"))
+    assert kernel_calls[before:] == [("BBBBBC", "BBBBBB")]
+
+    # each export builds one index for its whole replay: a pair reaches the
+    # kernel at most once
+    history = str(tmp_path / "history.jsonl")
+    for command in ("export-curve", "export-portfolio"):
+        before = len(kernel_calls)
+        flags = ["--portfolio-size", "3", "--portfolio-beta", "0.5"]
+        out = str(tmp_path / f"{command}.out")
+        assert cli.main([command, history, "--out", out, *flags]) == 0
+        pairs = [frozenset(pair) for pair in kernel_calls[before:]]
+        assert pairs and len(set(pairs)) == len(pairs)
+
+
+class CountingIndex:
+    """Records every question asked of an index, and passes it on."""
+
+    def __init__(self, index: EditDistanceIndex):
+        self.index = index
+        self.lookups: list[tuple[str, str]] = []
+
+    def far(self, a: str, b: str, threshold: float) -> bool:
+        self.lookups.append((a, b))
+        return self.index.far(a, b, threshold)
 
 
 def test_seed_update_looks_up_only_the_new_records(tmp_path):
@@ -424,11 +448,8 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path):
     previous = engine._seeds
     assert len(previous.members) == 6 and previous.seen == 6
 
-    lookups: list[tuple[str, str]] = []
-
-    def counting(a, b):
-        lookups.append((a, b))
-        return engine._dist(a, b)
+    counting = CountingIndex(engine._distances)
+    lookups = counting.lookups
 
     def select(previous):
         return engine_module.select_diverse_seeds(
@@ -651,7 +672,7 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, mon
         expected = best_portfolio_greedy(
             result.history,
             run_config.objective.portfolio,
-            run_config.domain.distance,
+            EditDistanceIndex(),
             run_config.objective.direction,
         )
         assert result.portfolio == expected

@@ -5,7 +5,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agentopt.core import History
@@ -137,6 +137,25 @@ def test_template_constraint_any_template_suffices():
         [cand("AAAAAAAA"), cand("KLWRKLLR")], 0.75
     )
     assert constraint.allows(cand("KLWRKLLK")) is True
+
+
+# Templates of every length around the candidate's, and thresholds that sit
+# exactly on a similarity, so the length bound both settles and stays open.
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.text(alphabet="KLW", min_size=1, max_size=12),
+    templates=st.lists(
+        st.text(alphabet="KLW", min_size=1, max_size=12), min_size=1, max_size=4
+    ),
+    min_similarity=st.sampled_from([0.3, 0.5, 0.75, 0.9, 1.0])
+    | st.builds(lambda k, m: k / m, st.integers(1, 10), st.integers(10, 12)),
+)
+# the length bound alone sits exactly on the threshold: 3 edits over 10
+@example(text="KKKKKKKKKK", templates=["KKKKKKKKKKKKK"], min_similarity=0.7)
+def test_template_constraint_verdict_equals_similarity(text, templates, min_similarity):
+    constraint = TemplateSimilarityConstraint([cand(t) for t in templates], min_similarity)
+    expected = any(similarity(text, t) >= min_similarity for t in templates)
+    assert constraint.allows(cand(text)) == expected
 
 
 def test_template_constraint_validates_params():
