@@ -227,20 +227,13 @@ class MutatorBackend(Backend):
     parser and filter on the way.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        alphabet: str = "ACDEFGHIKLMNPQRSTVWY",
-        batch_min: int = 5,
-        batch_max: int = 10,
-        name: str = "mutator",
-    ):
+    name = "mutator"
+    BATCH_MIN, BATCH_MAX = 5, 10  # candidates per proposal
+
+    def __init__(self, seed: int, alphabet: str = "ACDEFGHIKLMNPQRSTVWY"):
         self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self.alphabet = alphabet
-        self.batch_min = batch_min
-        self.batch_max = batch_max
-        self.name = name
 
     def _mutate(self, parent: str) -> str:
         rng = self._rng
@@ -287,7 +280,7 @@ class MutatorBackend(Backend):
                 parents.append(m.group(1))
         if not parents:
             parents = ["".join(self._rng.choices(self.alphabet, k=10))]
-        k = self._rng.randint(self.batch_min, self.batch_max)
+        k = self._rng.randint(self.BATCH_MIN, self.BATCH_MAX)
         candidates = [self._mutate(self._rng.choice(parents)) for _ in range(k)]
         return json.dumps({"candidates": candidates})
 

@@ -166,13 +166,21 @@ def _open_failed(exc: Exception) -> int:
 def _execute(
     config: RunConfig, run_dir: Path, checkpoint: Optional[Checkpoint] = None
 ) -> int:
+    """Run or resume, then write the summary.
+
+    A finished ``checkpoint`` (a run killed after its last checkpoint, before
+    its summary) runs no round: the summary comes from the restored state.
+    """
     try:
         engine, ledger = _open_engine(config, run_dir, checkpoint)
     except (AgentOptError, OSError) as exc:
         return _open_failed(exc)
     started = time.monotonic()
     try:
-        result = engine.run()
+        if checkpoint is not None and checkpoint.finished:
+            result = engine.result(checkpoint.stop_reason)
+        else:
+            result = engine.run()
     except KeyboardInterrupt:
         print("interrupted; logs flushed, last round checkpoint kept", file=sys.stderr)
         return EXIT_INTERRUPT
@@ -214,7 +222,7 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
     run_dir = checkpoint_path.parent
     try:
         checkpoint = load_checkpoint(checkpoint_path)
-        if checkpoint.finished:
+        if checkpoint.finished and (run_dir / SUMMARY_FILE).exists():
             print("run already finished; nothing to resume")
             return EXIT_OK
         config = validate_config(_read_run_config(run_dir / CONFIG_COPY_FILE))

@@ -19,6 +19,7 @@ from typing import Optional
 from .backends import CompletionResult, RoleRouter
 from .context import ContextSpec, coverage_sample, render_context
 from .core import (
+    RANK_KEYS,
     Candidate,
     History,
     ObjectiveSpec,
@@ -41,7 +42,7 @@ from .errors import (
     NoPlanFound,
 )
 from .events import Checkpoint, EventLog, HistoryLog, record_to_json, write_checkpoint
-from .filtering import FilterReport, HardConstraint, filter_batch
+from .filtering import HardConstraint, filter_batch
 from .oracles import CandidatePool, Oracle
 from .prompts import (
     build_explorer_prompt,
@@ -89,8 +90,7 @@ class TrajectoryState:
     """One live local-search trajectory inside a worker phase."""
 
     task_name: str
-    x_curr: Candidate
-    x_curr_score: float
+    x_curr: ScoredRecord  # the seed, then each chosen move
     fails: int = 0
     terminated: bool = False
 
@@ -168,7 +168,7 @@ class Engine:
     def _emit(self, kind: str, payload: dict) -> None:
         self.events.emit(kind, self.round, self._phase, payload)
 
-    def _complete(self, role: str, system: str, user: str, **extra) -> CompletionResult:
+    def _complete(self, role: str, system: str, user: str, **tags) -> CompletionResult:
         result = self.router.complete(role, system, user)
         payload = {
             "role": role,
@@ -180,11 +180,25 @@ class Engine:
             "output_tokens": result.output_tokens,
             "latency_ms": result.latency_ms,
         }
-        payload.update(extra)
+        payload.update(tags)
         self._emit("agent_call", payload)
         return result
 
-    def _emit_filter_report(self, report: FilterReport, **extra) -> None:
+    def _step(
+        self, role: str, system: str, user: str, origin: str, **tags
+    ) -> Optional[list[ScoredRecord]]:
+        """One proposing agent call: ask, parse, filter, evaluate.
+
+        Returns the evaluated records, or None when the reply holds no
+        candidates. ``tags`` go on the ``agent_call`` and ``filter_report``
+        events; ``eval_batch`` carries the task alone.
+        """
+        result = self._complete(role, system, user, **tags)
+        try:
+            raws = parse_candidates(result.text)
+        except NoCandidatesFound:
+            return None
+        report = filter_batch(raws, self.history, self.constraint, self.domain)
         payload = {
             "n_in": report.n_input,
             "n_accepted": len(report.accepted),
@@ -193,11 +207,12 @@ class Engine:
                 for r in report.rejected
             ],
         }
-        payload.update(extra)
+        payload.update(tags)
         self._emit("filter_report", payload)
+        return self._evaluate_and_append(report.accepted, origin, tags.get("task"))
 
     def _evaluate_and_append(
-        self, accepted: list[Candidate], origin: str, **extra
+        self, accepted: list[Candidate], origin: str, task: Optional[str] = None
     ) -> list[ScoredRecord]:
         """The single serialized evaluate-then-append gate.
 
@@ -220,15 +235,10 @@ class Engine:
             "truncated": truncated,
             "records": [record_to_json(r) for r in records],
         }
-        payload.update(extra)
+        if task is not None:
+            payload["task"] = task
         self._emit("eval_batch", payload)
         return records
-
-    def _record_outcome(self, task_name: str, success: bool, **extra) -> None:
-        self.registry.record_outcome(task_name, success)
-        payload = {"op": "outcome", "task": task_name, "success": success}
-        payload.update(extra)
-        self._emit("registry_change", payload)
 
     def _context_text(self) -> str:
         ctx = coverage_sample(
@@ -256,21 +266,17 @@ class Engine:
         )
         return self._portfolio
 
-    def _explorer_statistic(self):
+    def _explorer_statistic(self) -> tuple[int, float]:
+        """(portfolio size, its aggregate), or (0, best score) without a portfolio."""
         if self.objective.portfolio is not None:
             portfolio = self._current_portfolio()
             return (len(portfolio.members), portfolio.agg_value)
-        return self.history.best_record(self.direction).score
+        return (0, self.history.best_record(self.direction).score)
 
-    def _statistic_improved(self, before) -> bool:
-        after = self._explorer_statistic()
-        if self.objective.portfolio is not None:
-            size_before, agg_before = before
-            size_after, agg_after = after
-            if size_after > size_before:
-                return True
-            return is_improvement(agg_after, agg_before, self.direction)
-        return is_improvement(after, before, self.direction)
+    def _statistic_improved(self, before: tuple[int, float]) -> bool:
+        """A larger portfolio, or a strictly better score."""
+        size, score = self._explorer_statistic()
+        return size > before[0] or is_improvement(score, before[1], self.direction)
 
     # -- phases --------------------------------------------------------------
 
@@ -335,16 +341,8 @@ class Engine:
                 format_score(best.score),
                 self.objective,
             )
-            result = self._complete("explorer", "", prompt)
-            try:
-                raws = parse_candidates(result.text)
-            except NoCandidatesFound:
-                fails += 1
-                continue
-            report = filter_batch(raws, self.history, self.constraint, self.domain)
-            self._emit_filter_report(report)
-            self._evaluate_and_append(report.accepted, origin="explorer")
-            if self._statistic_improved(stat_before):
+            records = self._step("explorer", "", prompt, "explorer")
+            if records is not None and self._statistic_improved(stat_before):
                 fails = 0
             else:
                 fails += 1
@@ -402,16 +400,11 @@ class Engine:
             self.direction,
             self._seeds,
         )
-        trajectories: list[TrajectoryState] = []
-        for task in work:
-            for seed in self._seeds.members:
-                trajectories.append(
-                    TrajectoryState(
-                        task_name=task.name,
-                        x_curr=seed.candidate,
-                        x_curr_score=seed.score,
-                    )
-                )
+        trajectories = [
+            TrajectoryState(task_name=task.name, x_curr=seed)
+            for task in work
+            for seed in self._seeds.members
+        ]
         for index, trajectory in enumerate(trajectories):
             self._run_trajectory(index, trajectory, trajectories)
             trajectory.terminated = True
@@ -427,37 +420,28 @@ class Engine:
         entry = self.registry.entries[task_name]
         while trajectory.fails < self.loop.max_fails:
             system, user = build_worker_prompts(
-                self.domain.prompt_pack, entry.text, trajectory.x_curr.canonical
+                self.domain.prompt_pack, entry.text, trajectory.x_curr.candidate.canonical
             )
-            result = self._complete(
-                "worker", system, user, task=task_name, trajectory=index
+            records = self._step(
+                "worker", system, user, f"worker:{task_name}", task=task_name, trajectory=index
             )
-            try:
-                raws = parse_candidates(result.text)
-            except NoCandidatesFound:
-                trajectory.fails += 1
-                self._record_outcome(task_name, False, trajectory=index)
-                continue
-            report = filter_batch(raws, self.history, self.constraint, self.domain)
-            self._emit_filter_report(report, task=task_name, trajectory=index)
-            records = self._evaluate_and_append(
-                report.accepted, origin=f"worker:{task_name}", task=task_name
-            )
-            chosen = self._pick_improvement(records, index, trajectory, trajectories)
-            if chosen is not None:
-                trajectory.x_curr = chosen.candidate
-                trajectory.x_curr_score = chosen.score
+            chosen = self._pick_improvement(records or [], trajectory, trajectories)
+            success = chosen is not None
+            if success:
+                trajectory.x_curr = chosen
                 trajectory.fails = 0
-                self._record_outcome(task_name, True, trajectory=index)
             else:
                 trajectory.fails += 1
-                self._record_outcome(task_name, False, trajectory=index)
+            self.registry.record_outcome(task_name, success)
+            self._emit(
+                "registry_change",
+                {"op": "outcome", "task": task_name, "success": success, "trajectory": index},
+            )
             self._check_budget()
 
     def _pick_improvement(
         self,
         records: list[ScoredRecord],
-        index: int,
         trajectory: TrajectoryState,
         trajectories: list[TrajectoryState],
     ) -> Optional[ScoredRecord]:
@@ -468,23 +452,22 @@ class Engine:
         multi-trajectory search from merging onto a single incumbent.
         """
         live_points = {
-            t.x_curr.canonical
-            for j, t in enumerate(trajectories)
-            if j != index and not t.terminated
+            t.x_curr.candidate.canonical
+            for t in trajectories
+            if t is not trajectory and not t.terminated
         }
-        best: Optional[ScoredRecord] = None
-        for record in records:
-            if not is_improvement(record.score, trajectory.x_curr_score, self.direction):
-                continue
-            if record.candidate.canonical in live_points:
-                continue
-            if best is None or is_improvement(record.score, best.score, self.direction):
-                best = record
-        return best
+        moves = [
+            r
+            for r in records
+            if is_improvement(r.score, trajectory.x_curr.score, self.direction)
+            and r.candidate.canonical not in live_points
+        ]
+        return min(moves, key=RANK_KEYS[self.direction], default=None)
 
     # -- run control ---------------------------------------------------------
 
     def _finish_round(self, stop_reason: Optional[str]) -> None:
+        """Emit round_end (after round 0) and checkpoint; a stop reason finishes the run."""
         self._phase = "loop"
         if self.round >= 1:
             self._emit(
@@ -495,10 +478,7 @@ class Engine:
                     "stop_reason": stop_reason,
                 },
             )
-        self._write_checkpoint(finished=stop_reason is not None, stop_reason=stop_reason)
-
-    def _write_checkpoint(self, finished: bool, stop_reason: Optional[str]) -> None:
-        self._phase = "loop"
+        finished = stop_reason is not None
         self._emit("checkpoint", {"finished": finished})
         checkpoint = Checkpoint(
             round_idx=self.round,
@@ -530,7 +510,7 @@ class Engine:
         try:
             if not len(self.history):
                 self._init_phase()
-                self._write_checkpoint(finished=False, stop_reason=None)
+                self._finish_round(None)  # round 0 ends with its checkpoint alone
             while stop_reason is None:
                 self.round += 1
                 evals_before = self.history.evals_used
@@ -554,14 +534,14 @@ class Engine:
             except Exception:  # the log itself may be the casualty
                 pass
             raise
+        return self.result(stop_reason)
 
-        portfolio = None
-        if self.objective.portfolio is not None:
-            portfolio = self._current_portfolio()
+    def result(self, stop_reason: str) -> RunResult:
+        """The outcome of a run that stopped for ``stop_reason`` at this round."""
         return RunResult(
             history=self.history,
             registry=self.registry,
             stop_reason=stop_reason,
             rounds=self.round,
-            portfolio=portfolio,
+            portfolio=self._current_portfolio() if self.objective.portfolio else None,
         )

@@ -544,15 +544,29 @@ def test_parser_robustness_corpus():
 # -- 9. replay determinism ----------------------------------------------------------------
 
 
-SLEEPY_ORACLE = (
-    "import sys, time\n"
+# Scores count the A's. Given COUNT_FILE READY_FILE, the oracle keeps its
+# running count of scored candidates in COUNT_FILE and, once only (while
+# READY_FILE is absent), pauses after candidate PAUSE_AT with READY_FILE
+# written: the run is then blocked inside that oracle batch.
+PAUSE_AT = 12
+PAUSING_ORACLE = (
+    "import os, sys, time\n"
+    "pause = sys.argv[1:]\n"
+    "n = int(open(pause[0]).read()) if pause and os.path.exists(pause[0]) else 0\n"
     "for line in sys.stdin:\n"
-    "    time.sleep(0.04)\n"
     "    print(line.count('A'))\n"
+    "    n += 1\n"
+    f"    if pause and n == {PAUSE_AT} and not os.path.exists(pause[1]):\n"
+    "        open(pause[1], 'w').close()\n"
+    "        time.sleep(30)\n"
+    "if pause:\n"
+    "    open(pause[0], 'w').write(str(n))\n"
 )
 
 
-def _replay_config(base: Path, out_name: str, n_rounds: int = 3) -> Path:
+def _replay_config(
+    base: Path, out_name: str, n_rounds: int = 3, pause_files: tuple[Path, ...] = ()
+) -> Path:
     from .conftest import multi_round_replies
 
     init_file = base / "init.txt"
@@ -563,7 +577,7 @@ def _replay_config(base: Path, out_name: str, n_rounds: int = 3) -> Path:
         write_script(script_file, multi_round_replies(n_rounds))
     oracle_file = base / "oracle.py"
     if not oracle_file.exists():
-        oracle_file.write_text(SLEEPY_ORACLE, encoding="utf-8")
+        oracle_file.write_text(PAUSING_ORACLE, encoding="utf-8")
     config = {
         "run": {"seed": 0, "output_dir": str(base / out_name)},
         "domain": {"kind": "generic"},
@@ -571,7 +585,7 @@ def _replay_config(base: Path, out_name: str, n_rounds: int = 3) -> Path:
         "backends": {"default": {"kind": "scripted", "script": str(script_file)}},
         "oracle": {
             "kind": "subprocess",
-            "command": [sys.executable, str(oracle_file)],
+            "command": [sys.executable, str(oracle_file), *map(str, pause_files)],
         },
         "init": {"source": {"kind": "file", "path": str(init_file)}, "count": 10},
     }
@@ -600,8 +614,11 @@ def test_replay_determinism(tmp_path):
             f"resume from {checkpoint_file.name} diverged"
         )
 
-    # mid-run SIGINT, then resume
-    sigint_cfg = _replay_config(tmp_path, "sigint")
+    # SIGINT while the oracle pauses in mid-batch, then resume
+    ready = tmp_path / "oracle_paused"
+    sigint_cfg = _replay_config(
+        tmp_path, "sigint", pause_files=(tmp_path / "oracle_count", ready)
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     sigint_history = tmp_path / "sigint" / "history.jsonl"
     deadline = time.monotonic() + 30
@@ -613,13 +630,11 @@ def test_replay_determinism(tmp_path):
     ) as proc:
         try:
             while time.monotonic() < deadline:
-                if sigint_history.exists():
-                    lines = sigint_history.read_bytes().count(b"\n")
-                    if lines >= 12:
-                        break
+                if ready.exists() or proc.poll() is not None:
+                    break
                 time.sleep(0.02)
-            else:
-                pytest.fail("run never reached the interruption point")
+            if not ready.exists():
+                pytest.fail(f"oracle never paused after its candidate {PAUSE_AT}")
             proc.send_signal(signal.SIGINT)
             proc.communicate(timeout=30)
         finally:
@@ -630,6 +645,8 @@ def test_replay_determinism(tmp_path):
     last = read_log(tmp_path / "sigint" / "events.jsonl")[-1]
     assert last["kind"] == "error"
     assert last["payload"]["reason"].startswith("KeyboardInterrupt")
+    assert len(read_log(sigint_history)) < PAUSE_AT  # the paused batch never landed
+    # READY_FILE is there now, so the resumed run's oracle does not pause
     assert main(["resume", str(tmp_path / "sigint")]) == 0
     assert sigint_history.read_bytes() == baseline_history
     ok(

@@ -336,6 +336,32 @@ def test_resume_finished_run_is_noop(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "portfolio", [None, {"size": 4, "beta": 0.5}], ids=["no-portfolio", "portfolio"]
+)
+def test_resume_finished_run_without_summary_writes_it(tmp_path, capsys, portfolio):
+    # a kill at the last archive write leaves a finished checkpoint, no summary
+    config = mutator_run_config(tmp_path, budget=150)
+    if portfolio is not None:
+        cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
+        cfg["objective"]["portfolio"] = portfolio
+        write_yaml(config, cfg)
+    assert main(["run", "--config", str(config)]) == 0
+    out_dir = tmp_path / "out"
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    assert ("portfolio" in summary) == (portfolio is not None)
+    (out_dir / "summary.json").unlink()
+    logs = {name: (out_dir / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+
+    assert main(["resume", str(out_dir)]) == 0
+    assert capsys.readouterr().out.startswith("finished: 150/150 evaluations")
+    rewritten = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    del summary["wall_time_s"], rewritten["wall_time_s"]
+    assert rewritten == summary
+    assert {name: (out_dir / name).read_bytes() for name in logs} == logs
+
+
 def test_resume_truncated_events_is_corrupt(tmp_path, capsys):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0

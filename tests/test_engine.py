@@ -15,9 +15,16 @@ import agentopt.diversity as diversity_module
 import agentopt.engine as engine_module
 from agentopt import cli
 
-from agentopt.backends import Backend, RoleRouter, ScriptedBackend, TokenLedger
+from agentopt.backends import ROLES, Backend, RoleRouter, ScriptedBackend, TokenLedger
 from agentopt.context import ContextSpec
-from agentopt.core import Direction, DomainKind, ObjectiveSpec, PortfolioSpec, canonicalize
+from agentopt.core import (
+    Direction,
+    DomainKind,
+    ObjectiveSpec,
+    PortfolioSpec,
+    ScoredRecord,
+    canonicalize,
+)
 from agentopt.distance import EditDistanceIndex
 from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
@@ -475,6 +482,12 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path):
     assert seeds == select(None)
 
 
+def point_elsewhere(engine, text: str, score: float) -> ScoredRecord:
+    """The current point of a trajectory whose batch this history has not seen."""
+    candidate = canonicalize(text, engine.domain.kind)
+    return ScoredRecord(candidate, score, eval_index=len(engine.history) + 1, origin="worker")
+
+
 def test_collapse_guard_vetoes_move_onto_live_trajectory(tmp_path):
     # Scripted interleaving state: another live trajectory already sits at
     # "AAAB" (as happens when batches race under concurrent execution), and
@@ -484,22 +497,13 @@ def test_collapse_guard_vetoes_move_onto_live_trajectory(tmp_path):
         tmp_path, replies, count_a_oracle(), ["BBBBBBBB", "DDDDDDDD"], budget=50,
     )
     engine._init_phase()
-    domain_kind = engine.domain.kind
-    mine = TrajectoryState(
-        task_name="SIMILAR",
-        x_curr=engine.history.records[0].candidate,
-        x_curr_score=0.0,
-    )
-    other = TrajectoryState(
-        task_name="SIMILAR",
-        x_curr=canonicalize("AAAB", domain_kind),
-        x_curr_score=3.0,
-    )
+    mine = TrajectoryState(task_name="SIMILAR", x_curr=engine.history.records[0])
+    other = TrajectoryState(task_name="SIMILAR", x_curr=point_elsewhere(engine, "AAAB", 3.0))
     engine._phase = "worker"
     engine._run_trajectory(0, mine, [mine, other])
     engine.close()
     # the improving move was vetoed every time: trajectory never advanced
-    assert mine.x_curr.canonical == "BBBBBBBB"
+    assert mine.x_curr.candidate.canonical == "BBBBBBBB"
     assert mine.fails == 3
     similar = engine.registry.get("SIMILAR")
     assert (similar.attempts, similar.successes) == (3, 0)
@@ -517,21 +521,13 @@ def test_collapse_guard_allows_distinct_improvements(tmp_path):
         max_fails=1,
     )
     engine._init_phase()
-    mine = TrajectoryState(
-        task_name="SIMILAR",
-        x_curr=engine.history.records[0].candidate,
-        x_curr_score=0.0,
-    )
-    other = TrajectoryState(
-        task_name="SIMILAR",
-        x_curr=canonicalize("AAAB", engine.domain.kind),
-        x_curr_score=3.0,
-    )
+    mine = TrajectoryState(task_name="SIMILAR", x_curr=engine.history.records[0])
+    other = TrajectoryState(task_name="SIMILAR", x_curr=point_elsewhere(engine, "AAAB", 3.0))
     engine._phase = "worker"
     engine._run_trajectory(0, mine, [mine, other])
     engine.close()
     # AAAB vetoed by the guard, AAAA chosen even though both improve
-    assert mine.x_curr.canonical == "AAAA"
+    assert mine.x_curr.candidate.canonical == "AAAA"
     assert mine.fails == 1
     similar = engine.registry.get("SIMILAR")
     assert (similar.attempts, similar.successes) == (2, 1)
@@ -695,7 +691,8 @@ def test_traced_benchmark_names_exist_in_engine():
 
 
 def test_traced_run_records_seed_and_portfolio_spans(tmp_path, monkeypatch):
-    # selection must go through the names the benchmark's tracer wraps
+    # selection and each agent step must go through the names the
+    # benchmark's tracer wraps
     tracing = load_bench_tracing()
     for name in tracing.ENGINE_NAMES:  # restored after the test
         monkeypatch.setattr(engine_module, name, getattr(engine_module, name))
@@ -712,6 +709,13 @@ def test_traced_run_records_seed_and_portfolio_spans(tmp_path, monkeypatch):
     spans = Counter(name for _, name, _, _, _ in tracer.spans)
     assert spans["diversity.seeds"] >= 1
     assert spans["diversity.portfolio"] >= 1
+    # every agent call builds one prompt and parses one reply, and every
+    # filter report comes from one traced filter call
+    agent_calls = sum(spans[f"backends.{role}"] for role in ROLES)
+    assert spans["prompts.build"] == spans["prompts.parse"] == agent_calls > 0
+    events = read_log(tmp_path / "events.jsonl")
+    filter_reports = sum(e["kind"] == "filter_report" for e in events)
+    assert spans["filtering"] == filter_reports >= 1
 
 
 # -- zero-signal guard -------------------------------------------------------------------
