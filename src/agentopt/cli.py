@@ -38,10 +38,11 @@ from .events import (
     Checkpoint,
     EventLog,
     HistoryLog,
+    Steps,
     load_checkpoint,
     load_history,
     read_json,
-    read_log,
+    read_steps,
     resume_logs,
 )
 from .registry import TaskRegistry
@@ -314,23 +315,18 @@ def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
     return EXIT_OK
 
 
+def fold_tokens(steps: Steps) -> dict:
+    """The ``TokenLedger`` report of the agent calls among ``steps``."""
+    ledger = TokenLedger()
+    for call in (step.call for step in steps if step.call is not None):
+        result = CompletionResult("", call["input_tokens"], call["output_tokens"], 0)
+        ledger.record(call["role"], call["backend"], result)
+    return ledger.report()
+
+
 def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:
     # from events.jsonl alone, so killed runs without a summary report too
-    ledger = TokenLedger()
-    events_path = Path(args.run_dir) / EVENTS_FILE
-    for lineno, event in enumerate(read_log(events_path), start=1):  # main() reports errors
-        try:
-            if event["kind"] != "agent_call":
-                continue
-            payload = event["payload"]
-            ledger.record(
-                payload["role"],
-                payload["backend"],
-                CompletionResult("", payload["input_tokens"], payload["output_tokens"], 0),
-            )
-        except (KeyError, TypeError) as exc:
-            raise CorruptCheckpoint(f"{events_path} line {lineno}: {exc!r}") from exc
-    tokens = ledger.report()
+    tokens = fold_tokens(read_steps(Path(args.run_dir) / EVENTS_FILE))  # main() reports errors
     for section in ("per_role", "per_backend"):
         print(f"{section}:")
         for key, row in sorted(tokens[section].items()):

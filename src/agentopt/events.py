@@ -21,15 +21,23 @@ from typing import Any, Callable, Optional
 from .core import Candidate, DomainKind, History, ScoredRecord
 from .errors import CorruptCheckpoint, DuplicateCandidate
 
-EVENT_KINDS = (
-    "agent_call",
-    "filter_report",
-    "eval_batch",
-    "registry_change",
-    "round_end",
-    "checkpoint",
-    "error",
-)
+# Each event kind and the payload fields, with their types, that every event of it carries
+EVENT_FIELDS: dict[str, dict[str, Any]] = {
+    "agent_call": {
+        "role": str, "backend": str, "system_sha": str, "user_sha": str, "reply": str,
+        "input_tokens": int, "output_tokens": int, "latency_ms": int,
+    },
+    "filter_report": {"n_in": int, "n_accepted": int, "rejected": list},
+    "eval_batch": {"origin": str, "n": int, "truncated": int, "records": list},
+    "registry_change": {"op": str, "task": str},
+    "round_end": {
+        "evals_used": int, "best_score": (int, float), "stop_reason": (str, type(None)),
+    },
+    "checkpoint": {"finished": bool},
+    "error": {"reason": str},
+}
+# The kinds of a step, in the order they follow its agent call
+_STEP_ORDER = {"agent_call": 0, "filter_report": 1, "eval_batch": 2, "registry_change": 3}
 
 EVENTS_FILE = "events.jsonl"
 HISTORY_FILE = "history.jsonl"
@@ -97,7 +105,7 @@ class EventLog:
         self.last_seq = next_seq - 1
 
     def emit(self, kind: str, round_idx: int, phase: str, payload: dict) -> int:
-        if kind not in EVENT_KINDS:
+        if kind not in EVENT_FIELDS:
             raise ValueError(f"unknown event kind: {kind}")
         seq = self.next_seq
         self._writer.write(
@@ -166,6 +174,64 @@ def read_log(path: Path, limit: Optional[int] = None) -> Log:
         )
     rows = [_decode(path, line, f" line {n}") for n, line in enumerate(lines, 1)]
     return Log(rows, sum(map(len, lines)))
+
+
+@dataclass
+class Step:
+    """One agent call and the events it caused, or one event of its own.
+
+    ``events`` maps each kind to its payload in log order; the first opened the step.
+    """
+
+    round: int
+    phase: str
+    events: dict[str, dict]
+
+    @property
+    def call(self) -> Optional[dict]:
+        """The payload of the ``agent_call`` that opened this step, if one did."""
+        return self.events.get("agent_call")
+
+
+class Steps(Log):
+    """The steps of an event log; ``size`` counts the bytes of its lines."""
+
+    @property
+    def rows(self) -> list:
+        """The records of every ``eval_batch`` in order: the history."""
+        batches = (step.events["eval_batch"] for step in self if "eval_batch" in step.events)
+        return [row for batch in batches for row in batch["records"]]
+
+
+def read_steps(path: Path, limit: Optional[int] = None) -> Steps:
+    """The steps of the event log at ``path``, whose lines ``read_log`` reads.
+
+    Each event must carry the next ``seq`` from 1, a known kind and a payload
+    with that kind's fields, or it is a ``CorruptCheckpoint`` naming its line.
+    An ``agent_call`` opens a step, which the ``filter_report``, ``eval_batch``
+    and worker outcome (``registry_change`` op ``outcome``) after it join.
+    """
+    events = read_log(path, limit)
+    steps: list[Step] = []
+    for lineno, event in enumerate(events, start=1):
+        where = f"{path} line {lineno}"
+        if not isinstance(event, dict) or event.get("seq") != lineno:
+            raise CorruptCheckpoint(f"{where}: seq is not {lineno}")
+        kind, payload = event.get("kind"), event.get("payload")
+        if not isinstance(kind, str) or kind not in EVENT_FIELDS:
+            raise CorruptCheckpoint(f"{where}: kind {kind!r} is not an event kind")
+        if not isinstance(payload, dict):
+            raise CorruptCheckpoint(f"{where}: payload {payload!r} is not an object")
+        for name, types in EVENT_FIELDS[kind].items():
+            if not isinstance(payload.get(name), types):
+                raise CorruptCheckpoint(f"{where}: {kind} {name} is {payload.get(name)!r}")
+        step = steps[-1] if steps and steps[-1].call is not None else None
+        after = _STEP_ORDER[list(step.events)[-1]] if step else len(_STEP_ORDER)
+        if _STEP_ORDER.get(kind, 0) > after and payload.get("op", "outcome") == "outcome":
+            step.events[kind] = payload
+        else:
+            steps.append(Step(event.get("round"), event.get("phase"), {kind: payload}))
+    return Steps(steps, events.size)
 
 
 def read_json(path: Path) -> Any:
@@ -264,18 +330,18 @@ def load_checkpoint(path: Path) -> Checkpoint:
 def resume_logs(run_dir: Path, checkpoint: Checkpoint) -> tuple[History, Callable[[], None]]:
     """The history at ``checkpoint``, and the cut that trims both logs back to it.
 
-    Each log's checkpointed prefix is read once: its events must be numbered
-    1 to ``events_seq`` and its rows must rebuild the history in order. What
-    the interrupted run wrote past the checkpoint is not read. The cut
-    truncates both files to those prefixes, whose bytes stay as they were.
+    Each log's checkpointed prefix is read once: the events through
+    ``read_steps``, and the rows must rebuild the history and equal its
+    ``eval_batch`` records. What the interrupted run wrote past the checkpoint
+    is not read. The cut truncates both files to those prefixes, byte-intact.
     """
     events_path, history_path = Path(run_dir) / EVENTS_FILE, Path(run_dir) / HISTORY_FILE
-    events = read_log(events_path, checkpoint.events_seq)
-    for seq, event in enumerate(events, start=1):
-        if not isinstance(event, dict) or event.get("seq") != seq:
-            raise CorruptCheckpoint(f"{events_path} line {seq}: seq is not {seq}")
+    events = read_steps(events_path, checkpoint.events_seq)
     rows = read_log(history_path, checkpoint.history_len)
     history = load_history(history_path, rows)
+    for lineno, (row, record) in enumerate(itertools.zip_longest(rows, events.rows), 1):
+        if row != record:
+            raise CorruptCheckpoint(f"{history_path} line {lineno}: not its eval_batch record")
 
     def cut() -> None:
         os.truncate(events_path, events.size)

@@ -118,8 +118,6 @@ class TaskRegistry:
             for e in self.entries.values()
             if not e.is_default and e.name != exclude
         ]
-        if not candidates:
-            raise RuntimeError("registry over capacity with nothing evictable")
         victim = min(candidates, key=lambda e: (e.success_rate, -e.attempts, e.name))
         return victim.name
 

@@ -6,13 +6,17 @@ import json
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import strategies as st
 
 import agentopt.distance as distance_module
+from agentopt.cli import fold_tokens
 from agentopt.core import Candidate, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
+from agentopt.events import EVENTS_FILE, HISTORY_FILE, SUMMARY_FILE, read_log, read_steps
 
 LETTERS = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -64,6 +68,19 @@ def write_script(path, replies: list[tuple[str, str]]) -> None:
         for role, reply in replies
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_events_agree(run_dir: Path, tokens: Optional[dict] = None) -> None:
+    """The events of ``run_dir`` rebuild its history.jsonl and fold to its token totals.
+
+    ``tokens`` is the run's ``TokenLedger`` report, by default the one in its
+    summary.json.
+    """
+    steps = read_steps(run_dir / EVENTS_FILE)
+    assert steps.rows == read_log(run_dir / HISTORY_FILE)
+    if tokens is None:
+        tokens = json.loads((run_dir / SUMMARY_FILE).read_text(encoding="utf-8"))["tokens"]
+    assert fold_tokens(steps) == tokens
 
 
 def long_text(alphabet: str, max_size: int = 150) -> st.SearchStrategy[str]:

@@ -45,7 +45,7 @@ from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams
 from agentopt.errors import NoCandidatesFound
-from agentopt.events import EventLog, HistoryLog, read_log
+from agentopt.events import EventLog, HistoryLog, read_log, read_steps
 from agentopt.filtering import NO_CONSTRAINT, TemplateSimilarityConstraint
 from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.prompts import parse_candidates
@@ -181,9 +181,9 @@ def test_algorithm_trace_conformance(tmp_path):
     assert produced == golden  # byte-exact on the projected columns
 
     outcomes = [
-        (e["payload"]["task"], e["payload"]["success"])
-        for e in events
-        if e["kind"] == "registry_change" and e["payload"]["op"] == "outcome"
+        (step.events["registry_change"]["task"], step.events["registry_change"]["success"])
+        for step in read_steps(tmp_path / "events.jsonl")
+        if step.call is not None and "registry_change" in step.events
     ]
     assert len(outcomes) == 18
     assert all(success is False for _, success in outcomes)

@@ -16,6 +16,8 @@ import pytest
 
 from agentopt.events import EVENTS_FILE, HISTORY_FILE, load_checkpoint
 
+from .conftest import assert_events_agree
+
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
@@ -40,6 +42,7 @@ def test_benchmark_workload_runs_to_budget(tmp_path, workload):
     assert ledger.report()["total"]["calls"] > 0
     checkpoint = load_checkpoint(tmp_path / "checkpoint.json")
     assert checkpoint.finished and checkpoint.history_len == 150
+    assert_events_agree(tmp_path, ledger.report())
 
 
 def events_without_ts(path: Path) -> bytes:

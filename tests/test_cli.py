@@ -17,11 +17,11 @@ from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
 from agentopt.errors import InsufficientInit, OracleFailure
-from agentopt.events import read_log
+from agentopt.events import read_log, read_steps
 from agentopt.oracles import MotifMatchOracle
 from agentopt.rng import RngHub
 
-from .conftest import diverse_init, multi_round_replies, write_script
+from .conftest import assert_events_agree, diverse_init, multi_round_replies, write_script
 
 
 def write_yaml(path: Path, data: dict) -> Path:
@@ -162,17 +162,8 @@ def test_run_cli_flag_overrides(tmp_path):
 def test_events_log_is_gapless_and_rebuilds_history(tmp_path):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
-    out_dir = tmp_path / "out"
-    events = read_log(out_dir / "events.jsonl")
-    assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
-    rebuilt = [
-        record
-        for event in events
-        if event["kind"] == "eval_batch"
-        for record in event["payload"]["records"]
-    ]
-    history_rows = read_log(out_dir / "history.jsonl")
-    assert rebuilt == history_rows
+    # read_steps refuses a gap in seq; the helper compares the rebuilt rows
+    assert_events_agree(tmp_path / "out")
 
 
 # -- validate-config -----------------------------------------------------------
@@ -500,9 +491,9 @@ def record_script(tmp_path: Path) -> tuple[dict, list[dict]]:
     config["loop"] = {"max_fails": 2, "seeds_m": 1}  # two rounds, each with all phases
     assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
     script = [
-        {"match": {"role": e["payload"]["role"]}, "reply": e["payload"]["reply"]}
-        for e in read_log(tmp_path / "out" / "events.jsonl")
-        if e["kind"] == "agent_call"
+        {"match": {"role": step.call["role"]}, "reply": step.call["reply"]}
+        for step in read_steps(tmp_path / "out" / "events.jsonl")
+        if step.call is not None
     ]
     return config, script
 
@@ -523,9 +514,9 @@ def test_resume_after_failure_at_every_agent_call(tmp_path, capsys):
     reference = tmp_path / "reference"
     config["run"]["output_dir"] = str(reference)
     assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
-    calls = [e for e in read_log(reference / "events.jsonl") if e["kind"] == "agent_call"]
+    calls = [step for step in read_steps(reference / "events.jsonl") if step.call is not None]
     assert len(calls) == len(script)
-    assert {(e["round"], e["phase"]) for e in calls} == {
+    assert {(step.round, step.phase) for step in calls} == {
         (r, phase) for r in (1, 2) for phase in ("explorer", "planner", "worker")
     }
 
@@ -551,6 +542,7 @@ def test_resume_after_failure_at_every_agent_call(tmp_path, capsys):
         assert events_without_ts(out / "events.jsonl") == events_without_ts(
             reference / "events.jsonl"
         ), f"events diverged after failing call {index}"
+        assert_events_agree(out)
 
 
 def test_resume_after_oracle_failure_at_every_batch(tmp_path, capsys, monkeypatch):
@@ -562,10 +554,10 @@ def test_resume_after_oracle_failure_at_every_batch(tmp_path, capsys, monkeypatc
     config["run"]["output_dir"] = str(reference)
     assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
     batches = [
-        e for e in read_log(reference / "events.jsonl")
-        if e["kind"] == "eval_batch" and e["payload"]["n"]
+        step for step in read_steps(reference / "events.jsonl")
+        if step.events.get("eval_batch", {}).get("n")
     ]
-    assert {e["phase"] for e in batches} == {"init", "explorer", "worker"}
+    assert {step.phase for step in batches} == {"init", "explorer", "worker"}
 
     calls = {"made": 0, "failing": 0}  # oracle batches so far; the one that fails
     score_many = MotifMatchOracle._score_many
@@ -596,6 +588,7 @@ def test_resume_after_oracle_failure_at_every_batch(tmp_path, capsys, monkeypatc
         assert events_without_ts(out / "events.jsonl") == events_without_ts(
             reference / "events.jsonl"
         ), f"events diverged after failing batch {failing}"
+        assert_events_agree(out)
 
 
 def mutator_rounds_run(tmp_path: Path) -> Path:
@@ -621,6 +614,7 @@ def test_mutator_resume_from_every_round_is_exact(tmp_path):
         assert events_without_ts(variant / "events.jsonl") == events_without_ts(
             reference / "events.jsonl"
         ), f"events diverged after resuming {checkpoint.name}"
+        assert_events_agree(variant)
 
 
 @pytest.mark.parametrize(
@@ -661,6 +655,34 @@ def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "error[CorruptCheckpoint]" in err and "history.jsonl line 5" in err
         assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+def edit_line(path: Path, index: int, edit) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    row = json.loads(lines[index])
+    edit(row)
+    lines[index] = json.dumps(row).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize(
+    "name, index, edit",
+    [
+        ("history.jsonl", 4, lambda row: row.update(score=0.99)),
+        ("events.jsonl", 10, lambda event: event.update(kind="nonsense", payload=[1])),
+    ],
+    ids=["history-score", "event-kind"],
+)
+def test_resume_logs_that_disagree_leave_logs_untouched(tmp_path, capsys, name, index, edit):
+    # the edited row is still a valid record: only its eval_batch record shows the change
+    out = mutator_rounds_run(tmp_path)
+    shutil.copy(out / "checkpoints" / "round_00002.json", out / "checkpoint.json")
+    edit_line(out / name, index, edit)
+    logs = {log: (out / log).read_bytes() for log in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"error[CorruptCheckpoint]: {out / name} line {index + 1}: " in capsys.readouterr().err
+    assert {log: (out / log).read_bytes() for log in logs} == logs
 
 
 @pytest.mark.parametrize(
@@ -950,6 +972,22 @@ def test_token_report_from_summary(tmp_path, capsys):
     assert "per_role:" in out
     assert "explorer:" in out
     assert "total:" in out
+
+
+def test_token_report_refuses_a_log_with_a_gap(tmp_path, capsys):
+    # a dropped agent_call would otherwise go uncounted without a word
+    config = scripted_run_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    events = tmp_path / "out" / "events.jsonl"
+    lines = events.read_bytes().splitlines(keepends=True)
+    dropped = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "agent_call")
+    events.write_bytes(b"".join(lines[:dropped] + lines[dropped + 1:]))
+    capsys.readouterr()
+    assert main(["token-report", str(tmp_path / "out")]) == 1
+    seq = dropped + 1
+    assert f"error[CorruptCheckpoint]: {events} line {seq}: seq is not {seq}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_token_report_recovers_from_events(tmp_path, capsys):

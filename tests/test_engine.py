@@ -35,7 +35,7 @@ from agentopt.errors import (
     BudgetExhaustedDuringInit,
     OracleFailure,
 )
-from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_log
+from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_log, read_steps
 from agentopt.filtering import NO_CONSTRAINT, TemplateSimilarityConstraint
 from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.rng import RngHub
@@ -110,13 +110,14 @@ def count_a_oracle() -> HiddenWeightsOracle:
     return HiddenWeightsOracle({"A": 1.0}, normalize=False)
 
 
-def agent_calls(events: list[dict], role: str, round_idx: int | None = None):
+def agent_calls(path: Path, role: str, round_idx: int | None = None) -> list[dict]:
+    """The payloads of ``role``'s agent calls in the event log at ``path``."""
     return [
-        e
-        for e in events
-        if e["kind"] == "agent_call"
-        and e["payload"]["role"] == role
-        and (round_idx is None or e["round"] == round_idx)
+        step.call
+        for step in read_steps(path)
+        if step.call is not None
+        and step.call["role"] == role
+        and (round_idx is None or step.round == round_idx)
     ]
 
 
@@ -190,10 +191,10 @@ def test_explorer_persistence_pattern_improve_then_three_fails(tmp_path):
     engine, _ = build_engine(tmp_path, replies, count_a_oracle(), init, budget=100)
     result = engine.run()
     engine.close()
-    events = read_log(tmp_path / "events.jsonl")
-    assert len(agent_calls(events, "explorer", round_idx=1)) == 4
+    assert len(agent_calls(tmp_path / "events.jsonl", "explorer", round_idx=1)) == 4
     assert result.stop_reason == "stagnation"
     # counter resets on improvement: 4 iterations total, not max_fails alone
+    events = read_log(tmp_path / "events.jsonl")
     evals = [e for e in events if e["kind"] == "eval_batch" and e["round"] == 1]
     assert [e["payload"]["n"] for e in evals[:4]] == [2, 1, 1, 1]
 
@@ -205,8 +206,7 @@ def test_parse_failure_counts_as_explorer_fail(tmp_path):
     engine, _ = build_engine(tmp_path, replies, count_a_oracle(), init, budget=50)
     result = engine.run()
     engine.close()
-    events = read_log(tmp_path / "events.jsonl")
-    explorer = agent_calls(events, "explorer", round_idx=1)
+    explorer = agent_calls(tmp_path / "events.jsonl", "explorer", round_idx=1)
     assert len(explorer) == 3
     assert result.stop_reason == "stagnation"
 
@@ -265,14 +265,13 @@ def test_planner_creates_tasks_and_renames_default_collision(tmp_path):
     engine.close()
     assert {"ALPHA", "BETA", "SHUFFLE_V2"} <= set(result.registry.entries)
     assert result.registry.get("SHUFFLE").text != "TASK: an improved shuffle."
-    events = read_log(tmp_path / "events.jsonl")
     round1_tasks = [
-        e["payload"]["task"] for e in agent_calls(events, "worker", round_idx=1)
+        call["task"] for call in agent_calls(tmp_path / "events.jsonl", "worker", round_idx=1)
     ]
     assert round1_tasks == ["SIMILAR", "ALPHA", "BETA", "SHUFFLE_V2"]
     adds = [
         e["payload"]["task"]
-        for e in events
+        for e in read_log(tmp_path / "events.jsonl")
         if e["kind"] == "registry_change" and e["payload"]["op"] == "add"
     ]
     assert adds == ["ALPHA", "BETA", "SHUFFLE_V2"]
@@ -287,8 +286,7 @@ def test_unparseable_plan_falls_back_to_defaults(tmp_path):
     )
     result = engine.run()
     engine.close()
-    events = read_log(tmp_path / "events.jsonl")
-    tasks = [e["payload"]["task"] for e in agent_calls(events, "worker")]
+    tasks = [call["task"] for call in agent_calls(tmp_path / "events.jsonl", "worker")]
     assert tasks == ["SIMILAR", "EXPLORE", "SHUFFLE"]
 
 
@@ -329,17 +327,16 @@ def test_worker_hill_climb_updates_and_outcome_counts(tmp_path):
     )
     result = engine.run()
     engine.close()
-    events = read_log(tmp_path / "events.jsonl")
 
     traj0 = [
-        e
-        for e in agent_calls(events, "worker", round_idx=1)
-        if e["payload"]["trajectory"] == 0
+        call
+        for call in agent_calls(tmp_path / "events.jsonl", "worker", round_idx=1)
+        if call["trajectory"] == 0
     ]
     assert len(traj0) == 5  # two improvements plus three final failures
     # the third call must carry the updated incumbent AAB
     expected_user = "Input Candidate: AAB\nModify it to generate 5-10 new candidates."
-    assert traj0[2]["payload"]["user_sha"] == sha16(expected_user)
+    assert traj0[2]["user_sha"] == sha16(expected_user)
 
     similar = result.registry.get("SIMILAR")
     assert (similar.attempts, similar.successes) == (14, 2)  # 8 in round 1, 6 in round 2
@@ -347,11 +344,9 @@ def test_worker_hill_climb_updates_and_outcome_counts(tmp_path):
     assert result.registry.get("SHUFFLE").attempts == 6
 
     outcomes_round1 = [
-        e["payload"]
-        for e in events
-        if e["kind"] == "registry_change"
-        and e["payload"]["op"] == "outcome"
-        and e["round"] == 1
+        step.events["registry_change"]
+        for step in read_steps(tmp_path / "events.jsonl")
+        if step.call is not None and "registry_change" in step.events and step.round == 1
     ]
     flags = [o["success"] for o in outcomes_round1 if o["task"] == "SIMILAR"]
     assert flags == [True, True, False, False, False, False, False, False]
@@ -372,10 +367,9 @@ def test_kxm_trajectories_spawned(tmp_path):
     )
     engine.run()
     engine.close()
-    events = read_log(tmp_path / "events.jsonl")
-    round1 = agent_calls(events, "worker", round_idx=1)
+    round1 = agent_calls(tmp_path / "events.jsonl", "worker", round_idx=1)
     assert len(round1) == 6
-    assert {(e["payload"]["task"], e["payload"]["trajectory"]) for e in round1} == {
+    assert {(call["task"], call["trajectory"]) for call in round1} == {
         ("SIMILAR", 0),
         ("SIMILAR", 1),
         ("T1", 2),
@@ -395,7 +389,7 @@ def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, kernel_calls):
     result = engine.run()
     engine.close()
     assert result.stop_reason == "stagnation"
-    assert len(agent_calls(read_log(tmp_path / "events.jsonl"), "worker")) == 9
+    assert len(agent_calls(tmp_path / "events.jsonl", "worker")) == 9
     assert kernel_calls  # the worker phase's seed selection
 
     before = len(kernel_calls)
@@ -796,11 +790,10 @@ def test_replay_of_recorded_run_reproduces_history_bytes(tmp_path):
     engine.run()
     engine.close()
 
-    events = read_log(first_dir / "events.jsonl")
     recorded = [
-        (e["payload"]["role"], e["payload"]["reply"])
-        for e in events
-        if e["kind"] == "agent_call"
+        (step.call["role"], step.call["reply"])
+        for step in read_steps(first_dir / "events.jsonl")
+        if step.call is not None
     ]
     replay_dir = tmp_path / "replay"
     replay_dir.mkdir()

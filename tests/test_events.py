@@ -13,6 +13,7 @@ from agentopt.events import (
     load_checkpoint,
     load_history,
     read_log,
+    read_steps,
     record_from_json,
     record_to_json,
     resume_logs,
@@ -70,15 +71,30 @@ def test_history_log_and_load(tmp_path):
     assert [row["canonical"] for row in read_log(path, 2)] == ["AAA", "BBB"]
 
 
-def write_logs(run_dir, events: bytes, n_history: int = 0) -> None:
-    (run_dir / "events.jsonl").write_bytes(events)
-    rows = [
+def history_rows(n: int) -> list[dict]:
+    return [
         {"eval_index": i, "raw": f"C{i}", "canonical": f"C{i}", "domain": "generic",
          "score": float(i), "origin": "init"}
-        for i in range(1, n_history + 1)
+        for i in range(1, n + 1)
     ]
+
+
+def event(seq: int, kind: str = "checkpoint", payload: dict | None = None) -> bytes:
+    """One well-formed event line; a ``checkpoint`` that did not finish by default."""
+    line = {"seq": seq, "ts": 0.0, "round": 1, "phase": "loop", "kind": kind,
+            "payload": {"finished": False} if payload is None else payload}
+    return json.dumps(line).encode() + b"\n"
+
+
+def batch(seq: int, rows: list[dict]) -> bytes:
+    payload = {"origin": "init", "n": len(rows), "truncated": 0, "records": rows}
+    return event(seq, "eval_batch", payload)
+
+
+def write_logs(run_dir, events: bytes, n_history: int = 0) -> None:
+    (run_dir / "events.jsonl").write_bytes(events)
     (run_dir / "history.jsonl").write_text(
-        "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+        "".join(json.dumps(row) + "\n" for row in history_rows(n_history)), encoding="utf-8"
     )
 
 
@@ -87,7 +103,7 @@ def at(events_seq: int, history_len: int = 0) -> Checkpoint:
 
 
 def test_resume_cut_keeps_prefix_bytes(tmp_path):
-    lines = [json.dumps({"seq": i}).encode() + b"\n" for i in range(1, 6)]
+    lines = [batch(1, history_rows(2))] + [event(i) for i in range(2, 6)]
     write_logs(tmp_path, b"".join(lines), n_history=4)
     history_lines = (tmp_path / "history.jsonl").read_bytes().splitlines(keepends=True)
     history, cut = resume_logs(tmp_path, at(3, history_len=2))
@@ -103,13 +119,13 @@ def test_read_log_beyond_length_is_corrupt(tmp_path):
     path.write_text('{"seq": 1}\n', encoding="utf-8")
     with pytest.raises(CorruptCheckpoint, match="1 complete lines, checkpoint expects 5"):
         read_log(path, 5)
-    write_logs(tmp_path, b'{"seq": 1}\n', n_history=1)
+    write_logs(tmp_path, batch(1, history_rows(1)), n_history=1)
     with pytest.raises(CorruptCheckpoint, match="history.jsonl has 1 complete lines"):
         resume_logs(tmp_path, at(1, history_len=2))
 
 
 def test_resume_seq_gap_is_corrupt(tmp_path):
-    write_logs(tmp_path, b'{"seq": 1}\n{"seq": 3}\n')
+    write_logs(tmp_path, event(1) + event(3))
     with pytest.raises(CorruptCheckpoint, match="line 2: seq is not 2"):
         resume_logs(tmp_path, at(2))
 
@@ -130,12 +146,82 @@ def test_read_log_bad_line_is_corrupt_and_names_it(tmp_path, bad, reason):
 def test_read_log_leaves_out_torn_tail(tmp_path):
     # a kill signal can cut the final line mid-write; damage beyond the
     # checkpointed prefix must not block resume
-    write_logs(tmp_path, b'{"seq": 1}\n{"seq": 2}\n{"seq": 3, "tru')
+    write_logs(tmp_path, event(1) + event(2) + b'{"seq": 3, "tru')
     path = tmp_path / "events.jsonl"
-    assert read_log(path) == [{"seq": 1}, {"seq": 2}]
+    assert read_log(path) == [json.loads(event(1)), json.loads(event(2))]
     resume_logs(tmp_path, at(2))
     with pytest.raises(CorruptCheckpoint, match="2 complete lines, checkpoint expects 3"):
         resume_logs(tmp_path, at(3))
+
+
+CALL = {"role": "worker", "backend": "mutator", "system_sha": "s", "user_sha": "u",
+        "reply": "{}", "input_tokens": 7, "output_tokens": 3, "latency_ms": 0}
+FILTER = {"n_in": 1, "n_accepted": 1, "rejected": []}
+
+
+def test_read_steps_groups_each_call_with_what_it_caused(tmp_path):
+    rows = history_rows(4)
+    outcome = {"op": "outcome", "task": "SIMILAR", "success": True, "trajectory": 0}
+    kinds_and_payloads = [
+        ("eval_batch", {"origin": "init", "n": 2, "truncated": 0, "records": rows[:2]}),
+        ("checkpoint", None),
+        ("agent_call", {**CALL, "role": "explorer"}),
+        ("filter_report", FILTER),
+        ("eval_batch", {"origin": "explorer", "n": 1, "truncated": 0, "records": rows[2:3]}),
+        ("agent_call", {**CALL, "role": "planner"}),
+        ("registry_change", {"op": "add", "task": "T1"}),
+        ("agent_call", CALL),
+        ("filter_report", FILTER),
+        ("eval_batch", {"origin": "worker:SIMILAR", "n": 1, "truncated": 0,
+                        "records": rows[3:]}),
+        ("registry_change", outcome),
+        ("agent_call", CALL),  # a reply without candidates
+        ("registry_change", {**outcome, "success": False}),
+        ("round_end", {"evals_used": 4, "best_score": 3.0, "stop_reason": None}),
+        ("checkpoint", None),
+    ]
+    data = b"".join(
+        event(seq, kind, payload) for seq, (kind, payload) in enumerate(kinds_and_payloads, 1)
+    )
+    (tmp_path / "events.jsonl").write_bytes(data + b'{"seq": 16, "tru')
+    steps = read_steps(tmp_path / "events.jsonl")
+    assert [list(step.events) for step in steps] == [
+        ["eval_batch"],
+        ["checkpoint"],
+        ["agent_call", "filter_report", "eval_batch"],
+        ["agent_call"],
+        ["registry_change"],
+        ["agent_call", "filter_report", "eval_batch", "registry_change"],
+        ["agent_call", "registry_change"],
+        ["round_end"],
+        ["checkpoint"],
+    ]
+    assert [step.call["role"] for step in steps if step.call] == [
+        "explorer", "planner", "worker", "worker"
+    ]
+    assert steps[6].events["registry_change"]["success"] is False
+    assert (steps[0].round, steps[0].phase) == (1, "loop")
+    assert steps.rows == rows and steps.size == len(data)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"[2]\n", "seq is not 2"),
+        (event(2, "nonsense", {}), "kind 'nonsense' is not an event kind"),
+        (event(2, "error", [1]), r"payload \[1\] is not an object"),
+        (event(2, "agent_call", {**CALL, "input_tokens": None}), "agent_call input_tokens is None"),
+        (event(2, "eval_batch", {"origin": "init", "n": 0, "truncated": 0}),
+         "eval_batch records is None"),
+    ],
+    ids=["not-object", "kind", "payload", "field-type", "field-missing"],
+)
+def test_read_steps_names_a_malformed_event(tmp_path, line, message):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(event(1) + line)
+    with pytest.raises(CorruptCheckpoint, match=f"events.jsonl line 2: {message}"):
+        read_steps(path)
+    assert len(read_steps(path, 1)) == 1  # lines past the limit are not checked
 
 
 def test_checkpoint_round_trip_and_archive(tmp_path):
