@@ -204,9 +204,14 @@ def scripted_load(path: Path) -> ScriptedBackend:
         if not line.strip():
             continue
         try:
-            entries.append(json.loads(line))
+            entry = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedScript(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:  # a lone surrogate escape decodes, but no log can write it
+            json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedScript(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+        entries.append(entry)
     if not entries:
         raise MalformedScript(f"script {path} is empty")
     return ScriptedBackend(entries, name=f"scripted:{Path(path).name}")
@@ -402,6 +407,10 @@ class HttpBackend(Backend):
             raise BadResponse(f"malformed completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise BadResponse("completion content is not a string")
+        try:  # a lone surrogate escape decodes, but no log can write it
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise BadResponse(f"completion content is not UTF-8 text: {exc}") from exc
         usage = body.get("usage") or {}
         return CompletionResult(
             text=text,

@@ -41,7 +41,7 @@ from .errors import (
     NoCandidatesFound,
     NoPlanFound,
 )
-from .events import Checkpoint, EventLog, HistoryLog, record_to_json, write_checkpoint
+from .events import Checkpoint, EventLog, HistoryLog, write_checkpoint
 from .filtering import HardConstraint, filter_batch
 from .oracles import CandidatePool, Oracle
 from .prompts import (
@@ -223,18 +223,14 @@ class Engine:
         take = accepted[: max(0, self._budget_left())]
         truncated = len(accepted) - len(take)
         records: list[ScoredRecord] = []
+        rows: list[str] = []
         if take:
             scores = self.oracle.evaluate_many(take)
             for candidate, score in zip(take, scores):
                 record = self.history.append(candidate, score, origin)
-                self.history_log.write_record(record)
+                rows.append(self.history_log.write_record(record))
                 records.append(record)
-        payload = {
-            "origin": origin,
-            "n": len(records),
-            "truncated": truncated,
-            "records": [record_to_json(r) for r in records],
-        }
+        payload = {"origin": origin, "n": len(records), "truncated": truncated, "records": rows}
         if task is not None:
             payload["task"] = task
         self._emit("eval_batch", payload)

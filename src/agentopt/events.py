@@ -47,15 +47,28 @@ CONFIG_COPY_FILE = "config.json"
 CHECKPOINT_DIR = "checkpoints"
 
 
-def record_to_json(record: ScoredRecord) -> dict:
-    return {
-        "eval_index": record.eval_index,
-        "raw": record.candidate.raw,
-        "canonical": record.candidate.canonical,
-        "domain": record.candidate.kind.value,
-        "score": record.score,
-        "origin": record.origin,
-    }
+# Every line but a history row: the bytes of json.dumps(value, ensure_ascii=False)
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_encode_str = json.encoder.encode_basestring
+
+
+def render_row(record: ScoredRecord) -> str:
+    """The history row of ``record``: the bytes ``json.dumps`` gives its six fields.
+
+    The score must be a finite float, as ``Oracle.evaluate_many`` returns it.
+    """
+    candidate = record.candidate
+    return (
+        '{"eval_index": %d, "raw": %s, "canonical": %s, "domain": %s, "score": %s, '
+        '"origin": %s}'
+    ) % (
+        record.eval_index,
+        _encode_str(candidate.raw),
+        _encode_str(candidate.canonical),
+        _encode_str(candidate.kind.value),
+        float.__repr__(record.score),
+        _encode_str(record.origin),
+    )
 
 
 def record_from_json(payload: dict) -> ScoredRecord:
@@ -81,14 +94,14 @@ def record_from_json(payload: dict) -> ScoredRecord:
 
 
 class JsonlWriter:
-    """One JSON object per line, flushed immediately, append-only."""
+    """One JSON text per line, flushed immediately, append-only."""
 
     def __init__(self, path: Path, append: bool = False):
         self.path = Path(path)
         self._fh = open(self.path, "a" if append else "w", encoding="utf-8")
 
-    def write(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    def write(self, line: str) -> None:
+        self._fh.write(line + "\n")
         self._fh.flush()
 
     def close(self) -> None:
@@ -105,19 +118,27 @@ class EventLog:
         self.last_seq = next_seq - 1
 
     def emit(self, kind: str, round_idx: int, phase: str, payload: dict) -> int:
+        """Write one event; an ``eval_batch`` carries the lines of its history rows.
+
+        Its ``records`` are the lines ``HistoryLog.write_record`` returned. They
+        are spliced in as they are, after ``origin``, ``n`` and ``truncated``
+        and before the optional ``task``, so the line is the one ``json.dumps``
+        gives for the rows' objects.
+        """
         if kind not in EVENT_FIELDS:
             raise ValueError(f"unknown event kind: {kind}")
         seq = self.next_seq
-        self._writer.write(
-            {
-                "seq": seq,
-                "ts": time.time(),
-                "round": round_idx,
-                "phase": phase,
-                "kind": kind,
-                "payload": payload,
-            }
-        )
+        event = {"seq": seq, "ts": time.time(), "round": round_idx, "phase": phase, "kind": kind}
+        if kind == "eval_batch":
+            event["payload"] = {key: payload[key] for key in ("origin", "n", "truncated")}
+            line = _encode(event)[:-2] + ', "records": [' + ", ".join(payload["records"]) + "]"
+            if "task" in payload:
+                line += ', "task": ' + _encode_str(payload["task"])
+            line += "}}"
+        else:
+            event["payload"] = payload
+            line = _encode(event)
+        self._writer.write(line)
         self.next_seq = seq + 1
         self.last_seq = seq
         return seq
@@ -130,8 +151,11 @@ class HistoryLog:
     def __init__(self, path: Path, append: bool = False):
         self._writer = JsonlWriter(path, append=append)
 
-    def write_record(self, record: ScoredRecord) -> None:
-        self._writer.write(record_to_json(record))
+    def write_record(self, record: ScoredRecord) -> str:
+        """Write the history row of ``record`` and return its line."""
+        line = render_row(record)
+        self._writer.write(line)
+        return line
 
     def close(self) -> None:
         self._writer.close()

@@ -60,7 +60,7 @@ class PeptideValidator:
     def __call__(self, canonical: str) -> bool:
         if not self.min_len <= len(canonical) <= self.max_len:
             return False
-        return all(ch in self._alphabet for ch in canonical)
+        return self._alphabet.issuperset(canonical)
 
 
 _SMILES_CHARS = frozenset(

@@ -96,6 +96,16 @@ def test_scripted_load_bad_json_is_malformed(tmp_path):
         scripted_load(path)
 
 
+def test_scripted_load_lone_surrogate_is_malformed(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"match": {"role": "explorer"}, "reply": "ok"}\n'
+        '{"match": {"role": "explorer"}, "reply": "CANDIDATES:\\nAAB\\ud800A\\n"}\n'
+    )
+    with pytest.raises(MalformedScript, match=r"bad\.jsonl:2: not UTF-8 text"):
+        scripted_load(path)
+
+
 def test_scripted_rejects_out_of_order_nth_call():
     with pytest.raises(MalformedScript):
         ScriptedBackend(
@@ -169,6 +179,7 @@ def test_ledger_snapshot_round_trip():
 class FlakyHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
     seen: list[dict] = []
+    content = "pong"
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -179,7 +190,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         payload = {
-            "choices": [{"message": {"content": "pong"}}],
+            "choices": [{"message": {"content": type(self).content}}],
             "usage": {"prompt_tokens": 11, "completion_tokens": 3},
         }
         raw = json.dumps(payload).encode()
@@ -200,6 +211,7 @@ def flaky_server():
     thread.start()
     FlakyHandler.statuses = []
     FlakyHandler.seen = []
+    FlakyHandler.content = "pong"
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -237,6 +249,15 @@ def test_http_bad_status_is_not_retried(flaky_server):
     FlakyHandler.statuses = [418]
     backend = HttpBackend(flaky_server, "test-model", retry_backoff_ms=1)
     with pytest.raises(BadResponse):
+        backend.complete(req())
+    assert len(FlakyHandler.seen) == 1
+
+
+def test_http_reply_with_a_lone_surrogate_is_a_bad_response(flaky_server):
+    # the body escapes it as "\ud800", which response.json() decodes
+    FlakyHandler.content = "CANDIDATES:\nAAB\ud800A\n"
+    backend = HttpBackend(flaky_server, "test-model", retry_backoff_ms=1)
+    with pytest.raises(BadResponse, match="not UTF-8 text"):
         backend.complete(req())
     assert len(FlakyHandler.seen) == 1
 

@@ -353,6 +353,28 @@ def test_resume_finished_run_without_summary_writes_it(tmp_path, capsys, portfol
     assert {name: (out_dir / name).read_bytes() for name in logs} == logs
 
 
+def test_reply_with_a_lone_surrogate_is_refused_where_the_script_is_read(tmp_path, capsys):
+    # "\ud800" is a valid JSON escape, but its lone surrogate has no UTF-8
+    # form, so no log could write the reply
+    config = scripted_run_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    out_dir = tmp_path / "out"
+    round1 = out_dir / "checkpoints" / "round_00001.json"
+    (out_dir / "checkpoint.json").write_text(round1.read_text(), encoding="utf-8")
+    replies = multi_round_replies(4)
+    index = [i for i, (role, _) in enumerate(replies) if role == "explorer"][4]  # round 2
+    replies[index] = ("explorer", "CANDIDATES:\nAAB\ud800A\n")
+    write_script(tmp_path / "script.jsonl", replies)
+    logs = {name: (out_dir / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"script.jsonl:{index + 1}: not UTF-8 text" in err
+    assert {name: (out_dir / name).read_bytes() for name in logs} == logs
+    assert main(["run", "--config", str(config)]) == 1
+    assert f"script.jsonl:{index + 1}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_resume_truncated_events_is_corrupt(tmp_path, capsys):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0

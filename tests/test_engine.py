@@ -710,6 +710,9 @@ def test_traced_run_records_seed_and_portfolio_spans(tmp_path, monkeypatch):
     events = read_log(tmp_path / "events.jsonl")
     filter_reports = sum(e["kind"] == "filter_report" for e in events)
     assert spans["filtering"] == filter_reports >= 1
+    # every log line is written through the two traced writers
+    assert spans["events.history"] == result.history.evals_used
+    assert spans["events"] == len(events)
 
 
 # -- zero-signal guard -------------------------------------------------------------------

@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from agentopt.core import DomainKind, canonicalize
+from agentopt.core import Candidate, DomainKind, ScoredRecord, canonicalize
 from agentopt.errors import CorruptCheckpoint
 from agentopt.events import (
     Checkpoint,
@@ -15,7 +17,7 @@ from agentopt.events import (
     read_log,
     read_steps,
     record_from_json,
-    record_to_json,
+    render_row,
     resume_logs,
     write_checkpoint,
 )
@@ -51,8 +53,73 @@ def test_record_json_round_trip():
             "origin": "worker:SIMILAR",
         }
     )
-    assert record_to_json(record_in)["canonical"] == "KLWR"
+    assert json.loads(render_row(record_in))["canonical"] == "KLWR"
     assert record_in.candidate.kind == DomainKind.PEPTIDE
+
+
+# quotes, backslashes, control characters, line separators, non-BMP text
+TRICKY_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u2028\u2029é\U0001f600'), st.characters()),
+    max_size=12,
+)
+
+
+def row_of(record: ScoredRecord) -> dict:
+    return {
+        "eval_index": record.eval_index,
+        "raw": record.candidate.raw,
+        "canonical": record.candidate.canonical,
+        "domain": record.candidate.kind.value,
+        "score": record.score,
+        "origin": record.origin,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eval_index=st.integers(min_value=1, max_value=10**12),
+    raw=TRICKY_TEXT,
+    canonical=TRICKY_TEXT,
+    kind=st.sampled_from(DomainKind),
+    score=st.floats(allow_nan=False, allow_infinity=False),
+    origin=TRICKY_TEXT,
+)
+@example(1, '"\\', "\u2028\u2029", DomainKind.PEPTIDE, -0.0, "\U0001f600")
+@example(2, "a", "b", DomainKind.SMILES, 5e-324, "init")
+@example(3, "a", "b", DomainKind.GENERIC, 1e16, "worker:X")
+@example(4, "a", "b", DomainKind.GENERIC, 0.1 + 0.2, "explorer")
+def test_render_row_gives_the_bytes_of_json_dumps(eval_index, raw, canonical, kind, score, origin):
+    record = ScoredRecord(Candidate(raw, canonical, kind), score, eval_index, origin)
+    assert render_row(record) == json.dumps(row_of(record), ensure_ascii=False)
+
+
+@pytest.mark.parametrize("n", [0, 1, 100])
+@pytest.mark.parametrize("task", [None, 'SIM"ILAR'])
+def test_eval_batch_line_is_json_dumps_of_the_event(tmp_path, n, task):
+    origin = 'worker:"records": []'
+    records = [
+        ScoredRecord(
+            Candidate(f' "q\\{i}\u2028', f"Q{i}\U0001f600", DomainKind.GENERIC),
+            [-0.0, 5e-324, 1e16, 0.1 + 0.2][i % 4] * (i + 1), i + 1, origin,
+        )
+        for i in range(n)
+    ]
+    history, events = HistoryLog(tmp_path / "h.jsonl"), EventLog(tmp_path / "e.jsonl")
+    rows = [history.write_record(record) for record in records]
+    payload = {"origin": origin, "n": n, "truncated": 2, "records": rows}
+    expected = {"origin": origin, "n": n, "truncated": 2, "records": [row_of(r) for r in records]}
+    if task is not None:
+        payload["task"] = expected["task"] = task
+    events.emit("eval_batch", 3, "worker", payload)
+    history.close()
+    events.close()
+    # split at newlines alone: the text holds U+2028, which splitlines() splits at too
+    history_lines = (tmp_path / "h.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+    assert history_lines == [json.dumps(row_of(r), ensure_ascii=False) for r in records]
+    [line] = (tmp_path / "e.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+    event = {"seq": 1, "ts": json.loads(line)["ts"], "round": 3, "phase": "worker",
+             "kind": "eval_batch", "payload": expected}
+    assert line == json.dumps(event, ensure_ascii=False)
 
 
 def test_history_log_and_load(tmp_path):

@@ -24,7 +24,7 @@ from agentopt.filtering import (
     smiles_syntax_ok,
 )
 
-from .conftest import cand
+from .conftest import LETTERS, cand
 
 ECHO_VALID = "import sys\nfor line in sys.stdin:\n    print('VALID')\n"
 
@@ -45,6 +45,21 @@ def test_peptide_length_bounds(peptide_domain):
     assert validator("KKKKK") is True
     assert validator("K" * 8) is True
     assert validator("K" * 9) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(
+        st.one_of(st.sampled_from(LETTERS + LETTERS.lower() + "XZÉéΩ\U0001f600"), st.characters()),
+        max_size=12,
+    ),
+)
+@example(text="klwrk")
+@example(text="KLWRÉ")
+def test_peptide_validator_equals_the_per_character_rule(text):
+    validator = PeptideValidator(LETTERS, min_len=4, max_len=10)
+    expected = 4 <= len(text) <= 10 and all(ch in LETTERS for ch in text)
+    assert validator(text) is expected
 
 
 @pytest.mark.parametrize(
