@@ -200,7 +200,9 @@ def scripted_load(path: Path) -> ScriptedBackend:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedScript(f"cannot read script {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # "\n" alone ends a row: a reply may hold U+2028 and the other breaks
+    # that str.splitlines() also splits at
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

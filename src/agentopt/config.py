@@ -10,9 +10,10 @@ sources, ...); ``validate_config`` runs them all.
 from __future__ import annotations
 
 import copy
+import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 import yaml
 
@@ -53,10 +54,11 @@ from .oracles import (
     SubprocessOracle,
     make_synthetic,
     read_candidate_file,
-    template_mutants,
 )
 from .registry import TaskRegistry
 from .rng import RngHub
+
+logger = logging.getLogger(__name__)
 
 
 def default_config(domain_kind: str = "generic") -> dict:
@@ -210,8 +212,7 @@ class RunConfig:
     constraint: HardConstraint
     init_count: int
     init_source: CandidatePool  # the items of a ``file``, or templates to mutate
-    init_pool: CandidatePool  # the zero-signal guard's draws; the source's by default
-    zero_signal_guard: bool
+    init_pool: Optional[CandidatePool]  # the zero-signal guard's draws; None: guard off
     init_floor: float
 
 
@@ -316,6 +317,11 @@ def validate_config(cfg: dict) -> RunConfig:
     if init_count < 1:
         raise ConfigError("init.count must be >= 1")
     init_source = _candidate_pool(merged, "init.source", "templates_plus_mutations", domain)
+    init_pool = (
+        _candidate_pool(merged, "init.pool", "mutations", domain)
+        if _expect(merged, "init.pool", dict, None)
+        else init_source
+    )
     config = RunConfig(
         raw=merged,
         seed=_expect(merged, "run.seed", int),
@@ -326,12 +332,7 @@ def validate_config(cfg: dict) -> RunConfig:
         constraint=build_constraint(merged, domain),
         init_count=init_count,
         init_source=init_source,
-        init_pool=(
-            _candidate_pool(merged, "init.pool", "mutations", domain)
-            if _expect(merged, "init.pool", dict, None)
-            else init_source
-        ),
-        zero_signal_guard=_expect(merged, "init.zero_signal_guard", bool),
+        init_pool=init_pool if _expect(merged, "init.zero_signal_guard", bool) else None,
         init_floor=_number(merged, "init.floor", float),
     )
     build_oracle(merged)
@@ -473,27 +474,18 @@ def build_router(config: RunConfig, ledger: TokenLedger) -> RoleRouter:
 
 
 def build_init_plan(config: RunConfig, rng: RngHub) -> InitPlan:
-    """The first ``init.count`` candidates: the file's distinct leading lines,
-    or the templates and then their mutants. Raises ``InsufficientInit``."""
+    """The first ``init.count`` candidates of ``init.source``, plus the guard's
+    floor and a fresh copy of its pool. Raises ``InsufficientInit``."""
     count, source, pool = config.init_count, config.init_source, config.init_pool
-    if source.items is not None:
-        if len(source.items) < count:
-            raise InsufficientInit(
-                f"init.source.path has {len(source.items)} candidates, requested {count}"
-            )
-        first: dict[str, Candidate] = {}
-        for candidate in source.items[:count]:
-            first.setdefault(candidate.canonical, candidate)
-        candidates = list(first.values())
-    else:
-        candidates = template_mutants(
-            source.templates, count, source.alphabet, rng.stream("init_mutations")
+    # a file source draws nothing, so its checkpoints carry no mutation stream
+    mutations = rng.stream("init_mutations") if source.items is None else None
+    candidates = source.first(count, mutations)
+    if len(candidates) < count:
+        logger.warning(
+            "initialization shortfall: %d distinct candidates for requested %d",
+            len(candidates),
+            count,
         )
-    return InitPlan(
-        candidates=candidates,
-        requested=count,
-        zero_signal_guard=config.zero_signal_guard,
-        floor=config.init_floor,
-        # a fresh pool: what one run has drawn must not shrink the next run's
-        pool=CandidatePool(pool.items, pool.templates, pool.alphabet),
-    )
+    if pool is not None:  # a fresh pool: one run's draws must not shrink the next run's
+        pool = CandidatePool(pool.items, pool.templates, pool.alphabet)
+    return InitPlan(candidates=candidates, floor=config.init_floor, pool=pool)

@@ -143,35 +143,23 @@ def best_portfolio_greedy(
     )
 
 
-@dataclass(frozen=True)
-class PortfolioPoint:
-    eval_index: int
-    agg_value: float
-    complete: bool
-
-
 def portfolio_progress(
     history: History,
     spec: PortfolioSpec,
     distances: EditDistanceIndex,
     direction: Direction,
-) -> list[PortfolioPoint]:
-    """Portfolio aggregate over every prefix of the history.
+) -> list[Portfolio]:
+    """The portfolio of every prefix of the history, shortest first.
 
     Equal to rebuilding the greedy portfolio from scratch after each
     evaluation; each prefix's portfolio is updated from the one before.
     """
-    points: list[PortfolioPoint] = []
+    portfolios: list[Portfolio] = []
     replay = History()
-    portfolio = None
     for record in history.records:
-        added = replay.append(record.candidate, record.score, record.origin)
-        portfolio = best_portfolio_greedy(replay, spec, distances, direction, portfolio)
-        points.append(
-            PortfolioPoint(
-                eval_index=added.eval_index,
-                agg_value=portfolio.agg_value,
-                complete=portfolio.complete,
-            )
+        replay.append(record.candidate, record.score, record.origin)
+        previous = portfolios[-1] if portfolios else None
+        portfolios.append(
+            best_portfolio_greedy(replay, spec, distances, direction, previous)
         )
-    return points
+    return portfolios

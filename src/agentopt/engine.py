@@ -76,11 +76,10 @@ class LoopParams:
 
 @dataclass
 class InitPlan:
-    """Prepared initialization data plus the zero-signal guard settings."""
+    """Initialization candidates plus the zero-signal guard's floor and pool;
+    without a pool the guard is off."""
 
     candidates: list[Candidate]
-    requested: int
-    zero_signal_guard: bool = False
     floor: float = 0.0
     pool: Optional[CandidatePool] = None
 
@@ -281,14 +280,8 @@ class Engine:
         plan = self.init_plan
         if plan is None or not plan.candidates:
             raise InsufficientInit("no initialization candidates configured")
-        if len(plan.candidates) < plan.requested:
-            logger.warning(
-                "initialization shortfall: %d distinct candidates for requested %d",
-                len(plan.candidates),
-                plan.requested,
-            )
         self._evaluate_and_append(plan.candidates, origin="init")
-        if plan.zero_signal_guard:
+        if plan.pool is not None:
             # runs before the budget check so an all-floor init that already
             # consumed the whole budget fails with the typed init error
             self._zero_signal_resample(plan)
@@ -303,10 +296,6 @@ class Engine:
         """
         if any(r.score != plan.floor for r in self.history.records):
             return
-        if plan.pool is None:
-            raise InsufficientInit(
-                "zero-signal guard enabled but no resampling pool configured"
-            )
         rng = self.rng.stream("zero_signal_pool")
         draws = 0
         while True:
@@ -355,35 +344,14 @@ class Engine:
         )
         result = self._complete("planner", "", prompt)
         try:
-            directives = parse_planner_reply(result.text, self.registry)
+            plan = parse_planner_reply(result.text)
         except NoPlanFound:
             logger.warning("planner reply had no parseable plan; using default tasks")
-            directives = []
-
-        work_names: list[str] = []
-        for directive in directives:
-            if directive.action == "create":
-                final_name, changes = self.registry.add_task(
-                    directive.name, directive.text or ""
-                )
-                for change in changes:
-                    self._registry_mutations += 1
-                    self._emit(
-                        "registry_change", {"op": change.op, "task": change.name}
-                    )
-                work_names.append(final_name)
-            else:
-                work_names.append(directive.name)
-
-        seen: set[str] = set()
-        work: list[TaskEntry] = []
-        for name in work_names:
-            if name in seen or name not in self.registry.entries:
-                continue  # duplicates, or entries evicted by a later add
-            seen.add(name)
-            work.append(self.registry.entries[name])
-        if not work:
-            work = [e for e in self.registry.entries.values() if e.is_default]
+            plan = {}
+        work, changes = self.registry.apply_plan(plan)
+        for change in changes:
+            self._registry_mutations += 1
+            self._emit("registry_change", {"op": change.op, "task": change.name})
         return work
 
     def _worker_phase(self, work: list[TaskEntry]) -> None:

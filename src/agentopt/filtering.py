@@ -149,8 +149,6 @@ def _validate_many(validator: Validator, texts: list[str]) -> list[bool]:
 class HardConstraint:
     """Feasibility predicate applied after dedup, before evaluation."""
 
-    kind = "none"
-
     def allows(self, candidate: Candidate) -> bool:
         return True
 
@@ -160,8 +158,6 @@ NO_CONSTRAINT = HardConstraint()
 
 class TemplateSimilarityConstraint(HardConstraint):
     """Require similarity of at least ``min_similarity`` to some template."""
-
-    kind = "template_similarity"
 
     def __init__(self, templates: Sequence[Candidate], min_similarity: float):
         if not templates:

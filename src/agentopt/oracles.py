@@ -12,7 +12,6 @@ import hashlib
 import math
 import random
 import subprocess
-import threading
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -23,17 +22,10 @@ from .errors import OracleFailure, OracleTimeout
 
 
 class Oracle:
-    """Base oracle: scores candidates and counts calls.
-
-    Call counting is serialized so concurrent evaluation (when a caller
-    wants it) cannot corrupt the bookkeeping.
-    """
+    """Base oracle: scores candidates one by one unless ``_score_many`` batches."""
 
     name = "oracle"
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self._lock = threading.Lock()
+    calls = 0  # candidates scored; unlocked, as the engine scores one batch at a time
 
     def _score(self, canonical: str) -> float:
         raise NotImplementedError
@@ -55,8 +47,7 @@ class Oracle:
                     f"not a finite number"
                 )
             scores.append(float(value))
-        with self._lock:
-            self.calls += len(texts)
+        self.calls += len(texts)
         return scores
 
     def _score_many(self, texts: list[str]) -> list[float]:
@@ -78,7 +69,6 @@ class MotifMatchOracle(Oracle):
     """
 
     def __init__(self, target: str):
-        super().__init__()
         _check("target", target, str)
         if not target:
             raise ValueError("motif target must be non-empty")
@@ -123,7 +113,6 @@ class HiddenWeightsOracle(Oracle):
         noise_sd: float = 0.0,
         seed: int = 0,
     ):
-        super().__init__()
         _check("weights", weights, dict)
         for letter, weight in weights.items():
             _check(f"weights.{letter}", weight, int, float)
@@ -160,7 +149,6 @@ class PlateauOracle(Oracle):
         mass: float = 0.01,
         seed: int = 0,
     ):
-        super().__init__()
         _check("floor", floor, int, float)
         _check("mass", mass, int, float)
         _check("seed", seed, int)
@@ -251,7 +239,6 @@ class SubprocessOracle(Oracle):
         command: Sequence[str],
         timeout_s: float = 60.0,
     ):
-        super().__init__()
         if not command:
             raise ValueError("subprocess oracle needs a command")
         self.command = list(command)
@@ -270,7 +257,6 @@ class HttpOracle(Oracle):
     """POSTs ``{"candidate": text}`` by ``post_json``, expects ``{"score": number}``."""
 
     def __init__(self, url: str, timeout_s: float = 60.0):
-        super().__init__()
         if not url:
             raise ValueError("http oracle needs a url")
         self.url = url
@@ -326,51 +312,13 @@ def mutate_once(parent: str, alphabet: str, rng: random.Random) -> str:
     return parent[:pos] + letter + parent[pos + 1 :]
 
 
-def template_mutants(
-    templates: Sequence[Candidate],
-    count: int,
-    alphabet: str,
-    rng: random.Random,
-) -> list[Candidate]:
-    """Templates first, then deduplicated single-substitution mutants.
-
-    Returns exactly ``count`` distinct candidates or raises
-    ``InsufficientInit`` if the mutation space cannot supply them.
-    """
-    if not templates:
-        raise InsufficientInit("template initialization needs at least one template")
-    kind = templates[0].kind
-    out: list[Candidate] = []
-    seen: set[str] = set()
-    for template in templates:
-        if template.canonical not in seen and len(out) < count:
-            seen.add(template.canonical)
-            out.append(template)
-    attempts = 0
-    limit = max(1000, count * 1000)
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise InsufficientInit(
-                f"could not generate {count} distinct init candidates "
-                f"after {limit} mutation attempts"
-            )
-        parent = rng.choice(templates)
-        mutant = mutate_once(parent.canonical, alphabet, rng)
-        if mutant in seen:
-            continue
-        seen.add(mutant)
-        out.append(canonicalize(mutant, kind))
-    return out
-
-
 class CandidatePool:
-    """Uniform sampler used by the zero-signal guard.
+    """Init candidates: a fixed list (a dataset file) or endless template mutation.
 
-    Backed either by a fixed list (a dataset file) or by endless template
-    mutation. ``draw`` may return duplicates of earlier draws; the guard
-    dedups against history itself. Raises ``InsufficientInit`` when a finite
-    pool has been exhausted.
+    ``first`` gives a run's initial candidates; ``draw`` samples uniformly for
+    the zero-signal guard and may repeat earlier draws, since the guard dedups
+    against history itself. Raises ``InsufficientInit`` when a finite pool
+    has been exhausted.
     """
 
     def __init__(
@@ -398,3 +346,38 @@ class CandidatePool:
         parent = rng.choice(self.templates)
         mutant = mutate_once(parent.canonical, self.alphabet, rng)
         return canonicalize(mutant, parent.kind)
+
+    def first(self, count: int, rng: Optional[random.Random]) -> list[Candidate]:
+        """The first ``count`` candidates: the distinct ones among a file's first
+        ``count`` lines, or the distinct templates and then distinct mutants.
+
+        ``rng`` feeds the mutations; a file source never uses it. Raises
+        ``InsufficientInit`` for a file shorter than ``count`` or a mutation
+        space that cannot supply ``count`` distinct candidates.
+        """
+        out: dict[str, Candidate] = {}
+        if self.items is not None:
+            if len(self.items) < count:
+                raise InsufficientInit(
+                    f"init file has {len(self.items)} candidates, requested {count}"
+                )
+            for candidate in self.items[:count]:
+                out.setdefault(candidate.canonical, candidate)
+            return list(out.values())
+        if not self.templates:
+            raise InsufficientInit("template initialization needs at least one template")
+        for template in self.templates:
+            if len(out) < count:
+                out.setdefault(template.canonical, template)
+        limit = max(1000, count * 1000)
+        for _ in range(limit):
+            if len(out) == count:
+                break
+            mutant = self.draw(rng)
+            out.setdefault(mutant.canonical, mutant)
+        if len(out) < count:
+            raise InsufficientInit(
+                f"could not generate {count} distinct init candidates "
+                f"after {limit} mutation attempts"
+            )
+        return list(out.values())

@@ -9,7 +9,6 @@ fences, and chain-of-thought, and the last well-formed JSON answer wins.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,9 +16,6 @@ from typing import Iterator, Optional
 
 from .core import ObjectiveSpec
 from .errors import ConfigError, MissingPlaceholder, NoCandidatesFound, NoPlanFound
-from .registry import TaskRegistry
-
-logger = logging.getLogger(__name__)
 
 _PLACEHOLDER = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -179,58 +175,19 @@ def parse_candidates(reply: str) -> list[str]:
     return [item for item in found if isinstance(item, str) and item.strip()]
 
 
-@dataclass(frozen=True)
-class PlannerDirective:
-    """One planner instruction: reuse a known task or create a new one."""
-
-    name: str
-    action: str  # "use_existing" | "create"
-    text: Optional[str] = None
-
-
-USE_EXISTING = "USE_EXISTING"
-
-
-def _normalize_task_name(name: str) -> str:
-    cleaned = re.sub(r"\s+", "_", name.strip()).upper()
-    return cleaned
-
-
-def parse_planner_reply(reply: str, registry: TaskRegistry) -> list[PlannerDirective]:
-    """Turn a planner reply into directives, in reply order.
-
-    The plan is the last JSON object whose values are all strings. Reuse
-    directives naming unknown tasks are dropped with a warning rather than
-    failing the round; create directives clashing with a default task name
-    are renamed with a ``_V2`` suffix. Raises ``NoPlanFound`` when no plan
-    object exists at all.
+def parse_planner_reply(reply: str) -> dict[str, str]:
+    """The task plan in a planner reply: the last JSON object whose values are
+    all strings, each naming a task to reuse (``USE_EXISTING``) or the text of
+    a new one. Raises ``NoPlanFound`` when no plan object exists at all.
     """
     plan: Optional[dict] = None
     for value in _iter_json_objects(reply):
         if (
             isinstance(value, dict)
             and value
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in value.items())
+            and all(isinstance(v, str) for v in value.values())
         ):
             plan = value
     if plan is None:
         raise NoPlanFound("reply contains no parseable task plan object")
-
-    directives: list[PlannerDirective] = []
-    for raw_name, value in plan.items():
-        name = _normalize_task_name(raw_name)
-        if not name:
-            logger.warning("dropping planner directive with empty name")
-            continue
-        if value.strip() == USE_EXISTING:
-            if name not in registry:
-                logger.warning("dropping reuse of unknown task %s", name)
-                continue
-            directives.append(PlannerDirective(name=name, action="use_existing"))
-        else:
-            if not value.strip():
-                logger.warning("dropping creation of task %s with empty text", name)
-                continue
-            final = registry.resolve_new_name(name)
-            directives.append(PlannerDirective(name=final, action="create", text=value))
-    return directives
+    return plan

@@ -4,14 +4,20 @@ The registry starts from three domain default tasks that are never pruned.
 Planner-created tasks compete for the remaining capacity: when full, the
 non-default task with the worst success rate is evicted (ties: more attempts
 first, then name), which keeps proven tactics and fresh unproven ones alive.
+``apply_plan`` is the one place where a planner's plan changes the library.
 """
 
 from __future__ import annotations
 
+import logging
+import re
 from dataclasses import dataclass
 
 from .errors import UnknownTask
 
+logger = logging.getLogger(__name__)
+
+USE_EXISTING = "USE_EXISTING"
 NO_DATA_LINE = "No performance data yet."
 SUMMARY_PREVIEW_CHARS = 100
 
@@ -80,35 +86,57 @@ class TaskRegistry:
         if success:
             entry.successes += 1
 
-    def resolve_new_name(self, name: str) -> str:
-        """Rename away from default names by appending ``_V2``."""
-        key = name.strip().upper()
-        if key in self.default_names:
-            key = key + "_V2"
-        return key
-
     def add_task(self, name: str, text: str) -> tuple[str, list[RegistryChange]]:
         """Store a task, evicting the worst non-default entry if over capacity.
 
-        A name matching a default is stored under ``<NAME>_V2``. Re-adding an
-        existing non-default name replaces its text but keeps its stats.
-        Returns the final stored name and the list of changes made.
+        A name matching a default gets ``_V2`` appended until it matches none.
+        Re-adding an existing non-default name replaces its text but keeps its
+        stats. Returns the final stored name and the list of changes made.
         """
         if not text.strip():
             raise ValueError("task text must be non-empty")
-        key = self.resolve_new_name(name)
-        changes: list[RegistryChange] = []
+        key = name.strip().upper()
+        while key in self.default_names:
+            key += "_V2"
         if key in self.entries:
             self.entries[key].text = text
-            changes.append(RegistryChange(op="replace", name=key))
-            return key, changes
+            return key, [RegistryChange(op="replace", name=key)]
         self.entries[key] = TaskEntry(name=key, text=text)
-        changes.append(RegistryChange(op="add", name=key))
+        changes = [RegistryChange(op="add", name=key)]
         if len(self.entries) > self.capacity:
             victim = self._eviction_victim(exclude=key)
             del self.entries[victim]
             changes.append(RegistryChange(op="evict", name=victim))
         return key, changes
+
+    def apply_plan(
+        self, plan: dict[str, str]
+    ) -> tuple[list[TaskEntry], list[RegistryChange]]:
+        """Carry out a planner's plan: each name maps to ``USE_EXISTING`` or to
+        the text of a task to store through ``add_task``.
+
+        Names are normalized; an empty name or text, or the reuse of a task
+        not held before this plan, is dropped with a warning. Returns the
+        distinct tasks to run, in plan order and still held after every add
+        (the defaults when none is), and the changes the adds made.
+        """
+        known = set(self.entries)
+        names: list[str] = []
+        changes: list[RegistryChange] = []
+        for raw_name, text in plan.items():
+            name = re.sub(r"\s+", "_", raw_name.strip()).upper()
+            reuse = text.strip() == USE_EXISTING
+            if not name or not text.strip() or (reuse and name not in known):
+                logger.warning("dropping plan entry %r: %r", raw_name, text)
+            elif reuse:
+                names.append(name)
+            else:
+                name, made = self.add_task(name, text)
+                names.append(name)
+                changes += made
+        # a later add may have evicted a task named earlier
+        work = [self.entries[n] for n in dict.fromkeys(names) if n in self.entries]
+        return work or [e for e in self.entries.values() if e.is_default], changes
 
     def _eviction_victim(self, exclude: str) -> str:
         # Worst success rate goes first; at equal rates the entry with more

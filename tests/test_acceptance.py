@@ -76,12 +76,11 @@ def build_engine(tmp_path, replies, oracle, init_texts, budget, **kwargs):
         if candidate.canonical not in seen:
             seen.add(candidate.canonical)
             init_candidates.append(candidate)
+    zero_signal = kwargs.pop("zero_signal", False)
     init_plan = InitPlan(
         candidates=init_candidates,
-        requested=len(init_texts),
-        zero_signal_guard=kwargs.pop("zero_signal", False),
         floor=kwargs.pop("floor", 0.0),
-        pool=kwargs.pop("pool", None),
+        pool=kwargs.pop("pool", None) if zero_signal else None,
     )
     objective = ObjectiveSpec(
         direction=kwargs.pop("direction", Direction.MAXIMIZE),

@@ -96,6 +96,16 @@ def test_scripted_load_bad_json_is_malformed(tmp_path):
         scripted_load(path)
 
 
+def test_scripted_load_keeps_unicode_line_separators_inside_a_row(tmp_path):
+    path = tmp_path / "script.jsonl"
+    reply = "CANDIDATES:\nAAB\u2028A\u2029A\x85\n"  # written raw, not escaped
+    row = {"match": {"role": "explorer"}, "reply": reply}
+    path.write_bytes((json.dumps(row, ensure_ascii=False) + "\r\n").encode("utf-8") * 2)
+    backend = scripted_load(path)
+    assert backend.complete(req()).text == reply
+    assert backend.complete(req()).text == reply
+
+
 def test_scripted_load_lone_surrogate_is_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(

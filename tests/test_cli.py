@@ -295,7 +295,6 @@ def test_init_plan_ten_templates_plus_ninety_mutants():
     templates = ["ACDEFGHIKL"[i] * 3 + "LKWRLKWRLK" for i in range(10)]
     cfg["init"]["source"] = {"kind": "templates_plus_mutations", "templates": templates}
     plan = build_init_plan(validate_config(cfg), RngHub(1))
-    assert plan.requested == 100
     assert len(plan.candidates) == 100
     assert len({c.canonical for c in plan.candidates}) == 100
     assert [c.canonical for c in plan.candidates[:10]] == [
@@ -303,7 +302,7 @@ def test_init_plan_ten_templates_plus_ninety_mutants():
     ]
 
 
-def test_init_plan_dedups_with_shortfall(tmp_path):
+def test_init_plan_dedups_with_shortfall(tmp_path, caplog):
     lines = ["AAA", "BBB", "AAA", "CCC", "BBB", "DDD", "EEE", "FFF", "GGG", "HHH"]
     init_file = tmp_path / "dups.txt"
     init_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -312,9 +311,22 @@ def test_init_plan_dedups_with_shortfall(tmp_path):
         "source": {"kind": "file", "path": str(init_file)},
         "count": 10,
     }
-    plan = build_init_plan(validate_config(cfg), RngHub(0))
-    assert plan.requested == 10
+    rng = RngHub(0)
+    plan = build_init_plan(validate_config(cfg), rng)
     assert len(plan.candidates) == 8  # two duplicate lines dropped
+    assert "8 distinct candidates for requested 10" in caplog.text
+    assert rng.snapshot() == {}  # a file source draws no mutation stream
+
+
+def test_init_plan_keeps_the_guard_pool_only_when_the_guard_is_on():
+    cfg = default_config("peptide")
+    assert validate_config(cfg).init_pool is None
+    assert build_init_plan(validate_config(cfg), RngHub(0)).pool is None
+    cfg["init"]["zero_signal_guard"] = True
+    config = validate_config(cfg)
+    plan = build_init_plan(config, RngHub(0))
+    assert plan.pool.templates == config.init_source.templates
+    assert plan.pool is not config.init_pool  # each run draws from its own copy
 
 
 # -- resume ------------------------------------------------------------------------

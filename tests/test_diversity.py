@@ -222,7 +222,7 @@ def test_portfolio_progress_matches_scratch_recompute():
         expected = best_portfolio_greedy(
             prefix, spec, EditDistanceIndex(), Direction.MAXIMIZE
         )
-        assert point.eval_index == t
+        assert point.seen == t
         assert point.agg_value == pytest.approx(expected.agg_value)
         assert point.complete == expected.complete
 

@@ -93,10 +93,8 @@ def build_engine(
         constraint=constraint,
         init_plan=InitPlan(
             candidates=init_candidates,
-            requested=len(init_texts),
-            zero_signal_guard=zero_signal,
             floor=floor,
-            pool=pool,
+            pool=pool if zero_signal else None,
         ),
         rng=RngHub(seed),
         run_dir=tmp_path,

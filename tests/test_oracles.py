@@ -20,7 +20,6 @@ from agentopt.oracles import (
     mutate_once,
     read_candidate_file,
     run_lines,
-    template_mutants,
 )
 
 from .conftest import cand, long_text
@@ -220,10 +219,11 @@ def test_read_candidate_file_skips_blanks(tmp_path):
     assert texts == ["AAA", "BBB", "CCC"]
 
 
-def test_template_mutants_counts_and_dedup():
+def test_pool_first_templates_then_distinct_mutants():
     rng = random.Random(61)
     templates = [cand("KLWRKLLRWK"), cand("DDDDDDDDDD")]
-    out = template_mutants(templates, 30, "ACDEFGHIKLMNPQRSTVWY", rng)
+    pool = CandidatePool(templates=templates, alphabet="ACDEFGHIKLMNPQRSTVWY")
+    out = pool.first(30, rng)
     texts = [c.canonical for c in out]
     assert len(texts) == 30
     assert len(set(texts)) == 30
@@ -237,9 +237,15 @@ def test_template_mutants_counts_and_dedup():
         )
 
 
-def test_template_mutants_requires_templates():
+def test_pool_first_requires_templates():
     with pytest.raises(InsufficientInit):
-        template_mutants([], 5, "AB", random.Random(0))
+        CandidatePool(templates=[], alphabet="AB").first(5, random.Random(0))
+
+
+def test_pool_first_gives_up_on_a_small_mutation_space():
+    pool = CandidatePool(templates=[cand("A")], alphabet="AB")
+    with pytest.raises(InsufficientInit, match="after 3000 mutation attempts"):
+        pool.first(3, random.Random(0))
 
 
 def test_mutate_once_single_substitution():

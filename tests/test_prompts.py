@@ -229,74 +229,66 @@ def test_parse_candidates_never_raises_unexpectedly(text):
 # -- parse_planner_reply ----------------------------------------------------------
 
 
-def fresh_registry(domain):
-    return TaskRegistry(domain.default_tasks)
-
-
-def test_planner_reply_mixed_reuse_and_create(smiles_domain):
-    registry = fresh_registry(smiles_domain)
+def test_planner_reply_mixed_reuse_and_create():
     reply = '{"SIMILAR": "USE_EXISTING", "FUSER": "TASK: fuse adjacent rings."}'
-    directives = parse_planner_reply(reply, registry)
-    assert [(d.name, d.action) for d in directives] == [
-        ("SIMILAR", "use_existing"),
-        ("FUSER", "create"),
-    ]
-    assert directives[1].text == "TASK: fuse adjacent rings."
+    assert parse_planner_reply(reply) == {
+        "SIMILAR": "USE_EXISTING",
+        "FUSER": "TASK: fuse adjacent rings.",
+    }
+
+
+# The parser returns the plan as written; the registry applies it.
 
 
 def test_planner_reply_unknown_reuse_dropped(smiles_domain):
-    registry = fresh_registry(smiles_domain)
-    directives = parse_planner_reply('{"GHOST": "USE_EXISTING"}', registry)
-    assert directives == []
+    plan = parse_planner_reply('{"GHOST": "USE_EXISTING"}')
+    assert plan == {"GHOST": "USE_EXISTING"}
+    registry = TaskRegistry(smiles_domain.default_tasks)
+    work, changes = registry.apply_plan(plan)
+    assert [e.name for e in work] == [name for name, _ in smiles_domain.default_tasks]
+    assert changes == []
 
 
 def test_planner_reply_create_colliding_with_default_renamed(peptide_domain):
-    registry = fresh_registry(peptide_domain)
-    directives = parse_planner_reply(
-        '{"SHUFFLE": "TASK: a better shuffle."}', registry
-    )
-    assert directives[0].name == "SHUFFLE_V2"
-    assert directives[0].action == "create"
+    plan = parse_planner_reply('{"SHUFFLE": "TASK: a better shuffle."}')
+    assert plan == {"SHUFFLE": "TASK: a better shuffle."}
+    registry = TaskRegistry(peptide_domain.default_tasks)
+    work, changes = registry.apply_plan(plan)
+    assert [e.name for e in work] == ["SHUFFLE_V2"]
+    assert [(c.op, c.name) for c in changes] == [("add", "SHUFFLE_V2")]
 
 
-def test_planner_reply_preserves_order_of_nine(peptide_domain):
-    registry = fresh_registry(peptide_domain)
+def test_planner_reply_preserves_order_of_nine():
     names = [f"TASK_{i}" for i in range(9)]
     reply = json.dumps({name: f"TASK: body {i}" for i, name in enumerate(names)})
-    directives = parse_planner_reply(reply, registry)
     # round-trip oracle: stdlib JSON preserves key order
-    assert [d.name for d in directives] == list(json.loads(reply).keys())
-    assert len(directives) == 9
+    assert list(parse_planner_reply(reply)) == list(json.loads(reply)) == names
 
 
-def test_planner_reply_takes_last_string_map(peptide_domain):
-    registry = fresh_registry(peptide_domain)
+def test_planner_reply_takes_last_string_map():
     reply = (
         'draft {"OLD_IDEA": "TASK: old"} ... final:\n'
         '{"SIMILAR": "USE_EXISTING", "NEW_IDEA": "TASK: new"}'
     )
-    directives = parse_planner_reply(reply, registry)
-    assert [d.name for d in directives] == ["SIMILAR", "NEW_IDEA"]
+    assert list(parse_planner_reply(reply)) == ["SIMILAR", "NEW_IDEA"]
 
 
-def test_planner_reply_no_plan_raises(peptide_domain):
-    registry = fresh_registry(peptide_domain)
+def test_planner_reply_no_plan_raises():
     with pytest.raises(NoPlanFound):
-        parse_planner_reply("I could not decide on any tasks.", registry)
+        parse_planner_reply("I could not decide on any tasks.")
 
 
 def test_planner_reply_normalizes_names(peptide_domain):
-    registry = fresh_registry(peptide_domain)
-    directives = parse_planner_reply('{"similar": "USE_EXISTING"}', registry)
-    assert directives[0].name == "SIMILAR"
+    plan = parse_planner_reply('{"similar": "USE_EXISTING"}')
+    work, _ = TaskRegistry(peptide_domain.default_tasks).apply_plan(plan)
+    assert [e.name for e in work] == ["SIMILAR"]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=300))
-def test_planner_parse_never_raises_unexpectedly(peptide_domain, text):
-    registry = fresh_registry(peptide_domain)
+def test_planner_parse_never_raises_unexpectedly(text):
     try:
-        directives = parse_planner_reply(text, registry)
+        plan = parse_planner_reply(text)
     except NoPlanFound:
         return
-    assert isinstance(directives, list)
+    assert plan and all(isinstance(v, str) for v in plan.values())

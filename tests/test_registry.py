@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentopt.errors import UnknownTask
-from agentopt.registry import NO_DATA_LINE, TaskRegistry
+from agentopt.registry import NO_DATA_LINE, TaskEntry, TaskRegistry
 
 
 def small_registry(capacity: int = 20) -> TaskRegistry:
@@ -213,6 +215,154 @@ def test_summary_considers_only_first_line():
     expected = first[:100] + ("..." if len(first) > 100 else "")
     assert line == f"MULTI: {expected}"
     assert "second line" not in line
+
+
+# -- apply_plan -------------------------------------------------------------------
+
+
+def work_names(registry: TaskRegistry, plan: dict) -> list[str]:
+    return [entry.name for entry in registry.apply_plan(plan)[0]]
+
+
+def test_apply_plan_mixed_reuse_and_create():
+    registry = small_registry()
+    work, changes = registry.apply_plan(
+        {"SIMILAR": "USE_EXISTING", "FUSER": "TASK: fuse adjacent rings."}
+    )
+    assert [e.name for e in work] == ["SIMILAR", "FUSER"]
+    assert [(c.op, c.name) for c in changes] == [("add", "FUSER")]
+    assert registry.get("FUSER").text == "TASK: fuse adjacent rings."
+
+
+def test_apply_plan_preserves_order_of_nine():
+    names = [f"task {i}" for i in range(9)]
+    plan = {name: f"TASK: body {i}" for i, name in enumerate(names)}
+    assert work_names(small_registry(), plan) == [f"TASK_{i}" for i in range(9)]
+
+
+def test_apply_plan_drops_empty_entries_and_unknown_reuse_with_a_warning(caplog):
+    registry = small_registry()
+    plan = {"  ": "TASK: nameless", "BLANK": " \n", "GHOST": " USE_EXISTING "}
+    with caplog.at_level(logging.WARNING, logger="agentopt.registry"):
+        work, changes = registry.apply_plan(plan)
+    assert [e.name for e in work] == ["SIMILAR", "EXPLORE", "SHUFFLE"]
+    assert changes == []
+    assert len(caplog.records) == 3
+
+
+def test_apply_plan_reuse_counts_only_tasks_held_before_the_plan():
+    # "b" is unknown when the plan starts, so it does not put B ahead of SIMILAR
+    plan = {"b": "USE_EXISTING", "SIMILAR": "USE_EXISTING", "B": "TASK: b"}
+    assert work_names(small_registry(), plan) == ["SIMILAR", "B"]
+
+
+def test_apply_plan_drops_a_task_a_later_add_evicted():
+    registry = small_registry(capacity=4)
+    registry.add_task("OLD", "TASK: old")
+    registry.record_outcome("OLD", False)
+    work, changes = registry.apply_plan({"OLD": "USE_EXISTING", "NEW": "TASK: new"})
+    assert [e.name for e in work] == ["NEW"]
+    assert [(c.op, c.name) for c in changes] == [("add", "NEW"), ("evict", "OLD")]
+
+
+def test_add_task_renames_until_no_default_matches():
+    registry = TaskRegistry(
+        [("A", "TASK: a."), ("A_V2", "TASK: a2."), ("B", "TASK: b.")], capacity=5
+    )
+    assert registry.add_task("a", "TASK: new a")[0] == "A_V2_V2"
+    assert registry.get("A_V2").text == "TASK: a2."
+
+
+def reference_apply(registry: TaskRegistry, plan: dict) -> tuple[list, list]:
+    """The plan pipeline before ``apply_plan``: the reply parser turned the plan
+    into directives against the registry as it stood, renaming creates that
+    clash with a default; the engine then stored each create (renaming once
+    more), and deduped and filtered the named tasks."""
+    directives = []
+    for raw_name, value in plan.items():
+        name = re.sub(r"\s+", "_", raw_name.strip()).upper()
+        if not name:
+            continue
+        if value.strip() == "USE_EXISTING":
+            if name in registry:
+                directives.append((name, None))
+        elif value.strip():
+            renamed = name + "_V2" if name in registry.default_names else name
+            directives.append((renamed, value))
+    named, changes = [], []
+    for name, text in directives:
+        if text is not None:
+            if name in registry.default_names:
+                name += "_V2"
+            if name in registry.entries:
+                registry.entries[name].text = text
+                changes.append(("replace", name))
+            else:
+                registry.entries[name] = TaskEntry(name=name, text=text)
+                changes.append(("add", name))
+                if len(registry.entries) > registry.capacity:
+                    victim = registry._eviction_victim(exclude=name)
+                    del registry.entries[victim]
+                    changes.append(("evict", victim))
+        named.append(name)
+    work = [n for n in dict.fromkeys(named) if n in registry.entries]
+    return work or [e.name for e in registry.entries.values() if e.is_default], changes
+
+
+# Bases include a default and its _V2 so the double rename shows; no three
+# defaults form a chain X, X_V2, X_V2_V2, where the old pipeline overwrote a
+# default's text.
+BASES = ["SIMILAR", "EXPLORE", "SHUFFLE", "SHUFFLE_V2", "NEW", "FRESH_IDEA", "OLD"]
+
+
+@st.composite
+def plan_names(draw) -> str:
+    words = draw(st.sampled_from(BASES + ["", "fresh idea"])).split("_")
+    words = [draw(st.sampled_from([w, w.lower(), w.capitalize()])) for w in words]
+    gap = draw(st.sampled_from(["_", " ", "  ", "\t"]))
+    pad = draw(st.sampled_from(["", " ", "\n "]))
+    return pad + gap.join(words) + pad
+
+
+PLAN_VALUES = st.sampled_from(
+    ["USE_EXISTING", "  USE_EXISTING\n", "", "   ", "TASK: one.", "TASK: two.\nmore"]
+)
+
+
+def entry(text: str, successes: int, failures: int, is_default: bool) -> dict:
+    return {
+        "text": text,
+        "attempts": successes + failures,
+        "successes": successes,
+        "is_default": is_default,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    defaults=st.lists(st.sampled_from(BASES[:5]), min_size=3, max_size=3, unique=True),
+    capacity=st.integers(4, 7),
+    extras=st.lists(
+        st.tuples(st.sampled_from(BASES[4:] + ["SPARE"]), st.integers(0, 3), st.integers(0, 3)),
+        max_size=4,
+        unique_by=lambda t: t[0],
+    ),
+    plan=st.lists(st.tuples(plan_names(), PLAN_VALUES), max_size=8),
+)
+def test_apply_plan_matches_the_old_parse_then_apply_pipeline(
+    defaults, capacity, extras, plan
+):
+    snap = {name: entry(f"TASK: {name}", 0, 0, True) for name in defaults}
+    for name, successes, failures in extras[: capacity - 3]:
+        snap.setdefault(name, entry("TASK: extra", successes, failures, False))
+    plan = dict(plan)  # as JSON decodes it: a repeated key keeps its first place
+    registry = TaskRegistry.restore(snap, capacity=capacity)
+    reference = TaskRegistry.restore(snap, capacity=capacity)
+    work, changes = registry.apply_plan(plan)
+    want_work, want_changes = reference_apply(reference, plan)
+    assert [e.name for e in work] == want_work
+    assert [(c.op, c.name) for c in changes] == want_changes
+    assert registry.snapshot() == reference.snapshot()
 
 
 # -- invariants -------------------------------------------------------------------
