@@ -143,13 +143,6 @@ class History:
     def contains(self, canonical: str) -> bool:
         return canonical in self.canonical_index
 
-    def score_of(self, canonical: str) -> Optional[float]:
-        """Memoized score for a canonical text, or None if never evaluated."""
-        idx = self.canonical_index.get(canonical)
-        if idx is None:
-            return None
-        return self.records[idx - 1].score
-
     def append(self, candidate: Candidate, score: float, origin: str) -> ScoredRecord:
         """Record a fresh evaluation and return the stored record.
 

@@ -2,19 +2,21 @@
 
 Each outer round runs three phases: a global proposal loop with failure
 patience, one planning call that refreshes the task list, and one local
-hill-climbing trajectory per (task, seed) pair. Every agent call, filter
-verdict, evaluation batch, and registry change is emitted to the event log,
-and a checkpoint lands at every round boundary so runs can be killed and
-resumed without losing determinism.
+hill-climbing trajectory per (task, seed) pair. Every evaluation batch,
+agent call (one ``step`` event each) and registry change is emitted to
+the event log, and a checkpoint lands at every round boundary so runs can
+be killed and resumed without losing determinism.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .backends import CompletionResult, RoleRouter
 from .context import ContextSpec, coverage_sample, render_context
@@ -167,9 +169,18 @@ class Engine:
     def _emit(self, kind: str, payload: dict) -> None:
         self.events.emit(kind, self.round, self._phase, payload)
 
-    def _complete(self, role: str, system: str, user: str, **tags) -> CompletionResult:
+    @contextmanager
+    def _call(
+        self, role: str, system: str, user: str, **fields
+    ) -> Iterator[tuple[CompletionResult, dict]]:
+        """One agent call; its ``step`` event is written when the block exits.
+
+        The step holds the call, then ``fields``, then what the block adds
+        to it. A block that raises still writes its step, with what it holds
+        by then, before ``run`` logs the ``error``.
+        """
         result = self.router.complete(role, system, user)
-        payload = {
+        step = {
             "role": role,
             "backend": self.router.backend_for(role).name,
             "system_sha": _sha(system),
@@ -178,37 +189,29 @@ class Engine:
             "input_tokens": result.input_tokens,
             "output_tokens": result.output_tokens,
             "latency_ms": result.latency_ms,
+            **fields,
         }
-        payload.update(tags)
-        self._emit("agent_call", payload)
-        return result
+        try:
+            yield result, step
+        finally:
+            self._emit("step", step)
 
-    def _step(
-        self, role: str, system: str, user: str, origin: str, **tags
+    def _propose(
+        self, reply: str, step: dict, origin: str, task: Optional[str] = None
     ) -> Optional[list[ScoredRecord]]:
-        """One proposing agent call: ask, parse, filter, evaluate.
+        """Parse, filter and evaluate the candidates of a proposing call.
 
         Returns the evaluated records, or None when the reply holds no
-        candidates. ``tags`` go on the ``agent_call`` and ``filter_report``
-        events; ``eval_batch`` carries the task alone.
+        candidates. The count of rejects per reason goes on ``step``.
         """
-        result = self._complete(role, system, user, **tags)
         try:
-            raws = parse_candidates(result.text)
+            raws = parse_candidates(reply)
         except NoCandidatesFound:
+            step["rejected"] = {}
             return None
         report = filter_batch(raws, self.history, self.constraint, self.domain)
-        payload = {
-            "n_in": report.n_input,
-            "n_accepted": len(report.accepted),
-            "rejected": [
-                {"raw": r.raw, "reason": r.reason, "memo_score": r.memo_score}
-                for r in report.rejected
-            ],
-        }
-        payload.update(tags)
-        self._emit("filter_report", payload)
-        return self._evaluate_and_append(report.accepted, origin, tags.get("task"))
+        step["rejected"] = dict(Counter(r.reason for r in report.rejected))
+        return self._evaluate_and_append(report.accepted, origin, task)
 
     def _evaluate_and_append(
         self, accepted: list[Candidate], origin: str, task: Optional[str] = None
@@ -326,7 +329,8 @@ class Engine:
                 format_score(best.score),
                 self.objective,
             )
-            records = self._step("explorer", "", prompt, "explorer")
+            with self._call("explorer", "", prompt) as (result, step):
+                records = self._propose(result.text, step, "explorer")
             if records is not None and self._statistic_improved(stat_before):
                 fails = 0
             else:
@@ -342,12 +346,12 @@ class Engine:
             self.registry.render_task_summary(),
             self.objective,
         )
-        result = self._complete("planner", "", prompt)
-        try:
-            plan = parse_planner_reply(result.text)
-        except NoPlanFound:
-            logger.warning("planner reply had no parseable plan; using default tasks")
-            plan = {}
+        with self._call("planner", "", prompt) as (result, _):
+            try:
+                plan = parse_planner_reply(result.text)
+            except NoPlanFound:
+                logger.warning("planner reply had no parseable plan; using default tasks")
+                plan = {}
         work, changes = self.registry.apply_plan(plan)
         for change in changes:
             self._registry_mutations += 1
@@ -386,21 +390,24 @@ class Engine:
             system, user = build_worker_prompts(
                 self.domain.prompt_pack, entry.text, trajectory.x_curr.candidate.canonical
             )
-            records = self._step(
-                "worker", system, user, f"worker:{task_name}", task=task_name, trajectory=index
-            )
-            chosen = self._pick_improvement(records or [], trajectory, trajectories)
-            success = chosen is not None
-            if success:
-                trajectory.x_curr = chosen
-                trajectory.fails = 0
-            else:
-                trajectory.fails += 1
-            self.registry.record_outcome(task_name, success)
-            self._emit(
-                "registry_change",
-                {"op": "outcome", "task": task_name, "success": success, "trajectory": index},
-            )
+            with self._call(
+                "worker",
+                system,
+                user,
+                task=task_name,
+                trajectory=index,
+                parent=trajectory.x_curr.eval_index,
+            ) as (result, step):
+                records = self._propose(result.text, step, f"worker:{task_name}", task_name)
+                chosen = self._pick_improvement(records or [], trajectory, trajectories)
+                success = chosen is not None
+                if success:
+                    trajectory.x_curr = chosen
+                    trajectory.fails = 0
+                else:
+                    trajectory.fails += 1
+                self.registry.record_outcome(task_name, success)
+                step["success"] = success
             self._check_budget()
 
     def _pick_improvement(

@@ -23,11 +23,10 @@ from .errors import CorruptCheckpoint, DuplicateCandidate
 
 # Each event kind and the payload fields, with their types, that every event of it carries
 EVENT_FIELDS: dict[str, dict[str, Any]] = {
-    "agent_call": {
+    "step": {
         "role": str, "backend": str, "system_sha": str, "user_sha": str, "reply": str,
         "input_tokens": int, "output_tokens": int, "latency_ms": int,
     },
-    "filter_report": {"n_in": int, "n_accepted": int, "rejected": list},
     "eval_batch": {"origin": str, "n": int, "truncated": int, "records": list},
     "registry_change": {"op": str, "task": str},
     "round_end": {
@@ -36,8 +35,11 @@ EVENT_FIELDS: dict[str, dict[str, Any]] = {
     "checkpoint": {"finished": bool},
     "error": {"reason": str},
 }
-# The kinds of a step, in the order they follow its agent call
-_STEP_ORDER = {"agent_call": 0, "filter_report": 1, "eval_batch": 2, "registry_change": 3}
+# The payload fields, with their types, that only some events of a kind carry
+OPTIONAL_FIELDS: dict[str, dict[str, Any]] = {
+    "step": {"task": str, "trajectory": int, "parent": int, "rejected": dict, "success": bool},
+    "eval_batch": {"task": str},
+}
 
 EVENTS_FILE = "events.jsonl"
 HISTORY_FILE = "history.jsonl"
@@ -202,9 +204,9 @@ def read_log(path: Path, limit: Optional[int] = None) -> Log:
 
 @dataclass
 class Step:
-    """One agent call and the events it caused, or one event of its own.
+    """One agent call and the evaluation batch it caused, or one event of its own.
 
-    ``events`` maps each kind to its payload in log order; the first opened the step.
+    ``events`` maps each kind to its payload in log order.
     """
 
     round: int
@@ -213,8 +215,8 @@ class Step:
 
     @property
     def call(self) -> Optional[dict]:
-        """The payload of the ``agent_call`` that opened this step, if one did."""
-        return self.events.get("agent_call")
+        """The payload of this step's ``step`` event: its agent call, if it has one."""
+        return self.events.get("step")
 
 
 class Steps(Log):
@@ -227,13 +229,24 @@ class Steps(Log):
         return [row for batch in batches for row in batch["records"]]
 
 
+def _awaits_call(step: Step) -> bool:
+    """Whether ``step`` is an explorer or worker batch still without its call."""
+    batch = step.events.get("eval_batch")
+    return (
+        step.call is None
+        and batch is not None
+        and (batch["origin"] == "explorer" or batch["origin"].startswith("worker:"))
+    )
+
+
 def read_steps(path: Path, limit: Optional[int] = None) -> Steps:
     """The steps of the event log at ``path``, whose lines ``read_log`` reads.
 
     Each event must carry the next ``seq`` from 1, a known kind and a payload
     with that kind's fields, or it is a ``CorruptCheckpoint`` naming its line.
-    An ``agent_call`` opens a step, which the ``filter_report``, ``eval_batch``
-    and worker outcome (``registry_change`` op ``outcome``) after it join.
+    A ``step`` event joins the ``eval_batch`` of an explorer or worker call
+    right before it; every other event is a step of its own. A batch whose
+    step a kill cut off stays a step without a call.
     """
     events = read_log(path, limit)
     steps: list[Step] = []
@@ -249,10 +262,11 @@ def read_steps(path: Path, limit: Optional[int] = None) -> Steps:
         for name, types in EVENT_FIELDS[kind].items():
             if not isinstance(payload.get(name), types):
                 raise CorruptCheckpoint(f"{where}: {kind} {name} is {payload.get(name)!r}")
-        step = steps[-1] if steps and steps[-1].call is not None else None
-        after = _STEP_ORDER[list(step.events)[-1]] if step else len(_STEP_ORDER)
-        if _STEP_ORDER.get(kind, 0) > after and payload.get("op", "outcome") == "outcome":
-            step.events[kind] = payload
+        for name, types in OPTIONAL_FIELDS.get(kind, {}).items():
+            if name in payload and not isinstance(payload[name], types):
+                raise CorruptCheckpoint(f"{where}: {kind} {name} is {payload[name]!r}")
+        if kind == "step" and steps and _awaits_call(steps[-1]):
+            steps[-1].events[kind] = payload
         else:
             steps.append(Step(event.get("round"), event.get("phase"), {kind: payload}))
     return Steps(steps, events.size)
@@ -288,7 +302,7 @@ def load_history(path: Path, rows: Optional[list] = None) -> History:
     return history
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # Checkpoint's field annotations, which are strings in this module
 _FIELD_TYPES = {"int": int, "bool": bool, "dict": dict}
 

@@ -1,9 +1,7 @@
 """Pre-oracle candidate filtering: validity, dedup, and hard constraints.
 
 Everything here runs before any oracle call, so the evaluation budget is
-never spent on malformed strings, repeats, or infeasible designs. Duplicates
-of already-scored candidates are rejected with their memoized score attached
-so the loop can surface the known value instead of re-paying for it.
+never spent on malformed strings, repeats, or infeasible designs.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ REASON_CONSTRAINT = "constraint_violation"
 
 @dataclass(frozen=True)
 class Rejection:
-    raw: str
+    """Why one candidate of a batch was not accepted."""
+
     reason: str
-    memo_score: Optional[float] = None  # set for duplicate_in_history
 
 
 @dataclass
@@ -194,8 +192,8 @@ def filter_batch(
     """Run the full pre-evaluation pipeline over one agent batch.
 
     Order: validity (exactly one line, then the domain's validator),
-    within-batch dedup (first occurrence kept), dedup against history
-    (rejects carry the memoized score), then the hard constraint.
+    within-batch dedup (first occurrence kept), dedup against history,
+    then the hard constraint. Rejects are in batch order.
     Accepted candidates are exactly those the oracle may be charged for.
     """
     accepted: list[Candidate] = []
@@ -218,23 +216,19 @@ def filter_batch(
     verdicts = dict(zip(check_slots, _validate_many(domain.validator, to_check)))
 
     seen_in_batch: set[str] = set()
-    for slot, raw in enumerate(batch):
-        candidate = canonicals[slot]
+    for slot, candidate in enumerate(canonicals):
         if candidate is None or not verdicts.get(slot, False):
-            rejected.append(Rejection(raw=raw, reason=REASON_INVALID))
+            rejected.append(Rejection(REASON_INVALID))
             continue
         if candidate.canonical in seen_in_batch:
-            rejected.append(Rejection(raw=raw, reason=REASON_DUP_BATCH))
+            rejected.append(Rejection(REASON_DUP_BATCH))
             continue
         seen_in_batch.add(candidate.canonical)
-        memo = history.score_of(candidate.canonical)
-        if memo is not None:
-            rejected.append(
-                Rejection(raw=raw, reason=REASON_DUP_HISTORY, memo_score=memo)
-            )
+        if history.contains(candidate.canonical):
+            rejected.append(Rejection(REASON_DUP_HISTORY))
             continue
         if not constraint.allows(candidate):
-            rejected.append(Rejection(raw=raw, reason=REASON_CONSTRAINT))
+            rejected.append(Rejection(REASON_CONSTRAINT))
             continue
         accepted.append(candidate)
     return FilterReport(accepted=accepted, rejected=rejected)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 import agentopt.distance as distance_module
+import agentopt.events as events_module
 from agentopt.cli import fold_tokens
 from agentopt.core import Candidate, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
@@ -138,6 +139,56 @@ def kernel_calls(monkeypatch) -> list[tuple[str, str]]:
 
     monkeypatch.setattr(distance_module, "levenshtein", counting)
     return calls
+
+
+class Killed(BaseException):
+    """The kill that ``WriteKiller`` simulates; no handler of the program catches it."""
+
+
+class WriteKiller:
+    """Counts a run's writes, and kills the run at write ``kill_at`` if that is set.
+
+    A write is one line of ``events.JsonlWriter.write`` or one file that
+    ``events.write_checkpoint`` writes. The killing write lands half of its
+    bytes and raises ``Killed``; a dead process writes nothing more, so
+    every later write raises before it writes.
+    """
+
+    def __init__(self):
+        self.kill_at: Optional[int] = None
+        self.writes = 0
+
+    def write(self, data, write) -> None:
+        self.writes += 1
+        if self.kill_at is None or self.writes < self.kill_at:
+            write(data)
+            return
+        if self.writes == self.kill_at:
+            write(data[: len(data) // 2])
+        raise Killed(f"killed at write {self.kill_at}")
+
+
+@pytest.fixture
+def write_killer(monkeypatch) -> WriteKiller:
+    """A ``WriteKiller`` on every write of ``agentopt.events`` for this test."""
+    killer = WriteKiller()
+
+    def write_line(self, line: str) -> None:
+        def write(text: str) -> None:
+            self._fh.write(text)
+            self._fh.flush()
+
+        killer.write(line + "\n", write)
+
+    class KillablePath(type(Path())):
+        # write_checkpoint builds its paths from the module's ``Path``
+        def write_bytes(self, data: bytes) -> int:
+            killer.write(data, super().write_bytes)
+            return len(data)
+
+    monkeypatch.setattr(events_module.JsonlWriter, "write", write_line)
+    monkeypatch.setattr(events_module, "Path", KillablePath)
+    return killer
 
 
 @pytest.fixture(scope="session")

@@ -180,9 +180,9 @@ def test_algorithm_trace_conformance(tmp_path):
     assert produced == golden  # byte-exact on the projected columns
 
     outcomes = [
-        (step.events["registry_change"]["task"], step.events["registry_change"]["success"])
+        (step.call["task"], step.call["success"])
         for step in read_steps(tmp_path / "events.jsonl")
-        if step.call is not None and "registry_change" in step.events
+        if step.call is not None and step.call["role"] == "worker"
     ]
     assert len(outcomes) == 18
     assert all(success is False for _, success in outcomes)
@@ -426,12 +426,11 @@ def test_template_constraint_soundness(tmp_path, seed):
         best = max(similarity(record.candidate.canonical, t.canonical) for t in templates)
         assert best >= 0.75, f"{record.candidate.canonical} violates the constraint"
 
-    events = read_log(tmp_path / "events.jsonl")
     rejected_reasons = [
-        r["reason"]
-        for e in events
-        if e["kind"] == "filter_report"
-        for r in e["payload"]["rejected"]
+        reason
+        for step in read_steps(tmp_path / "events.jsonl")
+        if step.call is not None and step.call["role"] == "explorer"
+        for reason in step.call["rejected"]
     ]
     assert "constraint_violation" in rejected_reasons
     ok(f"template-constraint soundness (seed={seed})")

@@ -1,7 +1,8 @@
 """The benchmark drives the public API through ``bench/workloads.py``.
 
 These runs break when a change to ``agentopt`` breaks what the benchmark
-uses of it (``build_engine``, ``DelayedBackend``, ``Engine.run``), before
+uses of it (``build_engine``, ``DelayedBackend``, ``Engine.run``) or what
+its checker ``bench/run.py:check_run_dir`` reads of a run directory, before
 the benchmark itself is run.
 """
 
@@ -18,11 +19,11 @@ from agentopt.events import EVENTS_FILE, HISTORY_FILE, load_checkpoint
 
 from .conftest import assert_events_agree
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -30,7 +31,7 @@ def load_workloads():
 
 @pytest.mark.parametrize("workload", ["peptide-long", "smiles-portfolio", "latency-bound"])
 def test_benchmark_workload_runs_to_budget(tmp_path, workload):
-    workloads = load_workloads()
+    workloads = load_bench_module("workloads")
     cfg = workloads.config_for(workload, seed=7, budget=150)
     engine, ledger = workloads.build_engine(workload, cfg, tmp_path)
     try:
@@ -43,6 +44,9 @@ def test_benchmark_workload_runs_to_budget(tmp_path, workload):
     checkpoint = load_checkpoint(tmp_path / "checkpoint.json")
     assert checkpoint.finished and checkpoint.history_len == 150
     assert_events_agree(tmp_path, ledger.report())
+    # the benchmark's own checks, with its own rebuild of the history
+    checked = {"budget": 150, "evals": 150, "stop_reason": result.stop_reason}
+    assert load_bench_module("run").check_run_dir(tmp_path, checked) == []
 
 
 def events_without_ts(path: Path) -> bytes:
@@ -58,8 +62,10 @@ def events_without_ts(path: Path) -> bytes:
 # Seed 7, as the benchmark's reference runs. The history hashes and kernel
 # counts are those of the same runs before the edit-distance index: the index
 # may save kernel calls, never change a history. The events hashes are those
-# of the runs before the engine's one call-filter-evaluate step: a refactor
-# keeps every event, byte for byte apart from its time stamp.
+# of the logs with one step event per agent call, which are the earlier logs
+# folded (agent_call, filter_report and worker outcome into each step), apart
+# from seq, ts and the step's parent: a refactor keeps every event, byte for
+# byte apart from its time stamp.
 @pytest.mark.parametrize(
     "workload, budget, sha256, events_sha256, kernel_calls_before",
     [
@@ -67,14 +73,14 @@ def events_without_ts(path: Path) -> bytes:
             "peptide-long",
             1000,
             "c8bfb7971e6f108da9e8f6f5d0bf8ec0ccee13a667c59ab421d041cbd848c1e8",
-            "883f29245f94906400ce7c23c1b3512b946c20fffff40625b101575ef2b41f8e",
+            "36b967c516b7fb6b2f4140ce6fa40771e1244440de2b1bf6cb6097934d8b7216",
             505,
         ),
         (
             "smiles-portfolio",
             300,
             "85f4e0b91f977560288f8a366aa2162e5da92f141a654933f74397a2b7688ddd",
-            "9c27124a08560bb718da1805bf9f337378f30b6eb54bd8f23e2e07233ba047d6",
+            "09d1e9d60b8891eb0c9e8925c8212c54d871844b7f13bf58c0efbe89b9494fcf",
             1539,
         ),
     ],
@@ -82,7 +88,7 @@ def events_without_ts(path: Path) -> bytes:
 def test_index_saves_kernel_calls_and_keeps_the_history(
     tmp_path, kernel_calls, workload, budget, sha256, events_sha256, kernel_calls_before
 ):
-    workloads = load_workloads()
+    workloads = load_bench_module("workloads")
     cfg = workloads.config_for(workload, seed=7, budget=budget)
     engine, _ = workloads.build_engine(workload, cfg, tmp_path)
     try:

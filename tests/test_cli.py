@@ -17,11 +17,17 @@ from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
 from agentopt.errors import InsufficientInit, OracleFailure
-from agentopt.events import read_log, read_steps
+from agentopt.events import Step, read_log, read_steps
 from agentopt.oracles import MotifMatchOracle
 from agentopt.rng import RngHub
 
-from .conftest import assert_events_agree, diverse_init, multi_round_replies, write_script
+from .conftest import (
+    Killed,
+    assert_events_agree,
+    diverse_init,
+    multi_round_replies,
+    write_script,
+)
 
 
 def write_yaml(path: Path, data: dict) -> Path:
@@ -651,6 +657,86 @@ def test_mutator_resume_from_every_round_is_exact(tmp_path):
         assert_events_agree(variant)
 
 
+def test_worker_steps_name_their_parent(tmp_path):
+    config = yaml.safe_load(mutator_run_config(tmp_path, budget=240).read_text())
+    config["loop"] = {"max_fails": 2, "seeds_m": 2}
+    assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
+    history = read_log(tmp_path / "out" / "history.jsonl")
+    scores = {row["eval_index"]: row["score"] for row in history}
+    moves_followed = 0
+    evaluated = 0  # records before the current step's batch
+    first: dict[tuple, int] = {}  # (round, trajectory) -> its seed
+    last: dict[tuple, Step] = {}  # (round, trajectory) -> its latest step
+    for step in read_steps(tmp_path / "out" / "events.jsonl"):
+        call = step.call
+        if call is not None and call["role"] == "worker":
+            parent = call["parent"]
+            assert 1 <= parent <= evaluated  # in the history, before the step's batch
+            key = (step.round, call["trajectory"])
+            before = last.get(key)
+            if before is None:
+                first[key] = parent
+            elif before.call["success"]:  # the move chosen from the last batch
+                moves = before.events["eval_batch"]["records"]
+                assert parent in [row["eval_index"] for row in moves]
+                assert scores[parent] > scores[before.call["parent"]]
+                moves_followed += 1
+            else:
+                assert parent == before.call["parent"]
+            last[key] = step
+        evaluated += step.events.get("eval_batch", {}).get("n", 0)
+    # the trajectories of one round are tasks x seeds, seed-major within a task
+    assert len(first) > 4 and moves_followed > 0
+    for (round_idx, index), seed in first.items():
+        assert seed == first[(round_idx, index % 2)]
+
+
+def summary_without_wall_time(run_dir: Path) -> dict:
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    del summary["wall_time_s"]
+    return summary
+
+
+def test_resume_after_a_kill_at_every_write(tmp_path, capsys, write_killer):
+    config = yaml.safe_load(mutator_run_config(tmp_path, budget=120).read_text())
+    config["loop"] = {"max_fails": 1, "seeds_m": 1}  # three checkpoints: rounds 0 to 2
+    reference = tmp_path / "reference"
+    config["run"]["output_dir"] = str(reference)
+    assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
+    writes = write_killer.writes
+    assert len(list((reference / "checkpoints").glob("round_*.json"))) >= 3
+
+    init_kills = []
+    for kill_at in range(1, writes + 1):
+        out = tmp_path / f"kill_{kill_at:04d}"
+        config["run"]["output_dir"] = str(out)
+        config_path = write_yaml(tmp_path / "c.yaml", config)
+        write_killer.kill_at, write_killer.writes = kill_at, 0
+        with pytest.raises(Killed):
+            main(["run", "--config", str(config_path)])
+        write_killer.kill_at = None
+        capsys.readouterr()
+        if not (out / "checkpoint.json").exists():
+            # the documented exception: a kill during init leaves nothing to resume
+            assert main(["resume", str(out)]) == 2
+            assert "error[CorruptCheckpoint]" in capsys.readouterr().err
+            init_kills.append(kill_at)
+            continue
+        assert main(["resume", str(out)]) == 0, f"resume after a kill at write {kill_at}"
+        assert (out / "history.jsonl").read_bytes() == (
+            reference / "history.jsonl"
+        ).read_bytes(), f"history diverged after a kill at write {kill_at}"
+        assert events_without_ts(out / "events.jsonl") == events_without_ts(
+            reference / "events.jsonl"
+        ), f"events diverged after a kill at write {kill_at}"
+        assert summary_without_wall_time(out) == summary_without_wall_time(reference)
+        assert_events_agree(out)
+        shutil.rmtree(out)
+    # init writes 20 history rows, its eval_batch and its checkpoint event,
+    # and a kill at the first file of the round-0 checkpoint counts as init too
+    assert init_kills == list(range(1, 24))
+
+
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -1009,12 +1095,12 @@ def test_token_report_from_summary(tmp_path, capsys):
 
 
 def test_token_report_refuses_a_log_with_a_gap(tmp_path, capsys):
-    # a dropped agent_call would otherwise go uncounted without a word
+    # a dropped step would otherwise go uncounted without a word
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
     events = tmp_path / "out" / "events.jsonl"
     lines = events.read_bytes().splitlines(keepends=True)
-    dropped = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "agent_call")
+    dropped = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == "step")
     events.write_bytes(b"".join(lines[:dropped] + lines[dropped + 1:]))
     capsys.readouterr()
     assert main(["token-report", str(tmp_path / "out")]) == 1
@@ -1032,7 +1118,7 @@ def test_token_report_recovers_from_events(tmp_path, capsys):
     total = json.loads((out_dir / "summary.json").read_text())["tokens"]["total"]
     (out_dir / "summary.json").unlink()
     with open(out_dir / "events.jsonl", "ab") as fh:
-        fh.write(b'{"seq": 99, "kind": "agent_call", "payload": {"role": "wor')
+        fh.write(b'{"seq": 99, "kind": "step", "payload": {"role": "wor')
     capsys.readouterr()
     assert main(["token-report", str(out_dir)]) == 0
     assert (
@@ -1040,10 +1126,34 @@ def test_token_report_recovers_from_events(tmp_path, capsys):
         f"total={total['total_tokens']} calls={total['calls']}"
     ) in capsys.readouterr().out
 
-    # an agent_call event that lacks a field is named by its line
+    # a step event that lacks a field is named by its line
     lines = (out_dir / "events.jsonl").read_bytes().splitlines(keepends=True)[:-1]
-    bad = b'{"seq": 1, "kind": "agent_call", "payload": {"role": "worker"}}\n'
+    bad = b'{"seq": 1, "kind": "step", "payload": {"role": "worker"}}\n'
     (out_dir / "events.jsonl").write_bytes(b"".join(lines) + bad)
     assert main(["token-report", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert f"error[CorruptCheckpoint]: {out_dir / 'events.jsonl'} line {len(lines) + 1}: " in err
+
+
+def test_version_2_run_is_refused_by_resume_and_token_report(tmp_path, capsys):
+    out = mutator_rounds_run(tmp_path)
+    checkpoint = json.loads((out / "checkpoint.json").read_text(encoding="utf-8"))
+    (out / "checkpoint.json").write_text(json.dumps({**checkpoint, "version": 2}))
+    (out / "summary.json").unlink()
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert "error[CorruptCheckpoint]: checkpoint version 2 is not supported" in (
+        capsys.readouterr().err
+    )
+    # a version-2 log: its agent calls are agent_call events
+    lines = (out / "events.jsonl").read_bytes().splitlines(keepends=True)[:2]
+    call = {"role": "explorer", "backend": "mutator", "system_sha": "s", "user_sha": "u",
+            "reply": "{}", "input_tokens": 7, "output_tokens": 3, "latency_ms": 0}
+    old = {"seq": 3, "ts": 0.0, "round": 1, "phase": "explorer", "kind": "agent_call",
+           "payload": call}
+    (out / "events.jsonl").write_bytes(b"".join(lines) + json.dumps(old).encode() + b"\n")
+    assert main(["token-report", str(out)]) == 1
+    assert (
+        f"error[CorruptCheckpoint]: {out / 'events.jsonl'} line 3: "
+        "kind 'agent_call' is not an event kind"
+    ) in capsys.readouterr().err

@@ -96,10 +96,10 @@ def test_history_rejects_canonical_duplicates():
         history.append(cand(" AAA "), 2.0, "explorer")
 
 
-def test_history_score_memoization_lookup():
+def test_history_contains_evaluated_canonical_texts():
     history = make_history([0.41])
-    assert history.score_of("S0000") == 0.41
-    assert history.score_of("missing") is None
+    assert history.contains("S0000")
+    assert not history.contains("missing")
 
 
 def test_best_record_tie_break_is_earliest():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
 import shutil
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import agentopt.distance as distance_module
 import agentopt.diversity as diversity_module
 import agentopt.engine as engine_module
 from agentopt import cli
+from agentopt.cli import fold_tokens
 
 from agentopt.backends import ROLES, Backend, RoleRouter, ScriptedBackend, TokenLedger
 from agentopt.context import ContextSpec
@@ -27,17 +30,22 @@ from agentopt.core import (
 )
 from agentopt.distance import EditDistanceIndex
 from agentopt.diversity import best_portfolio_greedy
-from agentopt.domains import make_domain
+from agentopt.domains import DomainSpec, make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
 from agentopt.errors import (
     BackendUnavailable,
     BadResponse,
     BudgetExhaustedDuringInit,
     OracleFailure,
+    OracleTimeout,
 )
 from agentopt.events import EventLog, HistoryLog, load_checkpoint, read_log, read_steps
-from agentopt.filtering import NO_CONSTRAINT, TemplateSimilarityConstraint
-from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
+from agentopt.filtering import (
+    NO_CONSTRAINT,
+    ExternalLineValidator,
+    TemplateSimilarityConstraint,
+)
+from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle, SubprocessOracle
 from agentopt.rng import RngHub
 
 from .conftest import cand, candidates_reply, diverse_init, multi_round_replies
@@ -66,8 +74,9 @@ def build_engine(
     pool: CandidatePool | None = None,
     seed: int = 0,
     backend: ScriptedBackend | None = None,
+    domain: DomainSpec | None = None,
 ) -> tuple[Engine, TokenLedger]:
-    domain = make_domain(DomainKind.GENERIC)
+    domain = domain or make_domain(DomainKind.GENERIC)
     if backend is None:
         backend = ScriptedBackend(
             [{"match": {"role": role}, "reply": reply} for role, reply in replies]
@@ -219,21 +228,12 @@ def test_duplicate_only_agents_stagnate_at_init_count(tmp_path):
     engine.close()
     assert result.stop_reason == "stagnation"
     assert result.history.evals_used == 8
-    events = read_log(tmp_path / "events.jsonl")
-    reasons = [
-        r["reason"]
-        for e in events
-        if e["kind"] == "filter_report"
-        for r in e["payload"]["rejected"]
+    rejected = [
+        step.call["rejected"]
+        for step in read_steps(tmp_path / "events.jsonl")
+        if step.call is not None and step.call["role"] != "planner"
     ]
-    assert set(reasons) == {"duplicate_in_history"}
-    memo = [
-        r["memo_score"]
-        for e in events
-        if e["kind"] == "filter_report"
-        for r in e["payload"]["rejected"]
-    ]
-    assert all(score == 0.0 for score in memo)
+    assert rejected == [{"duplicate_in_history": 1}] * 12  # 3 explorer, 9 worker calls
 
 
 # -- planner phase -----------------------------------------------------------------
@@ -341,11 +341,7 @@ def test_worker_hill_climb_updates_and_outcome_counts(tmp_path):
     assert result.registry.get("EXPLORE").attempts == 6
     assert result.registry.get("SHUFFLE").attempts == 6
 
-    outcomes_round1 = [
-        step.events["registry_change"]
-        for step in read_steps(tmp_path / "events.jsonl")
-        if step.call is not None and "registry_change" in step.events and step.round == 1
-    ]
+    outcomes_round1 = agent_calls(tmp_path / "events.jsonl", "worker", round_idx=1)
     flags = [o["success"] for o in outcomes_round1 if o["task"] == "SIMILAR"]
     assert flags == [True, True, False, False, False, False, False, False]
     assert "AAB" in result.history.canonical_index
@@ -706,8 +702,11 @@ def test_traced_run_records_seed_and_portfolio_spans(tmp_path, monkeypatch):
     agent_calls = sum(spans[f"backends.{role}"] for role in ROLES)
     assert spans["prompts.build"] == spans["prompts.parse"] == agent_calls > 0
     events = read_log(tmp_path / "events.jsonl")
-    filter_reports = sum(e["kind"] == "filter_report" for e in events)
-    assert spans["filtering"] == filter_reports >= 1
+    filtered = sum(
+        step.call is not None and "eval_batch" in step.events
+        for step in read_steps(tmp_path / "events.jsonl")
+    )
+    assert spans["filtering"] == filtered >= 1
     # every log line is written through the two traced writers
     assert spans["events.history"] == result.history.evals_used
     assert spans["events"] == len(events)
@@ -882,3 +881,66 @@ def test_bad_response_logs_error_event(tmp_path):
     assert_stopped_at_boundary(
         tmp_path, "BadResponse", round_idx=1, phase="explorer", boundary=0
     )
+
+
+# Scores the count of A per line; exits 3 at its call numbered argv[2], which
+# it counts in the file argv[1]
+COUNTING_ORACLE = """
+import sys
+from pathlib import Path
+counter = Path(sys.argv[1])
+calls = int(counter.read_text()) + 1 if counter.exists() else 1
+counter.write_text(str(calls))
+if calls == int(sys.argv[2]):
+    sys.exit(3)
+for line in sys.stdin:
+    print(line.count("A"))
+"""
+
+
+def failed_call(run_dir: Path, ledger: TokenLedger, role: str) -> dict:
+    """The step of the call that failed: the last line before the ``error``.
+
+    The ledger counted that call too, so the log's token totals are its report.
+    """
+    events = read_log(run_dir / "events.jsonl")
+    assert [e["kind"] for e in events[-2:]] == ["step", "error"]
+    assert fold_tokens(read_steps(run_dir / "events.jsonl")) == ledger.report()
+    step = events[-2]["payload"]
+    assert step["role"] == role
+    return step
+
+
+def test_oracle_exit_at_second_worker_batch_logs_the_failed_step(tmp_path):
+    # no explorer batch is evaluated, so oracle call 3 is the second worker batch
+    replies = [("explorer", GARBAGE)] * 3 + [("planner", GARBAGE)]
+    replies += [("worker", candidates_reply([f"W{i}A"])) for i in range(4)]
+    command = [sys.executable, "-c", COUNTING_ORACLE, str(tmp_path / "calls"), "3"]
+    engine, ledger = build_engine(
+        tmp_path, replies, SubprocessOracle(command), ["BBB"], budget=50, seeds_m=1
+    )
+    with pytest.raises(OracleFailure, match="oracle exited 3"):
+        engine.run()
+    engine.close()
+    step = failed_call(tmp_path, ledger, "worker")
+    # filtering finished, the move was never picked
+    assert (step["task"], step["trajectory"], step["parent"]) == ("SIMILAR", 0, 2)
+    assert step["rejected"] == {} and "success" not in step
+    earlier = agent_calls(tmp_path / "events.jsonl", "worker")[:-1]
+    assert [call["success"] for call in earlier] == [True]
+
+
+def test_validator_timeout_during_filtering_logs_the_failed_step(tmp_path):
+    sleeper = ExternalLineValidator(
+        [sys.executable, "-c", "import time; time.sleep(5)"], timeout_s=0.2
+    )
+    domain = dataclasses.replace(make_domain(DomainKind.GENERIC), validator=sleeper)
+    replies = [("explorer", candidates_reply(["AB"]))]
+    engine, ledger = build_engine(
+        tmp_path, replies, count_a_oracle(), ["BBB"], budget=50, domain=domain
+    )
+    with pytest.raises(OracleTimeout):
+        engine.run()
+    engine.close()
+    step = failed_call(tmp_path, ledger, "explorer")
+    assert "rejected" not in step  # filtering never finished

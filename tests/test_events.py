@@ -134,7 +134,9 @@ def test_history_log_and_load(tmp_path):
     log.close()
     loaded = load_history(path)
     assert loaded.evals_used == 3
-    assert loaded.score_of("BBB") == 1.0
+    assert [(r.candidate.canonical, r.score) for r in loaded] == [
+        ("AAA", 0.0), ("BBB", 1.0), ("CCC", 2.0)
+    ]
     assert [row["canonical"] for row in read_log(path, 2)] == ["AAA", "BBB"]
 
 
@@ -223,50 +225,56 @@ def test_read_log_leaves_out_torn_tail(tmp_path):
 
 CALL = {"role": "worker", "backend": "mutator", "system_sha": "s", "user_sha": "u",
         "reply": "{}", "input_tokens": 7, "output_tokens": 3, "latency_ms": 0}
-FILTER = {"n_in": 1, "n_accepted": 1, "rejected": []}
+WORKER = {**CALL, "task": "SIMILAR", "trajectory": 0, "parent": 1, "rejected": {}}
 
 
 def test_read_steps_groups_each_call_with_what_it_caused(tmp_path):
-    rows = history_rows(4)
-    outcome = {"op": "outcome", "task": "SIMILAR", "success": True, "trajectory": 0}
+    rows = history_rows(5)
     kinds_and_payloads = [
         ("eval_batch", {"origin": "init", "n": 2, "truncated": 0, "records": rows[:2]}),
         ("checkpoint", None),
-        ("agent_call", {**CALL, "role": "explorer"}),
-        ("filter_report", FILTER),
         ("eval_batch", {"origin": "explorer", "n": 1, "truncated": 0, "records": rows[2:3]}),
-        ("agent_call", {**CALL, "role": "planner"}),
+        ("step", {**CALL, "role": "explorer", "rejected": {"invalid": 2}}),
+        ("step", {**CALL, "role": "explorer", "rejected": {}}),  # a reply without candidates
+        ("step", {**CALL, "role": "planner"}),
         ("registry_change", {"op": "add", "task": "T1"}),
-        ("agent_call", CALL),
-        ("filter_report", FILTER),
         ("eval_batch", {"origin": "worker:SIMILAR", "n": 1, "truncated": 0,
-                        "records": rows[3:]}),
-        ("registry_change", outcome),
-        ("agent_call", CALL),  # a reply without candidates
-        ("registry_change", {**outcome, "success": False}),
+                        "records": rows[3:4], "task": "SIMILAR"}),
+        ("step", {**WORKER, "success": True}),
+        ("step", {**WORKER, "parent": 4, "success": False}),  # a reply without candidates
         ("round_end", {"evals_used": 4, "best_score": 3.0, "stop_reason": None}),
         ("checkpoint", None),
+        ("eval_batch", {"origin": "resampled-init", "n": 0, "truncated": 0, "records": []}),
+        ("step", {**CALL, "role": "explorer", "rejected": {}}),
+        ("eval_batch", {"origin": "worker:SIMILAR", "n": 1, "truncated": 0,
+                        "records": rows[4:], "task": "SIMILAR"}),
     ]
     data = b"".join(
         event(seq, kind, payload) for seq, (kind, payload) in enumerate(kinds_and_payloads, 1)
     )
-    (tmp_path / "events.jsonl").write_bytes(data + b'{"seq": 16, "tru')
+    # the last batch's step was cut off by a kill
+    (tmp_path / "events.jsonl").write_bytes(data + b'{"seq": 16, "kind": "st')
     steps = read_steps(tmp_path / "events.jsonl")
     assert [list(step.events) for step in steps] == [
         ["eval_batch"],
         ["checkpoint"],
-        ["agent_call", "filter_report", "eval_batch"],
-        ["agent_call"],
+        ["eval_batch", "step"],
+        ["step"],
+        ["step"],
         ["registry_change"],
-        ["agent_call", "filter_report", "eval_batch", "registry_change"],
-        ["agent_call", "registry_change"],
+        ["eval_batch", "step"],
+        ["step"],
         ["round_end"],
         ["checkpoint"],
+        ["eval_batch"],  # an init batch has no call
+        ["step"],
+        ["eval_batch"],  # a step without a call
     ]
     assert [step.call["role"] for step in steps if step.call] == [
-        "explorer", "planner", "worker", "worker"
+        "explorer", "explorer", "planner", "worker", "worker", "explorer"
     ]
-    assert steps[6].events["registry_change"]["success"] is False
+    assert steps[6].call["success"] is True and steps[7].call["success"] is False
+    assert steps[6].events["eval_batch"]["records"] == rows[3:4]
     assert (steps[0].round, steps[0].phase) == (1, "loop")
     assert steps.rows == rows and steps.size == len(data)
 
@@ -277,11 +285,16 @@ def test_read_steps_groups_each_call_with_what_it_caused(tmp_path):
         (b"[2]\n", "seq is not 2"),
         (event(2, "nonsense", {}), "kind 'nonsense' is not an event kind"),
         (event(2, "error", [1]), r"payload \[1\] is not an object"),
-        (event(2, "agent_call", {**CALL, "input_tokens": None}), "agent_call input_tokens is None"),
+        (event(2, "step", {**CALL, "input_tokens": None}), "step input_tokens is None"),
+        (event(2, "step", {**WORKER, "success": 1}), "step success is 1"),
+        (event(2, "agent_call", CALL), "kind 'agent_call' is not an event kind"),
         (event(2, "eval_batch", {"origin": "init", "n": 0, "truncated": 0}),
          "eval_batch records is None"),
     ],
-    ids=["not-object", "kind", "payload", "field-type", "field-missing"],
+    ids=[
+        "not-object", "kind", "payload", "field-type", "optional-field-type",
+        "version-2-kind", "field-missing",
+    ],
 )
 def test_read_steps_names_a_malformed_event(tmp_path, line, message):
     path = tmp_path / "events.jsonl"
@@ -312,7 +325,7 @@ def test_checkpoint_round_trip_and_archive(tmp_path):
     written = (tmp_path / "checkpoint.json").read_bytes()
     assert written == (tmp_path / "checkpoints" / "round_00002.json").read_bytes()
     assert b"\n" not in written and b", " not in written
-    assert json.loads(written)["version"] == 2
+    assert json.loads(written)["version"] == 3
 
 
 def test_load_checkpoint_garbage_is_corrupt(tmp_path):
@@ -322,7 +335,7 @@ def test_load_checkpoint_garbage_is_corrupt(tmp_path):
         load_checkpoint(path)
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(tmp_path / "missing.json")
-    path.write_bytes(b'\xff\xfe{"version": 2}')
+    path.write_bytes(b'\xff\xfe{"version": 3}')
     with pytest.raises(CorruptCheckpoint, match="utf-8"):
         load_checkpoint(path)
     path.write_text('{"version": 1}', encoding="utf-8")
@@ -337,6 +350,15 @@ def test_version_1_checkpoint_is_refused_by_version(tmp_path):
           "ledger": {}, "backend_positions": {}, "stop_reason": None}
     path.write_text(json.dumps(v1), encoding="utf-8")
     with pytest.raises(CorruptCheckpoint, match="version 1 is not supported"):
+        load_checkpoint(path)
+
+
+def test_version_2_checkpoint_is_refused_by_version(tmp_path):
+    # version 2 has the fields of version 3; its log holds agent_call events
+    v2 = {**Checkpoint(2, False, 14, 40, {}, {}, {}, {}).to_json(), "version": 2}
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(v2), encoding="utf-8")
+    with pytest.raises(CorruptCheckpoint, match="version 2 is not supported.*version 3 only"):
         load_checkpoint(path)
 
 
