@@ -29,7 +29,6 @@ from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
 from .errors import AgentOptError, ConfigError, CorruptCheckpoint
 from .events import (
-    CHECKPOINT_DIR,
     CHECKPOINT_FILE,
     CONFIG_COPY_FILE,
     EVENTS_FILE,
@@ -202,14 +201,10 @@ def cmd_run(args: argparse.Namespace, extras: list[str]) -> int:
 
     run_dir = config.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier run's checkpoints and summary must not outlive it: resume
+    # an earlier run's checkpoint and summary must not outlive it: resume
     # would read them if this run fails before its first checkpoint
-    for stale in (
-        run_dir / CHECKPOINT_FILE,
-        run_dir / SUMMARY_FILE,
-        *(run_dir / CHECKPOINT_DIR).glob("round_*.json"),
-    ):
-        stale.unlink(missing_ok=True)
+    for stale in (CHECKPOINT_FILE, SUMMARY_FILE):
+        (run_dir / stale).unlink(missing_ok=True)
     (run_dir / CONFIG_COPY_FILE).write_text(
         json.dumps(config.raw, ensure_ascii=False, indent=1), encoding="utf-8"
     )
@@ -217,12 +212,9 @@ def cmd_run(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
-    checkpoint_path = Path(args.checkpoint)
-    if checkpoint_path.is_dir():
-        checkpoint_path = checkpoint_path / CHECKPOINT_FILE
-    run_dir = checkpoint_path.parent
+    run_dir = Path(args.run_dir)
     try:
-        checkpoint = load_checkpoint(checkpoint_path)
+        checkpoint = load_checkpoint(run_dir / CHECKPOINT_FILE)
         if checkpoint.finished and (run_dir / SUMMARY_FILE).exists():
             print("run already finished; nothing to resume")
             return EXIT_OK
@@ -370,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run, allow_extras=True)
 
     p_resume = sub.add_parser("resume", help="continue a checkpointed run")
-    p_resume.add_argument("checkpoint", help="run directory or checkpoint.json path")
+    p_resume.add_argument("run_dir", help="run directory holding checkpoint.json")
     p_resume.set_defaults(func=cmd_resume, allow_extras=False)
 
     p_curve = sub.add_parser(

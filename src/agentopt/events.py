@@ -46,7 +46,6 @@ HISTORY_FILE = "history.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
 SUMMARY_FILE = "summary.json"
 CONFIG_COPY_FILE = "config.json"
-CHECKPOINT_DIR = "checkpoints"
 
 
 # Every line but a history row: the bytes of json.dumps(value, ensure_ascii=False)
@@ -346,7 +345,7 @@ class Checkpoint:
 
 
 def write_checkpoint(run_dir: Path, checkpoint: Checkpoint) -> Path:
-    """Write checkpoint.json atomically, plus a per-round archival copy."""
+    """Write checkpoint.json atomically: a temporary file, then a rename."""
     run_dir = Path(run_dir)
     payload = json.dumps(
         checkpoint.to_json(), ensure_ascii=False, separators=(",", ":")
@@ -355,9 +354,6 @@ def write_checkpoint(run_dir: Path, checkpoint: Checkpoint) -> Path:
     tmp.write_bytes(payload)
     final = run_dir / CHECKPOINT_FILE
     tmp.replace(final)
-    archive_dir = run_dir / CHECKPOINT_DIR
-    archive_dir.mkdir(exist_ok=True)
-    (archive_dir / f"round_{checkpoint.round_idx:05d}.json").write_bytes(payload)
     return final
 
 

@@ -13,11 +13,19 @@ import pytest
 from hypothesis import strategies as st
 
 import agentopt.distance as distance_module
+import agentopt.engine as engine_module
 import agentopt.events as events_module
 from agentopt.cli import fold_tokens
 from agentopt.core import Candidate, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
-from agentopt.events import EVENTS_FILE, HISTORY_FILE, SUMMARY_FILE, read_log, read_steps
+from agentopt.events import (
+    CHECKPOINT_FILE,
+    EVENTS_FILE,
+    HISTORY_FILE,
+    SUMMARY_FILE,
+    read_log,
+    read_steps,
+)
 
 LETTERS = "ACDEFGHIKLMNPQRSTVWY"
 
@@ -141,6 +149,42 @@ def kernel_calls(monkeypatch) -> list[tuple[str, str]]:
     return calls
 
 
+class CheckpointRecorder:
+    """The bytes of each run directory's ``checkpoint.json`` after each write, by round.
+
+    A run keeps only its last checkpoint; a test that rewinds a run to an
+    earlier round boundary takes that round's bytes from here.
+    """
+
+    def __init__(self):
+        self.written: dict[Path, dict[int, bytes]] = {}
+
+    def rounds(self, run_dir: Path) -> dict[int, bytes]:
+        """Each round of ``run_dir`` that got a checkpoint, and its bytes."""
+        return self.written[Path(run_dir)]
+
+    def rewind(self, run_dir: Path, round_idx: int, to: Optional[Path] = None) -> None:
+        """Write round ``round_idx``'s checkpoint of ``run_dir`` as the
+        ``checkpoint.json`` of ``to`` (by default ``run_dir`` itself)."""
+        target = Path(run_dir if to is None else to) / CHECKPOINT_FILE
+        target.write_bytes(self.rounds(run_dir)[round_idx])
+
+
+@pytest.fixture
+def checkpoint_recorder(monkeypatch) -> CheckpointRecorder:
+    """A ``CheckpointRecorder`` on ``agentopt.engine.write_checkpoint`` for this test."""
+    recorder = CheckpointRecorder()
+    write_checkpoint = engine_module.write_checkpoint
+
+    def recording(run_dir, checkpoint):
+        path = write_checkpoint(run_dir, checkpoint)
+        recorder.written.setdefault(path.parent, {})[checkpoint.round_idx] = path.read_bytes()
+        return path
+
+    monkeypatch.setattr(engine_module, "write_checkpoint", recording)
+    return recorder
+
+
 class Killed(BaseException):
     """The kill that ``WriteKiller`` simulates; no handler of the program catches it."""
 
@@ -148,10 +192,12 @@ class Killed(BaseException):
 class WriteKiller:
     """Counts a run's writes, and kills the run at write ``kill_at`` if that is set.
 
-    A write is one line of ``events.JsonlWriter.write`` or one file that
-    ``events.write_checkpoint`` writes. The killing write lands half of its
-    bytes and raises ``Killed``; a dead process writes nothing more, so
-    every later write raises before it writes.
+    A write is one line of ``events.JsonlWriter.write`` or the temporary
+    file that ``events.write_checkpoint`` writes before it renames it to
+    ``checkpoint.json``. The killing write lands half of its bytes and
+    raises ``Killed``, so a kill at the temporary file also stops the
+    rename; a dead process writes nothing more, so every later write raises
+    before it writes.
     """
 
     def __init__(self):

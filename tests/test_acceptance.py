@@ -592,24 +592,24 @@ def _replay_config(
     return path
 
 
-def test_replay_determinism(tmp_path):
+def test_replay_determinism(tmp_path, checkpoint_recorder):
     baseline_cfg = _replay_config(tmp_path, "baseline")
     assert main(["run", "--config", str(baseline_cfg)]) == 0
     baseline_dir = tmp_path / "baseline"
     baseline_history = (baseline_dir / "history.jsonl").read_bytes()
 
     # resume from every round-boundary checkpoint
-    checkpoint_files = sorted((baseline_dir / "checkpoints").glob("round_*.json"))
-    assert len(checkpoint_files) >= 3  # rounds 0..2 at least
-    for checkpoint_file in checkpoint_files:
-        if json.loads(checkpoint_file.read_text())["finished"]:
+    checkpoints = checkpoint_recorder.rounds(baseline_dir)
+    assert len(checkpoints) >= 3  # rounds 0..2 at least
+    for round_idx, data in sorted(checkpoints.items()):
+        if json.loads(data)["finished"]:
             continue
-        variant = tmp_path / f"variant_{checkpoint_file.stem}"
+        variant = tmp_path / f"variant_round_{round_idx:05d}"
         shutil.copytree(baseline_dir, variant)
-        shutil.copy(checkpoint_file, variant / "checkpoint.json")
+        checkpoint_recorder.rewind(baseline_dir, round_idx, to=variant)
         assert main(["resume", str(variant)]) == 0
         assert (variant / "history.jsonl").read_bytes() == baseline_history, (
-            f"resume from {checkpoint_file.name} diverged"
+            f"resume from round {round_idx} diverged"
         )
 
     # SIGINT while the oracle pauses in mid-batch, then resume

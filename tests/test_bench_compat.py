@@ -40,6 +40,10 @@ def test_benchmark_workload_runs_to_budget(tmp_path, workload):
         engine.close()
     assert result.stop_reason == "budget"
     assert result.history.evals_used == 150
+    # one checkpoint over several rounds: no per-round copy, no temporary file left
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint.json", "events.jsonl", "history.jsonl",
+    ]
     assert ledger.report()["total"]["calls"] > 0
     checkpoint = load_checkpoint(tmp_path / "checkpoint.json")
     assert checkpoint.finished and checkpoint.history_len == 150

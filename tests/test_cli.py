@@ -108,6 +108,18 @@ def test_run_mutator_smoke_improves(tmp_path):
     assert summary["best_score"] >= init_best
 
 
+@pytest.mark.parametrize(
+    "portfolio", [[], ["--objective.portfolio.size=3"]], ids=["no-portfolio", "portfolio"]
+)
+def test_run_directory_holds_exactly_its_five_files(tmp_path, portfolio):
+    # one checkpoint over several rounds: no per-round copy, no temporary file left
+    config = mutator_run_config(tmp_path, budget=150)
+    assert main(["run", "--config", str(config), *portfolio]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "checkpoint.json", "config.json", "events.jsonl", "history.jsonl", "summary.json",
+    ]
+
+
 def test_run_portfolio_mode_summary_and_curve(tmp_path):
     config = mutator_run_config(tmp_path)
     code = main(
@@ -349,7 +361,8 @@ def test_resume_finished_run_is_noop(tmp_path, capsys):
     "portfolio", [None, {"size": 4, "beta": 0.5}], ids=["no-portfolio", "portfolio"]
 )
 def test_resume_finished_run_without_summary_writes_it(tmp_path, capsys, portfolio):
-    # a kill at the last archive write leaves a finished checkpoint, no summary
+    # a kill between the last checkpoint and the summary leaves a finished
+    # checkpoint, no summary
     config = mutator_run_config(tmp_path, budget=150)
     if portfolio is not None:
         cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -371,14 +384,15 @@ def test_resume_finished_run_without_summary_writes_it(tmp_path, capsys, portfol
     assert {name: (out_dir / name).read_bytes() for name in logs} == logs
 
 
-def test_reply_with_a_lone_surrogate_is_refused_where_the_script_is_read(tmp_path, capsys):
+def test_reply_with_a_lone_surrogate_is_refused_where_the_script_is_read(
+    tmp_path, capsys, checkpoint_recorder
+):
     # "\ud800" is a valid JSON escape, but its lone surrogate has no UTF-8
     # form, so no log could write the reply
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
     out_dir = tmp_path / "out"
-    round1 = out_dir / "checkpoints" / "round_00001.json"
-    (out_dir / "checkpoint.json").write_text(round1.read_text(), encoding="utf-8")
+    checkpoint_recorder.rewind(out_dir, 1)
     replies = multi_round_replies(4)
     index = [i for i, (role, _) in enumerate(replies) if role == "explorer"][4]  # round 2
     replies[index] = ("explorer", "CANDIDATES:\nAAB\ud800A\n")
@@ -393,35 +407,46 @@ def test_reply_with_a_lone_surrogate_is_refused_where_the_script_is_read(tmp_pat
     assert f"script.jsonl:{index + 1}: not UTF-8 text" in capsys.readouterr().err
 
 
-def test_resume_truncated_events_is_corrupt(tmp_path, capsys):
+def test_resume_takes_a_run_directory_only(tmp_path, capsys, checkpoint_recorder):
+    config = scripted_run_config(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+    out_dir = tmp_path / "out"
+    checkpoint_recorder.rewind(out_dir, 1)
+    logs = {name: (out_dir / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out_dir / "checkpoint.json")]) == 2
+    missing = out_dir / "checkpoint.json" / "checkpoint.json"
+    assert f"error[CorruptCheckpoint]: cannot read {missing}: " in capsys.readouterr().err
+    assert {name: (out_dir / name).read_bytes() for name in logs} == logs
+
+
+def test_resume_truncated_events_is_corrupt(tmp_path, capsys, checkpoint_recorder):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
     out_dir = tmp_path / "out"
     # pretend the run stopped at round 1 but damage the event log
-    round1 = out_dir / "checkpoints" / "round_00001.json"
-    (out_dir / "checkpoint.json").write_text(round1.read_text(), encoding="utf-8")
+    checkpoint_recorder.rewind(out_dir, 1)
     events = (out_dir / "events.jsonl").read_text().splitlines()
     (out_dir / "events.jsonl").write_text("\n".join(events[:3]) + "\n", encoding="utf-8")
     assert main(["resume", str(out_dir)]) == 2
     assert "CorruptCheckpoint" in capsys.readouterr().err
 
 
-def test_resume_from_round_boundary_reproduces_history(tmp_path):
+def test_resume_from_round_boundary_reproduces_history(tmp_path, checkpoint_recorder):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
     out_dir = tmp_path / "out"
     full_history = (out_dir / "history.jsonl").read_bytes()
 
     # rewind to the round-2 checkpoint and resume
-    round2 = out_dir / "checkpoints" / "round_00002.json"
-    (out_dir / "checkpoint.json").write_text(round2.read_text(), encoding="utf-8")
+    checkpoint_recorder.rewind(out_dir, 2)
     assert main(["resume", str(out_dir)]) == 0
     assert (out_dir / "history.jsonl").read_bytes() == full_history
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["evals_used"] == 26
 
 
-def test_resume_config_with_removed_keys(tmp_path):
+def test_resume_config_with_removed_keys(tmp_path, checkpoint_recorder):
     # config.json files written before these keys were dropped still resume
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0
@@ -435,8 +460,7 @@ def test_resume_config_with_removed_keys(tmp_path):
         planner_task_request="8-10",
     )
     (out_dir / "config.json").write_text(json.dumps(resolved), encoding="utf-8")
-    round2 = out_dir / "checkpoints" / "round_00002.json"
-    (out_dir / "checkpoint.json").write_text(round2.read_text(), encoding="utf-8")
+    checkpoint_recorder.rewind(out_dir, 2)
     assert main(["resume", str(out_dir)]) == 0
     assert (out_dir / "history.jsonl").read_bytes() == full_history
     old_portfolio = {"objective": {"portfolio": {"size": 3, "agg": "mean"}}}
@@ -510,7 +534,7 @@ def test_new_run_does_not_inherit_old_checkpoint(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 0
     out_dir = tmp_path / "out"
     assert (out_dir / "summary.json").is_file()
-    assert list((out_dir / "checkpoints").glob("round_*.json"))
+    assert (out_dir / "checkpoint.json").is_file()
     config["oracle"] = FAILING_ORACLE
     write_yaml(tmp_path / "config.yaml", config)
     capsys.readouterr()
@@ -518,7 +542,6 @@ def test_new_run_does_not_inherit_old_checkpoint(tmp_path, capsys):
     assert "error[OracleFailure]" in capsys.readouterr().err
     assert (out_dir / "history.jsonl").read_text() == ""
     assert not (out_dir / "checkpoint.json").exists()
-    assert not list((out_dir / "checkpoints").glob("round_*.json"))
     assert not (out_dir / "summary.json").exists()
     assert main(["resume", str(out_dir)]) == 2
     assert "error[CorruptCheckpoint]" in capsys.readouterr().err
@@ -639,21 +662,21 @@ def mutator_rounds_run(tmp_path: Path) -> Path:
     return tmp_path / "out"
 
 
-def test_mutator_resume_from_every_round_is_exact(tmp_path):
+def test_mutator_resume_from_every_round_is_exact(tmp_path, checkpoint_recorder):
     reference = mutator_rounds_run(tmp_path)
-    archived = sorted((reference / "checkpoints").glob("round_*.json"))
-    assert len(archived) >= 5  # after init, then rounds 1 to 4 at least
-    for checkpoint in archived:
-        variant = tmp_path / checkpoint.stem
+    rounds = sorted(checkpoint_recorder.rounds(reference))
+    assert len(rounds) >= 5  # after init, then rounds 1 to 4 at least
+    for round_idx in rounds:
+        variant = tmp_path / f"round_{round_idx:05d}"
         shutil.copytree(reference, variant)
-        shutil.copy(checkpoint, variant / "checkpoint.json")
+        checkpoint_recorder.rewind(reference, round_idx, to=variant)
         assert main(["resume", str(variant)]) == 0
         assert (variant / "history.jsonl").read_bytes() == (
             reference / "history.jsonl"
-        ).read_bytes(), f"history diverged after resuming {checkpoint.name}"
+        ).read_bytes(), f"history diverged after resuming round {round_idx}"
         assert events_without_ts(variant / "events.jsonl") == events_without_ts(
             reference / "events.jsonl"
-        ), f"events diverged after resuming {checkpoint.name}"
+        ), f"events diverged after resuming round {round_idx}"
         assert_events_agree(variant)
 
 
@@ -704,7 +727,8 @@ def test_resume_after_a_kill_at_every_write(tmp_path, capsys, write_killer):
     config["run"]["output_dir"] = str(reference)
     assert main(["run", "--config", str(write_yaml(tmp_path / "c.yaml", config))]) == 0
     writes = write_killer.writes
-    assert len(list((reference / "checkpoints").glob("round_*.json"))) >= 3
+    kinds = [event["kind"] for event in read_log(reference / "events.jsonl")]
+    assert kinds.count("checkpoint") >= 3
 
     init_kills = []
     for kill_at in range(1, writes + 1):
@@ -733,7 +757,7 @@ def test_resume_after_a_kill_at_every_write(tmp_path, capsys, write_killer):
         assert_events_agree(out)
         shutil.rmtree(out)
     # init writes 20 history rows, its eval_batch and its checkpoint event,
-    # and a kill at the first file of the round-0 checkpoint counts as init too
+    # and a kill at the round-0 checkpoint's temporary file counts as init too
     assert init_kills == list(range(1, 24))
 
 
@@ -749,9 +773,11 @@ def test_resume_after_a_kill_at_every_write(tmp_path, capsys, write_killer):
     ],
     ids=["rng-list", "rng-two-words", "registry-attempts", "ledger", "mutator", "backends"],
 )
-def test_resume_malformed_checkpoint_leaves_logs_untouched(tmp_path, capsys, tamper):
+def test_resume_malformed_checkpoint_leaves_logs_untouched(
+    tmp_path, capsys, checkpoint_recorder, tamper
+):
     out = mutator_rounds_run(tmp_path)
-    checkpoint = json.loads((out / "checkpoints" / "round_00001.json").read_text())
+    checkpoint = json.loads(checkpoint_recorder.rounds(out)[1])
     tamper(checkpoint)
     (out / "checkpoint.json").write_text(json.dumps(checkpoint), encoding="utf-8")
     logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
@@ -761,9 +787,9 @@ def test_resume_malformed_checkpoint_leaves_logs_untouched(tmp_path, capsys, tam
     assert {name: (out / name).read_bytes() for name in logs} == logs
 
 
-def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys):
+def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys, checkpoint_recorder):
     out = mutator_rounds_run(tmp_path)
-    shutil.copy(out / "checkpoints" / "round_00000.json", out / "checkpoint.json")
+    checkpoint_recorder.rewind(out, 0)
     lines = (out / "history.jsonl").read_bytes().splitlines(keepends=True)
     row = json.loads(lines[4])
     row["score"] = "x"
@@ -793,10 +819,12 @@ def edit_line(path: Path, index: int, edit) -> None:
     ],
     ids=["history-score", "event-kind"],
 )
-def test_resume_logs_that_disagree_leave_logs_untouched(tmp_path, capsys, name, index, edit):
+def test_resume_logs_that_disagree_leave_logs_untouched(
+    tmp_path, capsys, checkpoint_recorder, name, index, edit
+):
     # the edited row is still a valid record: only its eval_batch record shows the change
     out = mutator_rounds_run(tmp_path)
-    shutil.copy(out / "checkpoints" / "round_00002.json", out / "checkpoint.json")
+    checkpoint_recorder.rewind(out, 2)
     edit_line(out / name, index, edit)
     logs = {log: (out / log).read_bytes() for log in ("events.jsonl", "history.jsonl")}
     capsys.readouterr()
@@ -815,9 +843,11 @@ def test_resume_logs_that_disagree_leave_logs_untouched(tmp_path, capsys, name, 
     ],
     ids=["config-torn", "config-utf-8", "checkpoint-utf-8", "config-not-object"],
 )
-def test_resume_unreadable_run_file_leaves_logs_untouched(tmp_path, capsys, name, damage):
+def test_resume_unreadable_run_file_leaves_logs_untouched(
+    tmp_path, capsys, checkpoint_recorder, name, damage
+):
     out = mutator_rounds_run(tmp_path)
-    shutil.copy(out / "checkpoints" / "round_00001.json", out / "checkpoint.json")
+    checkpoint_recorder.rewind(out, 1)
     (out / name).write_bytes(damage((out / name).read_bytes()))
     logs = {log: (out / log).read_bytes() for log in ("events.jsonl", "history.jsonl")}
     capsys.readouterr()

@@ -587,7 +587,9 @@ def test_portfolio_statistic_drives_explorer_persistence(tmp_path):
     engine.close()
 
 
-def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, monkeypatch):
+def test_run_result_portfolio_matches_scratch_after_run_and_resume(
+    tmp_path, monkeypatch, checkpoint_recorder
+):
     outcomes: list[tuple] = []
     write_summary = cli._write_summary
 
@@ -646,7 +648,7 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(tmp_path, mon
     assert cli.main(["run", "--config", str(config_path)]) == 0
     resumed = tmp_path / "resumed"
     shutil.copytree(out_dir, resumed)
-    shutil.copy(resumed / "checkpoints" / "round_00001.json", resumed / "checkpoint.json")
+    checkpoint_recorder.rewind(out_dir, 1, to=resumed)
     assert cli.main(["resume", str(resumed)]) == 0
 
     assert len(outcomes) == 2
@@ -840,9 +842,9 @@ def assert_stopped_at_boundary(
     assert last["payload"]["reason"].startswith(f"{error}: ")
     checkpoint = load_checkpoint(run_dir / "checkpoint.json")
     assert (checkpoint.round_idx, checkpoint.finished) == (boundary, False)
-    assert events[checkpoint.events_seq - 1]["kind"] == "checkpoint"
-    archived = sorted(p.name for p in (run_dir / "checkpoints").iterdir())
-    assert archived[-1] == f"round_{boundary:05d}.json"
+    # the boundary's checkpoint event is the last one: nothing checkpointed mid-round
+    checkpoints = [e for e in events if e["kind"] == "checkpoint"]
+    assert (checkpoints[-1]["seq"], checkpoints[-1]["round"]) == (checkpoint.events_seq, boundary)
 
 
 def test_backend_exhaustion_checkpoints_then_raises(tmp_path):

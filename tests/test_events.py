@@ -304,7 +304,7 @@ def test_read_steps_names_a_malformed_event(tmp_path, line, message):
     assert len(read_steps(path, 1)) == 1  # lines past the limit are not checked
 
 
-def test_checkpoint_round_trip_and_archive(tmp_path):
+def test_checkpoint_round_trip(tmp_path):
     checkpoint = Checkpoint(
         round_idx=2,
         finished=False,
@@ -319,11 +319,9 @@ def test_checkpoint_round_trip_and_archive(tmp_path):
     assert write_checkpoint(tmp_path, checkpoint) == tmp_path / "checkpoint.json"
     loaded = load_checkpoint(tmp_path / "checkpoint.json")
     assert loaded == checkpoint
-    archived = load_checkpoint(tmp_path / "checkpoints" / "round_00002.json")
-    assert archived == checkpoint
-    # one compact encoding, written to both files
+    # one compact encoding, in one file: no temporary file or per-round copy is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
     written = (tmp_path / "checkpoint.json").read_bytes()
-    assert written == (tmp_path / "checkpoints" / "round_00002.json").read_bytes()
     assert b"\n" not in written and b", " not in written
     assert json.loads(written)["version"] == 3
 
