@@ -17,7 +17,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import BackendUnavailable, BadResponse, MalformedScript
 from .rng import pack_state, unpack_state
@@ -48,13 +48,18 @@ class CompletionResult:
     input_tokens: int
     output_tokens: int
     latency_ms: int
+    failed_attempts: int = 0  # the attempts that failed before this one
+
+
+_USAGE_KEYS = ("input_tokens", "output_tokens", "calls")
 
 
 class TokenLedger:
     """Thread-safe token totals per role and per backend.
 
-    Only the final successful attempt of a call contributes usage; failed
-    attempts are tallied separately so retries never double count.
+    Only the final successful attempt of a call contributes usage; its
+    failed attempts are tallied separately, per ``role/backend``, so
+    retries never double count.
     """
 
     def __init__(self) -> None:
@@ -65,7 +70,7 @@ class TokenLedger:
 
     @staticmethod
     def _bump(table: dict, key: str, result: CompletionResult) -> None:
-        row = table.setdefault(key, {"input_tokens": 0, "output_tokens": 0, "calls": 0})
+        row = table.setdefault(key, dict.fromkeys(_USAGE_KEYS, 0))
         row["input_tokens"] += result.input_tokens
         row["output_tokens"] += result.output_tokens
         row["calls"] += 1
@@ -74,50 +79,26 @@ class TokenLedger:
         with self._lock:
             self._bump(self.per_role, role, result)
             self._bump(self.per_backend, backend, result)
-
-    def record_failed_attempt(self, role: str, backend: str) -> None:
-        with self._lock:
-            key = f"{role}/{backend}"
-            self.failed_attempts[key] = self.failed_attempts.get(key, 0) + 1
+            if result.failed_attempts:
+                key = f"{role}/{backend}"
+                self.failed_attempts[key] = (
+                    self.failed_attempts.get(key, 0) + result.failed_attempts
+                )
 
     def report(self) -> dict:
         """Totals per role and per backend, plus the grand total."""
-        with self._lock:
-            def _totaled(table: dict) -> dict:
-                out = {}
-                for key, row in table.items():
-                    out[key] = dict(row)
-                    out[key]["total_tokens"] = row["input_tokens"] + row["output_tokens"]
-                return out
+        def totaled(row: dict) -> dict:
+            return {**row, "total_tokens": row["input_tokens"] + row["output_tokens"]}
 
-            total = {"input_tokens": 0, "output_tokens": 0, "calls": 0}
-            for row in self.per_role.values():
-                total["input_tokens"] += row["input_tokens"]
-                total["output_tokens"] += row["output_tokens"]
-                total["calls"] += row["calls"]
-            total["total_tokens"] = total["input_tokens"] + total["output_tokens"]
+        with self._lock:
+            rows = self.per_role.values()
+            total = {key: sum(row[key] for row in rows) for key in _USAGE_KEYS}
             return {
-                "per_role": _totaled(self.per_role),
-                "per_backend": _totaled(self.per_backend),
-                "total": total,
+                "per_role": {key: totaled(row) for key, row in self.per_role.items()},
+                "per_backend": {key: totaled(row) for key, row in self.per_backend.items()},
+                "total": totaled(total),
                 "failed_attempts": dict(self.failed_attempts),
             }
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "per_role": {k: dict(v) for k, v in self.per_role.items()},
-                "per_backend": {k: dict(v) for k, v in self.per_backend.items()},
-                "failed_attempts": dict(self.failed_attempts),
-            }
-
-    def restore(self, snap: dict) -> None:
-        with self._lock:
-            self.per_role = {k: dict(v) for k, v in snap.get("per_role", {}).items()}
-            self.per_backend = {
-                k: dict(v) for k, v in snap.get("per_backend", {}).items()
-            }
-            self.failed_attempts = dict(snap.get("failed_attempts", {}))
 
 
 def _stub_tokens(system: str, user: str, reply: str) -> tuple[int, int]:
@@ -304,13 +285,12 @@ def post_json(
     headers: Optional[dict[str, str]] = None,
     max_retries: int = MAX_RETRIES,
     retry_backoff_ms: int = RETRY_BACKOFF_MS,
-    on_failed_attempt: Optional[Callable[[], None]] = None,
 ):
-    """POST ``payload`` as JSON and return the 200 response.
+    """POST ``payload`` as JSON; the 200 response and the failed attempts before it.
 
     Transport errors and :data:`RETRYABLE_STATUS` are retried with exponential
-    backoff, each failure reported to ``on_failed_attempt``, and then raise
-    ``BackendUnavailable`` from the last error. Other statuses raise ``BadResponse``.
+    backoff, and then raise ``BackendUnavailable`` from the last error. Other
+    statuses raise ``BadResponse``.
     """
     import requests  # here, not at the top: it adds about 8 MB to peak RSS
 
@@ -324,14 +304,12 @@ def post_json(
             last_error = exc
         else:
             if response.status_code == 200:
-                return response
+                return response, attempt
             if response.status_code not in RETRYABLE_STATUS:
                 raise BadResponse(
                     f"HTTP {response.status_code} from {url}: {response.text[:200]}"
                 )
             last_error = BackendUnavailable(f"HTTP {response.status_code} from {url}")
-        if on_failed_attempt is not None:
-            on_failed_attempt()
     raise BackendUnavailable(
         f"gave up on {url} after {max_retries + 1} attempts: {last_error}"
     ) from last_error
@@ -353,7 +331,6 @@ class HttpBackend(Backend):
         max_retries: int = MAX_RETRIES,
         retry_backoff_ms: int = RETRY_BACKOFF_MS,
         timeout_s: float = 300.0,
-        ledger: Optional[TokenLedger] = None,
         name: Optional[str] = None,
     ):
         if not endpoint_url or not model_name:
@@ -364,7 +341,6 @@ class HttpBackend(Backend):
         self.max_retries = max_retries
         self.retry_backoff_ms = retry_backoff_ms
         self.timeout_s = timeout_s
-        self.ledger = ledger
         self.name = name or f"http:{model_name}"
 
     def _headers(self) -> dict[str, str]:
@@ -386,22 +362,18 @@ class HttpBackend(Backend):
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         start = time.monotonic()
-        response = post_json(
+        response, failed_attempts = post_json(
             self.endpoint_url,
             self._payload(request),
             self.timeout_s,
             headers=self._headers(),
             max_retries=self.max_retries,
             retry_backoff_ms=self.retry_backoff_ms,
-            on_failed_attempt=lambda: self._note_failure(request),
         )
-        return self._parse_body(response, int((time.monotonic() - start) * 1000))
+        latency_ms = int((time.monotonic() - start) * 1000)
+        return self._parse_body(response, latency_ms, failed_attempts)
 
-    def _note_failure(self, request: CompletionRequest) -> None:
-        if self.ledger is not None:
-            self.ledger.record_failed_attempt(request.agent_role, self.name)
-
-    def _parse_body(self, response, latency_ms: int) -> CompletionResult:
+    def _parse_body(self, response, latency_ms: int, failed_attempts: int) -> CompletionResult:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
@@ -419,6 +391,7 @@ class HttpBackend(Backend):
             input_tokens=int(usage.get("prompt_tokens", 0)),
             output_tokens=int(usage.get("completion_tokens", 0)),
             latency_ms=latency_ms,
+            failed_attempts=failed_attempts,
         )
 
 
@@ -433,7 +406,7 @@ class RoleSettings:
 
 
 class RoleRouter:
-    """Routes each agent role to its backend and books usage into the ledger.
+    """Routes each agent role to its backend and books each result into the ledger.
 
     Per-role routing is first-class: planning and exploration typically run
     on a stronger model while the many worker calls go to a cheaper one.

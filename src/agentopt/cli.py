@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import sys
@@ -27,7 +28,7 @@ from .core import Direction, History, PortfolioSpec, is_improvement
 from .distance import EditDistanceIndex
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
-from .errors import AgentOptError, ConfigError, CorruptCheckpoint
+from .errors import AgentOptError, ConfigError, CorruptCheckpoint, NoPlanFound, UnknownTask
 from .events import (
     CHECKPOINT_FILE,
     CONFIG_COPY_FILE,
@@ -44,6 +45,7 @@ from .events import (
     read_steps,
     resume_logs,
 )
+from .prompts import parse_planner_reply
 from .registry import TaskRegistry
 from .rng import RngHub
 
@@ -112,9 +114,10 @@ def _open_engine(
 ) -> tuple[Engine, TokenLedger]:
     """The oracle, router and engine of a run, resuming ``checkpoint`` if given.
 
-    A resume reads the checkpointed log prefixes and restores every piece of
-    state before it cuts the logs back to the checkpoint, so a damaged run
-    directory leaves both logs as they were.
+    A resume reads the checkpointed log prefixes, rebuilds the registry and
+    the ledger from their steps and restores the rest of the state before it
+    cuts the logs back to the checkpoint, so a damaged run directory leaves
+    both logs as they were.
     """
     ledger = TokenLedger()
     rng = RngHub(config.seed)
@@ -122,19 +125,18 @@ def _open_engine(
     router = build_router(config, ledger)
     events_path, history_path = run_dir / EVENTS_FILE, run_dir / HISTORY_FILE
     resume = checkpoint is not None
-    history = registry = init_plan = None
+    registry = TaskRegistry(config.domain.default_tasks, capacity=config.loop.registry_capacity)
+    history = init_plan = None
     if not resume:
         init_plan = build_init_plan(config, rng)
     else:
-        history, cut_logs = resume_logs(run_dir, checkpoint)
+        history, steps, cut_logs = resume_logs(run_dir, checkpoint)
+        fold_tokens(steps, ledger)
         try:
-            registry = TaskRegistry.restore(
-                checkpoint.registry, capacity=config.loop.registry_capacity
-            )
+            fold_registry(steps, registry, events_path)
             rng.restore(checkpoint.rng)
-            ledger.restore(checkpoint.ledger)
             router.restore(checkpoint.backends)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (UnknownTask, KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptCheckpoint(f"run state does not load: {exc!r}") from exc
         cut_logs()
     engine = Engine(
@@ -177,7 +179,7 @@ def _execute(
         return _open_failed(exc)
     started = time.monotonic()
     try:
-        if checkpoint is not None and checkpoint.finished:
+        if checkpoint is not None and checkpoint.stop_reason is not None:
             result = engine.result(checkpoint.stop_reason)
         else:
             result = engine.run()
@@ -215,7 +217,7 @@ def cmd_resume(args: argparse.Namespace, extras: list[str]) -> int:
     run_dir = Path(args.run_dir)
     try:
         checkpoint = load_checkpoint(run_dir / CHECKPOINT_FILE)
-        if checkpoint.finished and (run_dir / SUMMARY_FILE).exists():
+        if checkpoint.stop_reason is not None and (run_dir / SUMMARY_FILE).exists():
             print("run already finished; nothing to resume")
             return EXIT_OK
         config = validate_config(_read_run_config(run_dir / CONFIG_COPY_FILE))
@@ -307,18 +309,42 @@ def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
     return EXIT_OK
 
 
-def fold_tokens(steps: Steps) -> dict:
-    """The ``TokenLedger`` report of the agent calls among ``steps``."""
-    ledger = TokenLedger()
+def fold_tokens(steps: Steps, ledger: TokenLedger) -> TokenLedger:
+    """Record the agent calls among ``steps`` into ``ledger``, and return it."""
     for call in (step.call for step in steps if step.call is not None):
-        result = CompletionResult("", call["input_tokens"], call["output_tokens"], 0)
-        ledger.record(call["role"], call["backend"], result)
-    return ledger.report()
+        usage = call["input_tokens"], call["output_tokens"], 0, call.get("failed_attempts", 0)
+        ledger.record(call["role"], call["backend"], CompletionResult("", *usage))
+    return ledger
+
+
+def fold_registry(steps: Steps, registry: TaskRegistry, path: Path) -> None:
+    """Apply the plans and worker outcomes among ``steps`` to ``registry``; the
+    changes the plans make must be the ``registry_change`` events of the log at
+    ``path``, in order, or it is a ``CorruptCheckpoint`` naming the round."""
+    made, logged = [], []
+    for step in steps:
+        call, change = step.call or {}, step.events.get("registry_change")
+        if change is not None:
+            logged.append((step.round, change["op"], change["task"]))
+        elif call.get("role") == "planner":
+            try:
+                plan = parse_planner_reply(call["reply"])
+            except NoPlanFound:
+                plan = {}
+            made += [(step.round, c.op, c.name) for c in registry.apply_plan(plan)[1]]
+        elif "success" in call:
+            registry.record_outcome(call.get("task"), call["success"])
+    for ours, theirs in itertools.zip_longest(made, logged):
+        if ours != theirs:
+            raise CorruptCheckpoint(
+                f"{path}: round {(ours or theirs)[0]}: the plans make {ours}, the log has {theirs}"
+            )
 
 
 def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:
     # from events.jsonl alone, so killed runs without a summary report too
-    tokens = fold_tokens(read_steps(Path(args.run_dir) / EVENTS_FILE))  # main() reports errors
+    steps = read_steps(Path(args.run_dir) / EVENTS_FILE)  # main() reports errors
+    tokens = fold_tokens(steps, TokenLedger()).report()
     for section in ("per_role", "per_backend"):
         print(f"{section}:")
         for key, row in sorted(tokens[section].items()):
@@ -331,6 +357,10 @@ def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:
         f"total: in={total['input_tokens']} out={total['output_tokens']} "
         f"total={total['total_tokens']} calls={total['calls']}"
     )
+    if tokens["failed_attempts"]:
+        print("failed_attempts:")
+        for key, count in sorted(tokens["failed_attempts"].items()):
+            print(f"  {key}: {count}")
     return EXIT_OK
 
 

@@ -424,7 +424,7 @@ def build_oracle(cfg: dict) -> Oracle:
     raise ConfigError(f"oracle.kind: unknown kind {kind!r}")
 
 
-def _build_backend(config: RunConfig, slot: str, ledger: TokenLedger) -> Backend:
+def _build_backend(config: RunConfig, slot: str) -> Backend:
     """The backend of the entry ``backends.<slot>``; raises ConfigError."""
     cfg, at = config.raw, f"backends.{slot}"
     kind = _get(cfg, f"{at}.kind", None)
@@ -445,7 +445,6 @@ def _build_backend(config: RunConfig, slot: str, ledger: TokenLedger) -> Backend
                 max_retries=_number(cfg, f"{at}.max_retries", int, MAX_RETRIES),
                 retry_backoff_ms=_number(cfg, f"{at}.retry_backoff_ms", int, RETRY_BACKOFF_MS),
                 timeout_s=_number(cfg, f"{at}.timeout_s", float, 300.0),
-                ledger=ledger,
             )
     except (MalformedScript, ValueError) as exc:
         raise ConfigError(f"{at}: {exc}") from exc
@@ -454,9 +453,9 @@ def _build_backend(config: RunConfig, slot: str, ledger: TokenLedger) -> Backend
 
 def build_router(config: RunConfig, ledger: TokenLedger) -> RoleRouter:
     """The backends of the ``backends`` section, routed by role; raises ConfigError."""
-    default = _build_backend(config, "default", ledger)
+    default = _build_backend(config, "default")
     overrides = {
-        role: _build_backend(config, role, ledger)
+        role: _build_backend(config, role)
         for role in ROLES
         if _expect(config.raw, f"backends.{role}", dict, None)
     }

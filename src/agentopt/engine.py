@@ -175,9 +175,10 @@ class Engine:
     ) -> Iterator[tuple[CompletionResult, dict]]:
         """One agent call; its ``step`` event is written when the block exits.
 
-        The step holds the call, then ``fields``, then what the block adds
-        to it. A block that raises still writes its step, with what it holds
-        by then, before ``run`` logs the ``error``.
+        The step holds the call (its ``failed_attempts`` only when there were
+        any), then ``fields``, then what the block adds to it. A block that
+        raises still writes its step, with what it holds by then, before
+        ``run`` logs the ``error``.
         """
         result = self.router.complete(role, system, user)
         step = {
@@ -189,8 +190,10 @@ class Engine:
             "input_tokens": result.input_tokens,
             "output_tokens": result.output_tokens,
             "latency_ms": result.latency_ms,
-            **fields,
         }
+        if result.failed_attempts:
+            step["failed_attempts"] = result.failed_attempts
+        step.update(fields)
         try:
             yield result, step
         finally:
@@ -449,18 +452,10 @@ class Engine:
                     "stop_reason": stop_reason,
                 },
             )
-        finished = stop_reason is not None
-        self._emit("checkpoint", {"finished": finished})
+        self._emit("checkpoint", {"finished": stop_reason is not None})
         checkpoint = Checkpoint(
-            round_idx=self.round,
-            finished=finished,
-            history_len=len(self.history),
-            events_seq=self.events.last_seq,
-            registry=self.registry.snapshot(),
-            rng=self.rng.snapshot(),
-            ledger=self.router.ledger.snapshot(),
-            backends=self.router.state(),
-            stop_reason=stop_reason,
+            round_idx=self.round, events_seq=self.events.last_seq, stop_reason=stop_reason,
+            rng=self.rng.snapshot(), backends=self.router.state(),
         )
         write_checkpoint(self.run_dir, checkpoint)
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -37,7 +37,8 @@ EVENT_FIELDS: dict[str, dict[str, Any]] = {
 }
 # The payload fields, with their types, that only some events of a kind carry
 OPTIONAL_FIELDS: dict[str, dict[str, Any]] = {
-    "step": {"task": str, "trajectory": int, "parent": int, "rejected": dict, "success": bool},
+    "step": {"failed_attempts": int, "task": str, "trajectory": int, "parent": int,
+             "rejected": dict, "success": bool},
     "eval_batch": {"task": str},
 }
 
@@ -301,33 +302,29 @@ def load_history(path: Path, rows: Optional[list] = None) -> History:
     return history
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # Checkpoint's field annotations, which are strings in this module
-_FIELD_TYPES = {"int": int, "bool": bool, "dict": dict}
+_FIELD_TYPES = {"int": int, "dict": dict, "Optional[str]": (str, type(None))}
 
 
 @dataclass
 class Checkpoint:
-    """Resumable run state captured at a round boundary.
+    """What a round boundary holds that ``events.jsonl`` does not: the RNG
+    streams and the backends' states.
 
-    The JSON form is the fields by name plus ``version``; each stateful part
-    (registry, RNG streams, ledger, backends) stores its own snapshot.
+    The JSON form is the fields by name plus ``version``. The run finished
+    when it has a ``stop_reason``; the history, the task registry and the
+    token ledger are rebuilt from the first ``events_seq`` events.
     """
 
     round_idx: int
-    finished: bool
-    history_len: int
     events_seq: int
-    registry: dict
+    stop_reason: Optional[str]
     rng: dict
-    ledger: dict
     backends: dict
-    stop_reason: Optional[str] = None
 
     def to_json(self) -> dict:
-        out = {"version": CHECKPOINT_VERSION}
-        out.update((f.name, getattr(self, f.name)) for f in fields(self))
-        return out
+        return {"version": CHECKPOINT_VERSION, **asdict(self)}
 
     @classmethod
     def from_json(cls, payload: dict) -> "Checkpoint":
@@ -337,48 +334,47 @@ class Checkpoint:
                 f"checkpoint version {version} is not supported; this build "
                 f"resumes version {CHECKPOINT_VERSION} only"
             )
-        values = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
-        for f in fields(cls):
-            if not isinstance(values.get(f.name), _FIELD_TYPES.get(f.type, object)):
+        for f in fields(cls):  # a bool is an int to isinstance, never a field here
+            value = payload.get(f.name, ...)
+            typed = isinstance(value, _FIELD_TYPES[f.type]) and not isinstance(value, bool)
+            if not typed or (f.type == "int" and value < 0):
                 raise CorruptCheckpoint(f"checkpoint field {f.name} is not a {f.type}")
-        return cls(**values)
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 def write_checkpoint(run_dir: Path, checkpoint: Checkpoint) -> Path:
     """Write checkpoint.json atomically: a temporary file, then a rename."""
-    run_dir = Path(run_dir)
-    payload = json.dumps(
-        checkpoint.to_json(), ensure_ascii=False, separators=(",", ":")
-    ).encode("utf-8")
-    tmp = run_dir / (CHECKPOINT_FILE + ".tmp")
-    tmp.write_bytes(payload)
-    final = run_dir / CHECKPOINT_FILE
-    tmp.replace(final)
-    return final
+    payload = json.dumps(checkpoint.to_json(), ensure_ascii=False, separators=(",", ":"))
+    tmp = Path(run_dir) / (CHECKPOINT_FILE + ".tmp")
+    tmp.write_bytes(payload.encode("utf-8"))
+    return tmp.replace(Path(run_dir) / CHECKPOINT_FILE)
 
 
 def load_checkpoint(path: Path) -> Checkpoint:
     return Checkpoint.from_json(read_json(path))
 
 
-def resume_logs(run_dir: Path, checkpoint: Checkpoint) -> tuple[History, Callable[[], None]]:
-    """The history at ``checkpoint``, and the cut that trims both logs back to it.
+def resume_logs(
+    run_dir: Path, checkpoint: Checkpoint
+) -> tuple[History, Steps, Callable[[], None]]:
+    """The history and the steps at ``checkpoint``, and the cut of both logs to them.
 
-    Each log's checkpointed prefix is read once: the events through
-    ``read_steps``, and the rows must rebuild the history and equal its
-    ``eval_batch`` records. What the interrupted run wrote past the checkpoint
-    is not read. The cut truncates both files to those prefixes, byte-intact.
+    The first ``events_seq`` events are read once, through ``read_steps``, and
+    history.jsonl must begin with the rows of their ``eval_batch`` records; what
+    the interrupted run wrote past them is not read. The cut truncates both
+    files to those prefixes, byte-intact.
     """
     events_path, history_path = Path(run_dir) / EVENTS_FILE, Path(run_dir) / HISTORY_FILE
-    events = read_steps(events_path, checkpoint.events_seq)
-    rows = read_log(history_path, checkpoint.history_len)
+    steps = read_steps(events_path, checkpoint.events_seq)
+    records = steps.rows
+    rows = read_log(history_path, len(records))
     history = load_history(history_path, rows)
-    for lineno, (row, record) in enumerate(itertools.zip_longest(rows, events.rows), 1):
+    for lineno, (row, record) in enumerate(zip(rows, records), 1):
         if row != record:
             raise CorruptCheckpoint(f"{history_path} line {lineno}: not its eval_batch record")
 
     def cut() -> None:
-        os.truncate(events_path, events.size)
+        os.truncate(events_path, steps.size)
         os.truncate(history_path, rows.size)
 
-    return history, cut
+    return history, steps, cut

@@ -265,7 +265,7 @@ class HttpOracle(Oracle):
 
     def _score(self, canonical: str) -> float:
         try:
-            response = post_json(self.url, {"candidate": canonical}, self.timeout_s)
+            response, _ = post_json(self.url, {"candidate": canonical}, self.timeout_s)
         except (BackendUnavailable, BadResponse) as exc:
             import requests  # post_json has imported it already
             timed_out = isinstance(exc.__cause__, requests.Timeout)

@@ -174,28 +174,3 @@ class TaskRegistry:
             lines.append(f"{entry.name}: {preview}")
         return "\n".join(lines)
 
-    def snapshot(self) -> dict:
-        """Checkpoint form: name -> {text, attempts, successes, is_default}."""
-        return {
-            name: {
-                "text": e.text,
-                "attempts": e.attempts,
-                "successes": e.successes,
-                "is_default": e.is_default,
-            }
-            for name, e in self.entries.items()
-        }
-
-    @classmethod
-    def restore(cls, snap: dict, capacity: int = 20) -> "TaskRegistry":
-        defaults = [
-            (name, info["text"]) for name, info in snap.items() if info["is_default"]
-        ]
-        registry = cls(defaults, capacity=capacity)
-        for name, info in snap.items():
-            if not info["is_default"]:
-                registry.entries[name] = TaskEntry(name=name, text=info["text"])
-            entry = registry.entries[name]
-            entry.attempts = info["attempts"]
-            entry.successes = info["successes"]
-        return registry

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import threading
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 import agentopt.distance as distance_module
 import agentopt.engine as engine_module
 import agentopt.events as events_module
-from agentopt.cli import fold_tokens
+from agentopt.backends import TokenLedger
+from agentopt.cli import fold_tokens, main
 from agentopt.core import Candidate, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
 from agentopt.events import (
@@ -80,7 +83,8 @@ def write_script(path, replies: list[tuple[str, str]]) -> None:
 
 
 def assert_events_agree(run_dir: Path, tokens: Optional[dict] = None) -> None:
-    """The events of ``run_dir`` rebuild its history.jsonl and fold to its token totals.
+    """The events of ``run_dir`` rebuild its history.jsonl and fold to its token
+    report, failed attempts included, which ``token-report`` prints whole.
 
     ``tokens`` is the run's ``TokenLedger`` report, by default the one in its
     summary.json.
@@ -89,7 +93,37 @@ def assert_events_agree(run_dir: Path, tokens: Optional[dict] = None) -> None:
     assert steps.rows == read_log(run_dir / HISTORY_FILE)
     if tokens is None:
         tokens = json.loads((run_dir / SUMMARY_FILE).read_text(encoding="utf-8"))["tokens"]
-    assert fold_tokens(steps) == tokens
+    assert fold_tokens(steps, TokenLedger()).report() == tokens
+    assert token_report(run_dir) == render_token_report(tokens)
+
+
+def token_report(run_dir: Path) -> str:
+    """What ``agentopt token-report`` prints for ``run_dir``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["token-report", str(run_dir)]) == 0
+    return out.getvalue()
+
+
+def render_token_report(tokens: dict) -> str:
+    """The lines ``token-report`` prints for a ``TokenLedger`` report, written
+    out here from the report's fields."""
+
+    def usage(row: dict) -> str:
+        return (
+            f"in={row['input_tokens']} out={row['output_tokens']} "
+            f"total={row['total_tokens']} calls={row['calls']}"
+        )
+
+    lines = []
+    for section in ("per_role", "per_backend"):
+        lines.append(f"{section}:")
+        lines += [f"  {key}: {usage(row)}" for key, row in sorted(tokens[section].items())]
+    lines.append(f"total: {usage(tokens['total'])}")
+    if tokens["failed_attempts"]:
+        lines.append("failed_attempts:")
+        lines += [f"  {key}: {n}" for key, n in sorted(tokens["failed_attempts"].items())]
+    return "\n".join(lines) + "\n"
 
 
 def long_text(alphabet: str, max_size: int = 150) -> st.SearchStrategy[str]:

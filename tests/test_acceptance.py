@@ -602,7 +602,7 @@ def test_replay_determinism(tmp_path, checkpoint_recorder):
     checkpoints = checkpoint_recorder.rounds(baseline_dir)
     assert len(checkpoints) >= 3  # rounds 0..2 at least
     for round_idx, data in sorted(checkpoints.items()):
-        if json.loads(data)["finished"]:
+        if json.loads(data)["stop_reason"] is not None:  # finished
             continue
         variant = tmp_path / f"variant_round_{round_idx:05d}"
         shutil.copytree(baseline_dir, variant)

@@ -173,14 +173,17 @@ def test_ledger_role_partition_sums_to_total(calls):
     assert report["total"]["input_tokens"] == sum(c[1] for c in calls)
     assert report["total"]["output_tokens"] == sum(c[2] for c in calls)
 
-
-def test_ledger_snapshot_round_trip():
+def test_ledger_books_failed_attempts_per_role_and_backend():
     ledger = TokenLedger()
-    ledger.record("worker", "b", CompletionResult("x", 5, 7, 0))
-    ledger.record_failed_attempt("worker", "b")
-    restored = TokenLedger()
-    restored.restore(ledger.snapshot())
-    assert restored.report() == ledger.report()
+    ledger.record("worker", "b", CompletionResult("x", 5, 7, 0, failed_attempts=2))
+    ledger.record("worker", "b", CompletionResult("x", 1, 1, 0))
+    ledger.record("planner", "b", CompletionResult("x", 1, 1, 0, failed_attempts=1))
+    report = ledger.report()
+    assert report["failed_attempts"] == {"worker/b": 2, "planner/b": 1}
+    assert report["per_role"]["worker"] == {
+        "input_tokens": 6, "output_tokens": 8, "calls": 2, "total_tokens": 14
+    }
+    assert TokenLedger().report()["failed_attempts"] == {}
 
 
 # -- retry state machine -----------------------------------------------------------
@@ -229,20 +232,16 @@ def flaky_server():
 
 def test_http_retries_through_429_then_succeeds(flaky_server):
     FlakyHandler.statuses = [429, 429]
-    ledger = TokenLedger()
-    backend = HttpBackend(
-        flaky_server,
-        "test-model",
-        max_retries=3,
-        retry_backoff_ms=1,
-        ledger=ledger,
-    )
+    backend = HttpBackend(flaky_server, "test-model", max_retries=3, retry_backoff_ms=1)
     result = backend.complete(req())
     assert result.text == "pong"
     assert (result.input_tokens, result.output_tokens) == (11, 3)
     assert result.latency_ms >= 0
-    assert sum(ledger.report()["failed_attempts"].values()) == 2
+    assert result.failed_attempts == 2
     assert len(FlakyHandler.seen) == 3
+    FlakyHandler.statuses = []
+    assert backend.complete(req()).failed_attempts == 0
+
 
 
 def test_http_gives_up_after_retries(flaky_server):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from agentopt.events import EVENTS_FILE, HISTORY_FILE, load_checkpoint
+from agentopt.events import EVENTS_FILE, HISTORY_FILE, load_checkpoint, read_log
 
 from .conftest import assert_events_agree
 
@@ -46,7 +46,8 @@ def test_benchmark_workload_runs_to_budget(tmp_path, workload):
     ]
     assert ledger.report()["total"]["calls"] > 0
     checkpoint = load_checkpoint(tmp_path / "checkpoint.json")
-    assert checkpoint.finished and checkpoint.history_len == 150
+    assert checkpoint.stop_reason == "budget"
+    assert checkpoint.events_seq == len(read_log(tmp_path / EVENTS_FILE))
     assert_events_agree(tmp_path, ledger.report())
     # the benchmark's own checks, with its own rebuild of the history
     checked = {"budget": 150, "evals": 150, "stop_reason": result.stop_reason}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from agentopt.backends import MutatorBackend
 from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
@@ -24,6 +26,7 @@ from agentopt.rng import RngHub
 from .conftest import (
     Killed,
     assert_events_agree,
+    candidates_reply,
     diverse_init,
     multi_round_replies,
     write_script,
@@ -766,12 +769,11 @@ def test_resume_after_a_kill_at_every_write(tmp_path, capsys, write_killer):
     [
         lambda cp: cp["rng"].update(context_offset=[1, 2]),
         lambda cp: cp["rng"]["context_offset"].update(words="AAAAAAAAAAA="),
-        lambda cp: cp["registry"]["SIMILAR"].pop("attempts"),
-        lambda cp: cp["ledger"].update(per_role=5),
+        lambda cp: cp.update(stop_reason=5),
         lambda cp: cp["backends"]["default"].update(words="AAAA"),
         lambda cp: cp["backends"].clear(),
     ],
-    ids=["rng-list", "rng-two-words", "registry-attempts", "ledger", "mutator", "backends"],
+    ids=["rng-list", "rng-two-words", "stop-reason", "mutator", "backends"],
 )
 def test_resume_malformed_checkpoint_leaves_logs_untouched(
     tmp_path, capsys, checkpoint_recorder, tamper
@@ -785,6 +787,146 @@ def test_resume_malformed_checkpoint_leaves_logs_untouched(
     assert main(["resume", str(out)]) == 2
     assert "error[CorruptCheckpoint]" in capsys.readouterr().err
     assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+def test_resume_finished_run_with_a_bad_stop_reason_is_corrupt(tmp_path, capsys):
+    # a finished run without its summary would write the bad reason into a new one
+    assert main(["run", "--config", str(mutator_run_config(tmp_path, budget=150))]) == 0
+    out = tmp_path / "out"
+    (out / "summary.json").unlink()
+    checkpoint = json.loads((out / "checkpoint.json").read_text(encoding="utf-8"))
+    (out / "checkpoint.json").write_text(json.dumps({**checkpoint, "stop_reason": 5}))
+    logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert "error[CorruptCheckpoint]: checkpoint field stop_reason" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+    assert not (out / "summary.json").exists()
+
+
+def planner_changes_script() -> list[tuple[str, str]]:
+    """Five rounds whose plans add, replace and evict tasks, under a count-of-A
+    oracle, ``loop.max_fails: 1``, ``seeds_m: 1`` and ``registry_capacity: 4``.
+
+    Per round: one explorer batch that does not improve, one plan, then one
+    worker trajectory per task to run. The first trajectory's first move
+    improves, so it takes a second call that fails; every other trajectory
+    fails at once. Two evaluations land per round.
+    """
+    plans = [
+        '{"ALPHA": "TASK: alpha.", "SIMILAR": "USE_EXISTING"}',  # add ALPHA
+        '{"alpha": "TASK: alpha, rewritten.", "EXPLORE": "USE_EXISTING"}',  # replace it
+        '{"BETA": "TASK: beta."}',  # add BETA, evict ALPHA
+        "no plan in this reply",  # the defaults run
+        # add ALPHA again, which evicts BETA, so BETA does not run
+        '{"ALPHA": "TASK: alpha again.", "BETA": "USE_EXISTING"}',
+    ]
+    tasks_run = [2, 2, 1, 3, 1]
+    replies: list[tuple[str, str]] = []
+    for r, (plan, n_tasks) in enumerate(zip(plans, tasks_run), start=1):
+        replies.append(("explorer", candidates_reply([f"Z{r}"])))
+        replies.append(("planner", plan))
+        replies.append(("worker", candidates_reply(["A" * (r + 1) + "Q"])))
+        replies += [("worker", "no json in this reply")] * n_tasks
+    return replies
+
+
+def test_resume_replays_planner_changes_from_every_round(
+    tmp_path, capsys, checkpoint_recorder
+):
+    config = yaml.safe_load(scripted_run_config(tmp_path).read_text())
+    write_script(tmp_path / "script.jsonl", planner_changes_script())
+    config["objective"]["budget"] = 10 + 2 * 5
+    config["loop"] = {"max_fails": 1, "seeds_m": 1, "registry_capacity": 4}
+    assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
+    reference = tmp_path / "out"
+    changes = [
+        (event["round"], event["payload"]["op"], event["payload"]["task"])
+        for event in read_log(reference / "events.jsonl")
+        if event["kind"] == "registry_change"
+    ]
+    assert changes == [
+        (1, "add", "ALPHA"), (2, "replace", "ALPHA"), (3, "add", "BETA"),
+        (3, "evict", "ALPHA"), (5, "add", "ALPHA"), (5, "evict", "BETA"),
+    ]
+    tasks_run = [
+        (step.round, step.call["task"])
+        for step in read_steps(reference / "events.jsonl")
+        if step.call is not None and step.call.get("trajectory") == 0
+    ]
+    assert list(dict.fromkeys(tasks_run)) == [
+        (1, "ALPHA"), (2, "ALPHA"), (3, "BETA"), (4, "SIMILAR"), (5, "ALPHA")
+    ]
+    rounds = sorted(checkpoint_recorder.rounds(reference))
+    assert rounds == [0, 1, 2, 3, 4, 5]
+    for round_idx in rounds:
+        variant = tmp_path / f"round_{round_idx}"
+        shutil.copytree(reference, variant)
+        checkpoint_recorder.rewind(reference, round_idx, to=variant)
+        (variant / "summary.json").unlink()
+        assert main(["resume", str(variant)]) == 0, f"resume from round {round_idx}"
+        assert (variant / "history.jsonl").read_bytes() == (
+            reference / "history.jsonl"
+        ).read_bytes(), f"history diverged after resuming round {round_idx}"
+        assert events_without_ts(variant / "events.jsonl") == events_without_ts(
+            reference / "events.jsonl"
+        ), f"events diverged after resuming round {round_idx}"
+        assert summary_without_wall_time(variant) == summary_without_wall_time(reference)
+        assert_events_agree(variant)
+
+    # a registry_change the plans do not make: refused before anything is cut
+    out = tmp_path / "round_4"
+    checkpoint_recorder.rewind(reference, 4, to=out)
+    index = next(
+        i for i, event in enumerate(read_log(out / "events.jsonl"))
+        if event["kind"] == "registry_change" and event["round"] == 3
+    )
+    edit_line(out / "events.jsonl", index, lambda event: event["payload"].update(task="GAMMA"))
+    logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"error[CorruptCheckpoint]: {out / 'events.jsonl'}: round 3: " in (
+        capsys.readouterr().err
+    )
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+def test_failed_attempts_are_logged_and_survive_a_resume(
+    tmp_path, capsys, monkeypatch, checkpoint_recorder
+):
+    # a stand-in for a backend that retried: some calls report failed attempts
+    complete = MutatorBackend.complete
+
+    def retried(self, request):
+        result = complete(self, request)
+        return dataclasses.replace(result, failed_attempts=len(request.user) % 3)
+
+    monkeypatch.setattr(MutatorBackend, "complete", retried)
+    reference = mutator_rounds_run(tmp_path)
+    calls = [step.call for step in read_steps(reference / "events.jsonl") if step.call]
+    counts = [call.get("failed_attempts", 0) for call in calls]
+    assert 0 in counts and max(counts) == 2
+    assert all(call["failed_attempts"] for call in calls if "failed_attempts" in call)
+    summary = json.loads((reference / "summary.json").read_text(encoding="utf-8"))
+    failed = summary["tokens"]["failed_attempts"]
+    assert sum(failed.values()) == sum(counts) and set(failed) <= {
+        "explorer/mutator", "planner/mutator", "worker/mutator"
+    }
+    assert_events_agree(reference)
+    capsys.readouterr()
+    assert main(["token-report", str(reference)]) == 0
+    assert "failed_attempts:\n  explorer/mutator: " in capsys.readouterr().out
+
+    variant = tmp_path / "round_1"
+    shutil.copytree(reference, variant)
+    checkpoint_recorder.rewind(reference, 1, to=variant)
+    (variant / "summary.json").unlink()
+    assert main(["resume", str(variant)]) == 0
+    assert summary_without_wall_time(variant) == summary_without_wall_time(reference)
+    assert events_without_ts(variant / "events.jsonl") == events_without_ts(
+        reference / "events.jsonl"
+    )
+    assert_events_agree(variant)
 
 
 def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys, checkpoint_recorder):

@@ -841,10 +841,16 @@ def assert_stopped_at_boundary(
     assert (last["kind"], last["round"], last["phase"]) == ("error", round_idx, phase)
     assert last["payload"]["reason"].startswith(f"{error}: ")
     checkpoint = load_checkpoint(run_dir / "checkpoint.json")
-    assert (checkpoint.round_idx, checkpoint.finished) == (boundary, False)
+    assert (checkpoint.round_idx, checkpoint.stop_reason) == (boundary, None)
     # the boundary's checkpoint event is the last one: nothing checkpointed mid-round
     checkpoints = [e for e in events if e["kind"] == "checkpoint"]
     assert (checkpoints[-1]["seq"], checkpoints[-1]["round"]) == (checkpoint.events_seq, boundary)
+
+
+def rows_at_checkpoint(run_dir: Path) -> int:
+    """The history rows in the events that ``checkpoint.json`` keeps."""
+    checkpoint = load_checkpoint(run_dir / "checkpoint.json")
+    return len(read_steps(run_dir / "events.jsonl", checkpoint.events_seq).rows)
 
 
 def test_backend_exhaustion_checkpoints_then_raises(tmp_path):
@@ -856,7 +862,7 @@ def test_backend_exhaustion_checkpoints_then_raises(tmp_path):
     assert_stopped_at_boundary(
         tmp_path, "BackendUnavailable", round_idx=1, phase="explorer", boundary=0
     )
-    assert load_checkpoint(tmp_path / "checkpoint.json").history_len == 1
+    assert rows_at_checkpoint(tmp_path) == 1
 
 
 def test_oracle_failure_mid_round_keeps_previous_boundary(tmp_path):
@@ -870,7 +876,7 @@ def test_oracle_failure_mid_round_keeps_previous_boundary(tmp_path):
     assert_stopped_at_boundary(
         tmp_path, "OracleFailure", round_idx=2, phase="explorer", boundary=1
     )
-    assert load_checkpoint(tmp_path / "checkpoint.json").history_len == 14
+    assert rows_at_checkpoint(tmp_path) == 14
 
 
 def test_bad_response_logs_error_event(tmp_path):
@@ -907,7 +913,9 @@ def failed_call(run_dir: Path, ledger: TokenLedger, role: str) -> dict:
     """
     events = read_log(run_dir / "events.jsonl")
     assert [e["kind"] for e in events[-2:]] == ["step", "error"]
-    assert fold_tokens(read_steps(run_dir / "events.jsonl")) == ledger.report()
+    assert fold_tokens(read_steps(run_dir / "events.jsonl"), TokenLedger()).report() == (
+        ledger.report()
+    )
     step = events[-2]["payload"]
     assert step["role"] == role
     return step

@@ -167,16 +167,17 @@ def write_logs(run_dir, events: bytes, n_history: int = 0) -> None:
     )
 
 
-def at(events_seq: int, history_len: int = 0) -> Checkpoint:
-    return Checkpoint(1, False, history_len, events_seq, {}, {}, {}, {})
+def at(events_seq: int) -> Checkpoint:
+    return Checkpoint(1, events_seq, None, {}, {})
 
 
 def test_resume_cut_keeps_prefix_bytes(tmp_path):
     lines = [batch(1, history_rows(2))] + [event(i) for i in range(2, 6)]
     write_logs(tmp_path, b"".join(lines), n_history=4)
     history_lines = (tmp_path / "history.jsonl").read_bytes().splitlines(keepends=True)
-    history, cut = resume_logs(tmp_path, at(3, history_len=2))
+    history, steps, cut = resume_logs(tmp_path, at(3))
     assert [r.candidate.canonical for r in history.records] == ["C1", "C2"]
+    assert len(steps) == 3 and steps.rows == history_rows(2)
     assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines)  # not cut yet
     cut()
     assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines[:3])
@@ -188,9 +189,9 @@ def test_read_log_beyond_length_is_corrupt(tmp_path):
     path.write_text('{"seq": 1}\n', encoding="utf-8")
     with pytest.raises(CorruptCheckpoint, match="1 complete lines, checkpoint expects 5"):
         read_log(path, 5)
-    write_logs(tmp_path, batch(1, history_rows(1)), n_history=1)
+    write_logs(tmp_path, batch(1, history_rows(2)), n_history=1)
     with pytest.raises(CorruptCheckpoint, match="history.jsonl has 1 complete lines"):
-        resume_logs(tmp_path, at(1, history_len=2))
+        resume_logs(tmp_path, at(1))
 
 
 def test_resume_seq_gap_is_corrupt(tmp_path):
@@ -307,13 +308,9 @@ def test_read_steps_names_a_malformed_event(tmp_path, line, message):
 def test_checkpoint_round_trip(tmp_path):
     checkpoint = Checkpoint(
         round_idx=2,
-        finished=False,
-        history_len=14,
         events_seq=40,
-        registry={"SIMILAR": {"text": "t", "attempts": 1, "successes": 0,
-                              "is_default": True}},
+        stop_reason=None,
         rng={},
-        ledger={},
         backends={"default": {"explorer": 4, "planner": 1, "worker": 9}},
     )
     assert write_checkpoint(tmp_path, checkpoint) == tmp_path / "checkpoint.json"
@@ -323,7 +320,10 @@ def test_checkpoint_round_trip(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
     written = (tmp_path / "checkpoint.json").read_bytes()
     assert b"\n" not in written and b", " not in written
-    assert json.loads(written)["version"] == 3
+    assert list(json.loads(written)) == [
+        "version", "round_idx", "events_seq", "stop_reason", "rng", "backends"
+    ]
+    assert json.loads(written)["version"] == 4
 
 
 def test_load_checkpoint_garbage_is_corrupt(tmp_path):
@@ -351,21 +351,35 @@ def test_version_1_checkpoint_is_refused_by_version(tmp_path):
         load_checkpoint(path)
 
 
+# Version 3 fields: version 2 has the same ones, and its log holds agent_call events
+V3 = {"round_idx": 2, "finished": False, "history_len": 14, "events_seq": 40,
+      "registry": {}, "rng": {}, "ledger": {}, "backends": {}, "stop_reason": None}
+
+
 def test_version_2_checkpoint_is_refused_by_version(tmp_path):
-    # version 2 has the fields of version 3; its log holds agent_call events
-    v2 = {**Checkpoint(2, False, 14, 40, {}, {}, {}, {}).to_json(), "version": 2}
     path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(v2), encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint, match="version 2 is not supported.*version 3 only"):
+    path.write_text(json.dumps({"version": 2, **V3}), encoding="utf-8")
+    with pytest.raises(CorruptCheckpoint, match="version 2 is not supported.*version 4 only"):
+        load_checkpoint(path)
+
+
+def test_version_3_checkpoint_is_refused_by_version(tmp_path):
+    # version 3 also stored the registry, the ledger and the history length
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps({"version": 3, **V3}), encoding="utf-8")
+    with pytest.raises(CorruptCheckpoint, match="version 3 is not supported.*version 4 only"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("events_seq", "40"), ("finished", None), ("registry", []), ("history_len", ...)],
+    [
+        ("events_seq", "40"), ("stop_reason", 5), ("rng", []), ("round_idx", ...),
+        ("round_idx", True), ("events_seq", -1),
+    ],
 )
 def test_checkpoint_field_of_wrong_type_is_corrupt(tmp_path, field, value):
-    checkpoint = Checkpoint(2, False, 14, 40, {}, {}, {}, {})
+    checkpoint = Checkpoint(2, 40, None, {}, {})
     write_checkpoint(tmp_path, checkpoint)
     payload = json.loads((tmp_path / "checkpoint.json").read_text())
     payload[field] = value

@@ -329,13 +329,24 @@ PLAN_VALUES = st.sampled_from(
 )
 
 
-def entry(text: str, successes: int, failures: int, is_default: bool) -> dict:
-    return {
-        "text": text,
-        "attempts": successes + failures,
-        "successes": successes,
-        "is_default": is_default,
-    }
+def registry_holding(
+    defaults: list[str], extras: list[tuple[str, int, int]], capacity: int
+) -> TaskRegistry:
+    """The defaults, then each extra ``(name, successes, failures)`` with its stats."""
+    registry = TaskRegistry([(name, f"TASK: {name}") for name in defaults], capacity=capacity)
+    for name, successes, failures in extras:
+        if name not in registry:
+            registry.entries[name] = TaskEntry(
+                name=name, text="TASK: extra", attempts=successes + failures, successes=successes
+            )
+    return registry
+
+
+def entries(registry: TaskRegistry) -> list[tuple]:
+    return [
+        (e.name, e.text, e.attempts, e.successes, e.is_default)
+        for e in registry.entries.values()
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,17 +363,14 @@ def entry(text: str, successes: int, failures: int, is_default: bool) -> dict:
 def test_apply_plan_matches_the_old_parse_then_apply_pipeline(
     defaults, capacity, extras, plan
 ):
-    snap = {name: entry(f"TASK: {name}", 0, 0, True) for name in defaults}
-    for name, successes, failures in extras[: capacity - 3]:
-        snap.setdefault(name, entry("TASK: extra", successes, failures, False))
     plan = dict(plan)  # as JSON decodes it: a repeated key keeps its first place
-    registry = TaskRegistry.restore(snap, capacity=capacity)
-    reference = TaskRegistry.restore(snap, capacity=capacity)
+    registry = registry_holding(defaults, extras[: capacity - 3], capacity)
+    reference = registry_holding(defaults, extras[: capacity - 3], capacity)
     work, changes = registry.apply_plan(plan)
     want_work, want_changes = reference_apply(reference, plan)
     assert [e.name for e in work] == want_work
     assert [(c.op, c.name) for c in changes] == want_changes
-    assert registry.snapshot() == reference.snapshot()
+    assert entries(registry) == entries(reference)
 
 
 # -- invariants -------------------------------------------------------------------
@@ -393,14 +401,3 @@ def test_random_operation_sequences_preserve_invariants(ops):
         assert {"SIMILAR", "EXPLORE", "SHUFFLE"} <= set(registry.entries)
         for entry in registry.entries.values():
             assert entry.successes <= entry.attempts
-
-
-def test_snapshot_restore_round_trip():
-    registry = small_registry()
-    registry.add_task("EXTRA", "TASK: extra")
-    registry.record_outcome("EXTRA", True)
-    registry.record_outcome("SIMILAR", False)
-    snap = registry.snapshot()
-    restored = TaskRegistry.restore(snap, capacity=registry.capacity)
-    assert restored.snapshot() == snap
-    assert list(restored.entries) == list(registry.entries)
