@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BackendUnavailable, BadResponse, MalformedScript
-from .rng import pack_state, unpack_state
+from .events import Replay
 
 logger = logging.getLogger(__name__)
 
@@ -108,20 +108,40 @@ def _stub_tokens(system: str, user: str, reply: str) -> tuple[int, int]:
     return input_tokens, max(1, len(reply.split()))
 
 
+def token_counts(usage, keys: tuple[str, str], defaults: tuple[int, int]) -> list[int]:
+    """The two token counts of ``usage``; a missing or null one takes its default,
+    and anything but an object of non-negative ints (no bool) is ``BadResponse``."""
+    if not isinstance(usage, (dict, type(None))):
+        raise BadResponse(f"usage {usage!r} is not an object")
+    counts = [(usage or {}).get(key) for key in keys]
+    for key, count in zip(keys, counts):
+        if count is not None and (type(count) is not int or count < 0):
+            raise BadResponse(f"usage {key} is {count!r}, not a token count")
+    return [default if count is None else count for count, default in zip(counts, defaults)]
+
+
 class Backend:
     """Abstract chat completion: (system, user) in, reply plus usage out."""
 
     name = "backend"
+    replayed = False  # whether a resume answers from the logged steps, not asks again
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         raise NotImplementedError
 
-    def state(self) -> dict:
-        """What a checkpoint stores to resume this backend (nothing by default)."""
-        return {}
 
-    def restore(self, state: dict) -> None:
-        """Take up the state :meth:`state` returned (a no-op by default)."""
+class ReplayBackend(Backend):
+    """Answers each call from its logged step while ``replay`` lasts, then asks ``live``."""
+
+    def __init__(self, live: Backend, replay: Replay):
+        self.live, self.replay, self.name = live, replay, live.name
+
+    def complete(self, request: CompletionRequest) -> CompletionResult:
+        call = self.replay.logged("step")
+        if call is None:
+            return self.live.complete(request)
+        usage = [call[key] for key in ("input_tokens", "output_tokens", "latency_ms")]
+        return CompletionResult(call["reply"], *usage, call.get("failed_attempts", 0))
 
 
 class ScriptedBackend(Backend):
@@ -158,20 +178,9 @@ class ScriptedBackend(Backend):
             entry = queue[cursor]
             self._cursor[role] = cursor + 1
         reply = entry["reply"]
-        usage = entry.get("usage", {})
-        default_in, default_out = _stub_tokens(request.system, request.user, reply)
-        return CompletionResult(
-            text=reply,
-            input_tokens=int(usage.get("input_tokens", default_in)),
-            output_tokens=int(usage.get("output_tokens", default_out)),
-            latency_ms=0,
-        )
-
-    def state(self) -> dict:
-        return dict(self._cursor)
-
-    def restore(self, state: dict) -> None:
-        self._cursor = {role: int(state[role]) for role in ROLES}
+        defaults = _stub_tokens(request.system, request.user, reply)
+        usage = token_counts(entry.get("usage"), ("input_tokens", "output_tokens"), defaults)
+        return CompletionResult(reply, *usage, latency_ms=0)
 
 
 def scripted_load(path: Path) -> ScriptedBackend:
@@ -194,6 +203,11 @@ def scripted_load(path: Path) -> ScriptedBackend:
             json.dumps(entry, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise MalformedScript(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+        try:
+            if isinstance(entry, dict):
+                token_counts(entry.get("usage"), ("input_tokens", "output_tokens"), (0, 0))
+        except BadResponse as exc:
+            raise MalformedScript(f"{path}:{lineno}: {exc}") from exc
         entries.append(entry)
     if not entries:
         raise MalformedScript(f"script {path} is empty")
@@ -247,12 +261,6 @@ class MutatorBackend(Backend):
                 reply = self._propose(text)
         input_tokens, output_tokens = _stub_tokens(request.system, request.user, reply)
         return CompletionResult(reply, input_tokens, output_tokens, latency_ms=0)
-
-    def state(self) -> dict:
-        return pack_state(self._rng)
-
-    def restore(self, state: dict) -> None:
-        self._rng = unpack_state(state)
 
     def _plan(self, text: str) -> str:
         # reuse task names visible in the prompt's registry blocks; unknown
@@ -323,6 +331,8 @@ class HttpBackend(Backend):
     the config, never from config values themselves.
     """
 
+    replayed = True
+
     def __init__(
         self,
         endpoint_url: str,
@@ -385,14 +395,8 @@ class HttpBackend(Backend):
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise BadResponse(f"completion content is not UTF-8 text: {exc}") from exc
-        usage = body.get("usage") or {}
-        return CompletionResult(
-            text=text,
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", 0)),
-            latency_ms=latency_ms,
-            failed_attempts=failed_attempts,
-        )
+        usage = token_counts(body.get("usage"), ("prompt_tokens", "completion_tokens"), (0, 0))
+        return CompletionResult(text, *usage, latency_ms, failed_attempts)
 
 
 @dataclass
@@ -428,7 +432,8 @@ class RoleRouter:
         return self._overrides.get(role, self._default)
 
     def backends(self) -> list[Backend]:
-        return list(self._slots().values())
+        """Each distinct backend once: the default, then the other overrides."""
+        return list(dict.fromkeys([self._default, *self._overrides.values()]))
 
     def complete(self, role: str, system: str, user: str) -> CompletionResult:
         settings = self._settings.get(role, RoleSettings())
@@ -444,18 +449,8 @@ class RoleRouter:
         self.ledger.record(role, backend.name, result)
         return result
 
-    def _slots(self) -> dict[str, Backend]:
-        # the default plus every distinct override, keyed by where the config
-        # puts it: two backends of one kind share a name, never a slot
-        slots = {"default": self._default}
-        for role, backend in self._overrides.items():
-            if backend not in slots.values():
-                slots[role] = backend
-        return slots
-
-    def state(self) -> dict[str, dict]:
-        return {slot: backend.state() for slot, backend in self._slots().items()}
-
-    def restore(self, state: dict[str, dict]) -> None:
-        for slot, backend in self._slots().items():
-            backend.restore(state[slot])
+    def replaying(self, replay: Replay) -> None:
+        """Answer the calls of each ``replayed`` backend from ``replay`` until it is over."""
+        stand_in = lambda b: ReplayBackend(b, replay) if b.replayed else b
+        self._default = stand_in(self._default)
+        self._overrides = {role: stand_in(b) for role, b in self._overrides.items()}

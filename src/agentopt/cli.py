@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import logging
 import sys
@@ -28,7 +27,7 @@ from .core import Direction, History, PortfolioSpec, is_improvement
 from .distance import EditDistanceIndex
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
-from .errors import AgentOptError, ConfigError, CorruptCheckpoint, NoPlanFound, UnknownTask
+from .errors import AgentOptError, ConfigError, CorruptCheckpoint
 from .events import (
     CHECKPOINT_FILE,
     CONFIG_COPY_FILE,
@@ -38,15 +37,14 @@ from .events import (
     Checkpoint,
     EventLog,
     HistoryLog,
+    Replay,
     Steps,
     load_checkpoint,
     load_history,
     read_json,
     read_steps,
-    resume_logs,
 )
-from .prompts import parse_planner_reply
-from .registry import TaskRegistry
+from .oracles import ReplayOracle
 from .rng import RngHub
 
 logger = logging.getLogger(__name__)
@@ -114,31 +112,20 @@ def _open_engine(
 ) -> tuple[Engine, TokenLedger]:
     """The oracle, router and engine of a run, resuming ``checkpoint`` if given.
 
-    A resume reads the checkpointed log prefixes, rebuilds the registry and
-    the ledger from their steps and restores the rest of the state before it
-    cuts the logs back to the checkpoint, so a damaged run directory leaves
-    both logs as they were.
+    A resume builds the engine that ``run`` builds and re-runs it against the
+    logs up to the checkpoint, a ``Replay``: the oracle and the ``replayed``
+    backends answer from them, and the logs stay as they were until the
+    first line past the checkpoint.
     """
     ledger = TokenLedger()
     rng = RngHub(config.seed)
     oracle = build_oracle(config.raw)
     router = build_router(config, ledger)
-    events_path, history_path = run_dir / EVENTS_FILE, run_dir / HISTORY_FILE
-    resume = checkpoint is not None
-    registry = TaskRegistry(config.domain.default_tasks, capacity=config.loop.registry_capacity)
-    history = init_plan = None
-    if not resume:
-        init_plan = build_init_plan(config, rng)
-    else:
-        history, steps, cut_logs = resume_logs(run_dir, checkpoint)
-        fold_tokens(steps, ledger)
-        try:
-            fold_registry(steps, registry, events_path)
-            rng.restore(checkpoint.rng)
-            router.restore(checkpoint.backends)
-        except (UnknownTask, KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CorruptCheckpoint(f"run state does not load: {exc!r}") from exc
-        cut_logs()
+    replay = None
+    if checkpoint is not None:
+        replay = Replay(run_dir, checkpoint)
+        oracle = ReplayOracle(oracle, replay)
+        router.replaying(replay)
     engine = Engine(
         domain=config.domain,
         objective=config.objective,
@@ -146,16 +133,11 @@ def _open_engine(
         router=router,
         oracle=oracle,
         constraint=config.constraint,
-        init_plan=init_plan,
+        init_plan=build_init_plan(config, rng),
         rng=rng,
         run_dir=run_dir,
-        event_log=EventLog(
-            events_path, next_seq=checkpoint.events_seq + 1 if resume else 1, append=resume
-        ),
-        history_log=HistoryLog(history_path, append=resume),
-        history=history,
-        registry=registry,
-        start_round=checkpoint.round_idx if resume else 0,
+        event_log=EventLog(run_dir / EVENTS_FILE, replay),
+        history_log=HistoryLog(run_dir / HISTORY_FILE, replay),
     )
     return engine, ledger
 
@@ -168,21 +150,15 @@ def _open_failed(exc: Exception) -> int:
 def _execute(
     config: RunConfig, run_dir: Path, checkpoint: Optional[Checkpoint] = None
 ) -> int:
-    """Run or resume, then write the summary.
-
-    A finished ``checkpoint`` (a run killed after its last checkpoint, before
-    its summary) runs no round: the summary comes from the restored state.
-    """
+    """Run or resume, then write the summary; a resume of a finished run
+    without its summary (killed right before it) replays it to its end."""
     try:
         engine, ledger = _open_engine(config, run_dir, checkpoint)
     except (AgentOptError, OSError) as exc:
         return _open_failed(exc)
     started = time.monotonic()
     try:
-        if checkpoint is not None and checkpoint.stop_reason is not None:
-            result = engine.result(checkpoint.stop_reason)
-        else:
-            result = engine.run()
+        result = engine.run()
     except KeyboardInterrupt:
         print("interrupted; logs flushed, last round checkpoint kept", file=sys.stderr)
         return EXIT_INTERRUPT
@@ -315,30 +291,6 @@ def fold_tokens(steps: Steps, ledger: TokenLedger) -> TokenLedger:
         usage = call["input_tokens"], call["output_tokens"], 0, call.get("failed_attempts", 0)
         ledger.record(call["role"], call["backend"], CompletionResult("", *usage))
     return ledger
-
-
-def fold_registry(steps: Steps, registry: TaskRegistry, path: Path) -> None:
-    """Apply the plans and worker outcomes among ``steps`` to ``registry``; the
-    changes the plans make must be the ``registry_change`` events of the log at
-    ``path``, in order, or it is a ``CorruptCheckpoint`` naming the round."""
-    made, logged = [], []
-    for step in steps:
-        call, change = step.call or {}, step.events.get("registry_change")
-        if change is not None:
-            logged.append((step.round, change["op"], change["task"]))
-        elif call.get("role") == "planner":
-            try:
-                plan = parse_planner_reply(call["reply"])
-            except NoPlanFound:
-                plan = {}
-            made += [(step.round, c.op, c.name) for c in registry.apply_plan(plan)[1]]
-        elif "success" in call:
-            registry.record_outcome(call.get("task"), call["success"])
-    for ours, theirs in itertools.zip_longest(made, logged):
-        if ours != theirs:
-            raise CorruptCheckpoint(
-                f"{path}: round {(ours or theirs)[0]}: the plans make {ours}, the log has {theirs}"
-            )
 
 
 def cmd_token_report(args: argparse.Namespace, extras: list[str]) -> int:

@@ -476,9 +476,7 @@ def build_init_plan(config: RunConfig, rng: RngHub) -> InitPlan:
     """The first ``init.count`` candidates of ``init.source``, plus the guard's
     floor and a fresh copy of its pool. Raises ``InsufficientInit``."""
     count, source, pool = config.init_count, config.init_source, config.init_pool
-    # a file source draws nothing, so its checkpoints carry no mutation stream
-    mutations = rng.stream("init_mutations") if source.items is None else None
-    candidates = source.first(count, mutations)
+    candidates = source.first(count, rng.stream("init_mutations"))
     if len(candidates) < count:
         logger.warning(
             "initialization shortfall: %d distinct candidates for requested %d",

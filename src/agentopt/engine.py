@@ -4,8 +4,9 @@ Each outer round runs three phases: a global proposal loop with failure
 patience, one planning call that refreshes the task list, and one local
 hill-climbing trajectory per (task, seed) pair. Every evaluation batch,
 agent call (one ``step`` event each) and registry change is emitted to
-the event log, and a checkpoint lands at every round boundary so runs can
-be killed and resumed without losing determinism.
+the event log, and a checkpoint lands at every round boundary. A killed
+run resumes by re-running the engine against its log up to the last
+checkpoint, which rebuilds every piece of state without storing any.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class Engine:
         run_dir: Path,
         event_log: EventLog,
         history_log: HistoryLog,
-        history: Optional[History] = None,
-        registry: Optional[TaskRegistry] = None,
-        start_round: int = 0,
     ):
         self.domain = domain
         self.objective = objective
@@ -144,11 +142,9 @@ class Engine:
         self.run_dir = Path(run_dir)
         self.events = event_log
         self.history_log = history_log
-        self.history = history if history is not None else History()
-        self.registry = registry or TaskRegistry(
-            domain.default_tasks, capacity=loop.registry_capacity
-        )
-        self.round = start_round
+        self.history = History()
+        self.registry = TaskRegistry(domain.default_tasks, capacity=loop.registry_capacity)
+        self.round = 0
         self.direction = objective.direction
         self._registry_mutations = 0
         self._distances = EditDistanceIndex()
@@ -166,8 +162,8 @@ class Engine:
         if self._budget_left() <= 0:
             raise _BudgetExhausted
 
-    def _emit(self, kind: str, payload: dict) -> None:
-        self.events.emit(kind, self.round, self._phase, payload)
+    def _emit(self, kind: str, payload: dict) -> bool:
+        return self.events.emit(kind, self.round, self._phase, payload)
 
     @contextmanager
     def _call(
@@ -229,6 +225,7 @@ class Engine:
         truncated = len(accepted) - len(take)
         records: list[ScoredRecord] = []
         rows: list[str] = []
+        failed_before = self.oracle.failed_attempts
         if take:
             scores = self.oracle.evaluate_many(take)
             for candidate, score in zip(take, scores):
@@ -238,6 +235,8 @@ class Engine:
         payload = {"origin": origin, "n": len(records), "truncated": truncated, "records": rows}
         if task is not None:
             payload["task"] = task
+        if self.oracle.failed_attempts > failed_before:
+            payload["failed_attempts"] = self.oracle.failed_attempts - failed_before
         self._emit("eval_batch", payload)
         return records
 
@@ -255,8 +254,8 @@ class Engine:
     def _current_portfolio(self) -> Portfolio:
         """The greedy portfolio of the whole history.
 
-        Records appended since the last call (by any path, including a
-        resumed history) are folded into the last portfolio.
+        Records appended since the last call are folded into the last
+        portfolio.
         """
         self._portfolio = best_portfolio_greedy(
             self.history,
@@ -452,12 +451,10 @@ class Engine:
                     "stop_reason": stop_reason,
                 },
             )
-        self._emit("checkpoint", {"finished": stop_reason is not None})
-        checkpoint = Checkpoint(
-            round_idx=self.round, events_seq=self.events.last_seq, stop_reason=stop_reason,
-            rng=self.rng.snapshot(), backends=self.router.state(),
-        )
-        write_checkpoint(self.run_dir, checkpoint)
+        # a boundary that a resume replays is in the log, and its checkpoint on disk
+        if self._emit("checkpoint", {"finished": stop_reason is not None}):
+            checkpoint = Checkpoint(self.round, self.events.last_seq, stop_reason)
+            write_checkpoint(self.run_dir, checkpoint)
 
     def close(self) -> None:
         self.events.close()
@@ -466,17 +463,15 @@ class Engine:
     def run(self) -> RunResult:
         """Drive the loop to budget exhaustion (or stagnation) and report.
 
-        Initialization runs exactly when the history is empty. Any other way
-        out (a backend, oracle or agent error, SIGINT) logs one ``error``
-        event at the round and phase where it happened and re-raises; the
-        last round-boundary checkpoint stays in place, so ``resume`` re-runs
-        the failed round from its start.
+        Any other way out (a backend, oracle or agent error, SIGINT) logs one
+        ``error`` event at the round and phase where it happened and
+        re-raises; the last round-boundary checkpoint stays in place, so
+        ``resume`` re-runs the failed round from its start.
         """
         stop_reason: Optional[str] = None
         try:
-            if not len(self.history):
-                self._init_phase()
-                self._finish_round(None)  # round 0 ends with its checkpoint alone
+            self._init_phase()
+            self._finish_round(None)  # round 0 ends with its checkpoint alone
             while stop_reason is None:
                 self.round += 1
                 evals_before = self.history.evals_used
@@ -497,13 +492,9 @@ class Engine:
         except BaseException as exc:
             try:
                 self._emit("error", {"reason": f"{type(exc).__name__}: {exc}"})
-            except Exception:  # the log itself may be the casualty
+            except Exception:  # the log may be the casualty, or a replay that differs
                 pass
             raise
-        return self.result(stop_reason)
-
-    def result(self, stop_reason: str) -> RunResult:
-        """The outcome of a run that stopped for ``stop_reason`` at this round."""
         return RunResult(
             history=self.history,
             registry=self.registry,

@@ -3,7 +3,7 @@
 Every line is independently parseable JSON and flushed on write, so a run
 killed at any moment leaves logs that are valid up to their last byte. The
 event stream carries enough payload (agent replies, evaluated records) to
-rebuild the history and to replay a recorded run against scripted backends.
+rebuild the history and to re-run the engine against it: a ``Replay``.
 ``read_log`` and ``read_json`` are the only readers of a run directory.
 """
 
@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, NoReturn, Optional
 
 from .core import Candidate, DomainKind, History, ScoredRecord
 from .errors import CorruptCheckpoint, DuplicateCandidate
@@ -39,7 +39,7 @@ EVENT_FIELDS: dict[str, dict[str, Any]] = {
 OPTIONAL_FIELDS: dict[str, dict[str, Any]] = {
     "step": {"failed_attempts": int, "task": str, "trajectory": int, "parent": int,
              "rejected": dict, "success": bool},
-    "eval_batch": {"task": str},
+    "eval_batch": {"task": str, "failed_attempts": int},
 }
 
 EVENTS_FILE = "events.jsonl"
@@ -96,79 +96,82 @@ def record_from_json(payload: dict) -> ScoredRecord:
 
 
 class JsonlWriter:
-    """One JSON text per line, flushed immediately, append-only."""
+    """One JSON text per line, flushed immediately, append-only.
 
-    def __init__(self, path: Path, append: bool = False):
-        self.path = Path(path)
-        self._fh = open(self.path, "a" if append else "w", encoding="utf-8")
+    Until a resume's ``replay`` is over nothing is written: an event is
+    compared with the logged one instead, a history row inside its batch.
+    The first line past the replay cuts the file to it, bytes intact."""
+
+    def __init__(self, path: Path, replay: Optional["Replay"] = None):
+        self.path, self.replay = Path(path), replay
+        self._fh = None if replay else open(self.path, "w", encoding="utf-8")
 
     def write(self, line: str) -> None:
         self._fh.write(line + "\n")
         self._fh.flush()
 
+    def _put(self, line: str) -> bool:
+        """Write ``line``, or compare it while the replay lasts; whether it was written."""
+        if self._fh is None:
+            if not self.replay.over:
+                if isinstance(self, EventLog):
+                    self.replay.compare(line)
+                return False
+            os.truncate(self.path, self.replay.sizes[self.path.name])
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self.write(line)
+        return True
+
     def close(self) -> None:
-        if not self._fh.closed:
+        if self._fh is not None:
             self._fh.close()
 
 
-class EventLog:
+class EventLog(JsonlWriter):
     """Monotonically sequenced event stream for one run."""
 
-    def __init__(self, path: Path, next_seq: int = 1, append: bool = False):
-        self._writer = JsonlWriter(path, append=append)
-        self.next_seq = next_seq
-        self.last_seq = next_seq - 1
+    last_seq = 0
 
-    def emit(self, kind: str, round_idx: int, phase: str, payload: dict) -> int:
-        """Write one event; an ``eval_batch`` carries the lines of its history rows.
+    def emit(self, kind: str, round_idx: int, phase: str, payload: dict) -> bool:
+        """Write one event, if not replayed; an ``eval_batch`` carries its history rows.
 
         Its ``records`` are the lines ``HistoryLog.write_record`` returned. They
         are spliced in as they are, after ``origin``, ``n`` and ``truncated``
-        and before the optional ``task``, so the line is the one ``json.dumps``
-        gives for the rows' objects.
+        and before the optional ``task`` and ``failed_attempts``, so the line
+        is the one ``json.dumps`` gives for the rows' objects.
         """
         if kind not in EVENT_FIELDS:
             raise ValueError(f"unknown event kind: {kind}")
-        seq = self.next_seq
+        seq = self.last_seq + 1
         event = {"seq": seq, "ts": time.time(), "round": round_idx, "phase": phase, "kind": kind}
         if kind == "eval_batch":
             event["payload"] = {key: payload[key] for key in ("origin", "n", "truncated")}
             line = _encode(event)[:-2] + ', "records": [' + ", ".join(payload["records"]) + "]"
-            if "task" in payload:
-                line += ', "task": ' + _encode_str(payload["task"])
+            for key in ("task", "failed_attempts"):
+                if key in payload:
+                    line += f', "{key}": ' + _encode(payload[key])
             line += "}}"
         else:
             event["payload"] = payload
             line = _encode(event)
-        self._writer.write(line)
-        self.next_seq = seq + 1
         self.last_seq = seq
-        return seq
-
-    def close(self) -> None:
-        self._writer.close()
+        return self._put(line)
 
 
-class HistoryLog:
-    def __init__(self, path: Path, append: bool = False):
-        self._writer = JsonlWriter(path, append=append)
-
+class HistoryLog(JsonlWriter):
     def write_record(self, record: ScoredRecord) -> str:
         """Write the history row of ``record`` and return its line."""
         line = render_row(record)
-        self._writer.write(line)
+        self._put(line)
         return line
-
-    def close(self) -> None:
-        self._writer.close()
 
 
 class Log(list):
-    """The rows of a JSONL log in file order; ``size`` counts the bytes of their lines."""
+    """The rows of a JSONL log in file order, and the ``lines`` they were read from."""
 
-    def __init__(self, rows: list, size: int):
+    def __init__(self, rows: list, lines: list[bytes]):
         super().__init__(rows)
-        self.size = size
+        self.lines = lines
 
 
 def _decode(path: Path, data: bytes, where: str = "") -> Any:
@@ -198,8 +201,7 @@ def read_log(path: Path, limit: Optional[int] = None) -> Log:
         raise CorruptCheckpoint(
             f"{path} has {len(lines)} complete lines, checkpoint expects {limit}"
         )
-    rows = [_decode(path, line, f" line {n}") for n, line in enumerate(lines, 1)]
-    return Log(rows, sum(map(len, lines)))
+    return Log([_decode(path, line, f" line {n}") for n, line in enumerate(lines, 1)], lines)
 
 
 @dataclass
@@ -220,7 +222,7 @@ class Step:
 
 
 class Steps(Log):
-    """The steps of an event log; ``size`` counts the bytes of its lines."""
+    """The steps of an event log, and the ``lines`` they were read from."""
 
     @property
     def rows(self) -> list:
@@ -269,7 +271,7 @@ def read_steps(path: Path, limit: Optional[int] = None) -> Steps:
             steps[-1].events[kind] = payload
         else:
             steps.append(Step(event.get("round"), event.get("phase"), {kind: payload}))
-    return Steps(steps, events.size)
+    return Steps(steps, events.lines)
 
 
 def read_json(path: Path) -> Any:
@@ -281,14 +283,14 @@ def read_json(path: Path) -> Any:
     return _decode(path, data)
 
 
-def load_history(path: Path, rows: Optional[list] = None) -> History:
-    """The History of the history.jsonl at ``path``, from its ``rows`` if read already.
+def load_history(path: Path) -> History:
+    """The History of the history.jsonl at ``path``.
 
     A row that is no record, or is out of order, raises ``CorruptCheckpoint``
     naming its line.
     """
     history = History()
-    for lineno, row in enumerate(read_log(path) if rows is None else rows, start=1):
+    for lineno, row in enumerate(read_log(path), start=1):
         try:
             record = record_from_json(row)
             stored = history.append(record.candidate, record.score, record.origin)
@@ -302,26 +304,23 @@ def load_history(path: Path, rows: Optional[list] = None) -> History:
     return history
 
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # Checkpoint's field annotations, which are strings in this module
-_FIELD_TYPES = {"int": int, "dict": dict, "Optional[str]": (str, type(None))}
+_FIELD_TYPES = {"int": int, "Optional[str]": (str, type(None))}
 
 
 @dataclass
 class Checkpoint:
-    """What a round boundary holds that ``events.jsonl`` does not: the RNG
-    streams and the backends' states.
+    """A round boundary: the first ``events_seq`` events of the run end round
+    ``round_idx``, and the run finished there when it has a ``stop_reason``.
 
-    The JSON form is the fields by name plus ``version``. The run finished
-    when it has a ``stop_reason``; the history, the task registry and the
-    token ledger are rebuilt from the first ``events_seq`` events.
+    The JSON form is the fields by name plus ``version``, and nothing else:
+    ``resume`` rebuilds the rest by re-running the engine against the events.
     """
 
     round_idx: int
     events_seq: int
     stop_reason: Optional[str]
-    rng: dict
-    backends: dict
 
     def to_json(self) -> dict:
         return {"version": CHECKPOINT_VERSION, **asdict(self)}
@@ -339,6 +338,8 @@ class Checkpoint:
             typed = isinstance(value, _FIELD_TYPES[f.type]) and not isinstance(value, bool)
             if not typed or (f.type == "int" and value < 0):
                 raise CorruptCheckpoint(f"checkpoint field {f.name} is not a {f.type}")
+        for name in payload.keys() - {"version", *(f.name for f in fields(cls))}:
+            raise CorruptCheckpoint(f"checkpoint field {name} is not a version {version} field")
         return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
@@ -354,27 +355,71 @@ def load_checkpoint(path: Path) -> Checkpoint:
     return Checkpoint.from_json(read_json(path))
 
 
-def resume_logs(
-    run_dir: Path, checkpoint: Checkpoint
-) -> tuple[History, Steps, Callable[[], None]]:
-    """The history and the steps at ``checkpoint``, and the cut of both logs to them.
+class Replay:
+    """A run's logs up to ``checkpoint``, which a resume re-runs the engine against.
 
-    The first ``events_seq`` events are read once, through ``read_steps``, and
-    history.jsonl must begin with the rows of their ``eval_batch`` records; what
-    the interrupted run wrote past them is not read. The cut truncates both
-    files to those prefixes, byte-intact.
-    """
-    events_path, history_path = Path(run_dir) / EVENTS_FILE, Path(run_dir) / HISTORY_FILE
-    steps = read_steps(events_path, checkpoint.events_seq)
-    records = steps.rows
-    rows = read_log(history_path, len(records))
-    history = load_history(history_path, rows)
-    for lineno, (row, record) in enumerate(zip(rows, records), 1):
-        if row != record:
-            raise CorruptCheckpoint(f"{history_path} line {lineno}: not its eval_batch record")
+    Until the replay is ``over`` the engine's event lines are compared with
+    the logged ones, and the stand-ins for the oracle and the HTTP backends
+    answer from :meth:`batch` and :meth:`logged`, not the live ones."""
 
-    def cut() -> None:
-        os.truncate(events_path, steps.size)
-        os.truncate(history_path, rows.size)
+    def __init__(self, run_dir: Path, checkpoint: Checkpoint):
+        self.path, history_path = Path(run_dir) / EVENTS_FILE, Path(run_dir) / HISTORY_FILE
+        steps = read_steps(self.path, checkpoint.events_seq)
+        end = {"checkpoint": {"finished": checkpoint.stop_reason is not None}}
+        if not steps or (steps[-1].round, steps[-1].events) != (checkpoint.round_idx, end):
+            at = f"{self.path} line {checkpoint.events_seq}"
+            raise CorruptCheckpoint(f"{at}: not the {end} of round {checkpoint.round_idx}")
+        rows = read_log(history_path, len(steps.rows))
+        for lineno, (row, record) in enumerate(zip(rows, steps.rows), 1):
+            if row != record:
+                raise CorruptCheckpoint(f"{history_path} line {lineno}: not its eval_batch record")
+        self.lines, self.taken, self.error = steps.lines, 0, None
+        self.sizes = {name: sum(map(len, log.lines))
+                      for name, log in ((EVENTS_FILE, steps), (HISTORY_FILE, rows))}
+        starts = itertools.accumulate((len(step.events) for step in steps), initial=0)
+        self._steps = dict(zip(starts, steps))  # each step by the index of its first line
 
-    return history, steps, cut
+    @property
+    def over(self) -> bool:
+        """Whether the engine has written every logged event again, and the same."""
+        return self.error is None and self.taken == len(self.lines)
+
+    def compare(self, line: str) -> None:
+        """Take the engine's next event line, which must be the logged one but
+        for its second field, the wall-clock ``ts``, which no replay repeats."""
+        if self.error is not None:
+            raise self.error
+        ours, theirs = (b", ".join(text.split(b", ", 2)[::2])
+                        for text in ((line + "\n").encode("utf-8"), self.lines[self.taken]))
+        self.taken += 1
+        if ours != theirs:
+            at = len(os.path.commonprefix([ours, theirs]))
+            self._fail(f"line {self.taken}: the replay writes {ours[at:at + 60]!r} at byte {at},"
+                       f" the log has {theirs[at:at + 60]!r}")
+
+    def _fail(self, message: str) -> NoReturn:
+        # every later line raises it again, so what the engine writes on its way out cannot hide it
+        self.error = CorruptCheckpoint(f"{self.path} {message}")
+        raise self.error
+
+    def logged(self, kind: str) -> Optional[dict]:
+        """The ``step`` or ``eval_batch`` payload of the step that the engine's
+        next event line starts, or None once the replay is over."""
+        if self.over:
+            return None
+        step = self._steps.get(self.taken)
+        if step is None or kind not in step.events:
+            self._fail(f"line {self.taken + 1}: the log has no {kind} here")
+        return step.events[kind]
+
+    def batch(self) -> Optional[tuple[list[float], int]]:
+        """The logged scores and failed attempts of the batch the engine evaluates
+        next, or None; the rest of each record is checked in the engine's line."""
+        batch = self.logged("eval_batch")
+        if batch is None:
+            return None
+        try:
+            scores = [float(row["score"]) for row in batch["records"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            self._fail(f"line {self.taken + 1}: {exc!r}")
+        return scores, batch.get("failed_attempts", 0)

@@ -19,6 +19,7 @@ from .backends import post_json
 from .core import Candidate, DomainKind, canonicalize
 from .errors import BackendUnavailable, BadResponse, EmptyCandidate, InsufficientInit
 from .errors import OracleFailure, OracleTimeout
+from .events import Replay
 
 
 class Oracle:
@@ -26,6 +27,7 @@ class Oracle:
 
     name = "oracle"
     calls = 0  # candidates scored; unlocked, as the engine scores one batch at a time
+    failed_attempts = 0  # requests that failed before they were answered
 
     def _score(self, canonical: str) -> float:
         raise NotImplementedError
@@ -265,15 +267,31 @@ class HttpOracle(Oracle):
 
     def _score(self, canonical: str) -> float:
         try:
-            response, _ = post_json(self.url, {"candidate": canonical}, self.timeout_s)
+            response, failed = post_json(self.url, {"candidate": canonical}, self.timeout_s)
         except (BackendUnavailable, BadResponse) as exc:
             import requests  # post_json has imported it already
             timed_out = isinstance(exc.__cause__, requests.Timeout)
             raise (OracleTimeout if timed_out else OracleFailure)(f"oracle {exc}") from exc
+        self.failed_attempts += failed
         try:
             return response.json()["score"]
         except (ValueError, KeyError, TypeError) as exc:
             raise OracleFailure(f"malformed oracle payload: {exc}") from exc
+
+
+class ReplayOracle(Oracle):
+    """Answers each batch from its logged scores while ``replay`` lasts, then asks ``live``."""
+
+    def __init__(self, live: Oracle, replay: Replay):
+        self.live, self.replay, self.name = live, replay, live.name
+
+    def evaluate_many(self, candidates: Sequence[Candidate]) -> list[float]:
+        logged = self.replay.batch()
+        if logged is None:
+            before = self.live.failed_attempts
+            logged = self.live.evaluate_many(candidates), self.live.failed_attempts - before
+        self.failed_attempts += logged[1]
+        return logged[0]
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_scripted_queues_are_per_role():
     assert backend.complete(req(role="explorer")).text == "e1"
 
 
-def test_scripted_load_and_restore(tmp_path):
+def test_scripted_load_plays_rows_by_nth_call(tmp_path):
     path = tmp_path / "script.jsonl"
     rows = [
         {"match": {"role": "explorer", "nth_call": 1}, "reply": "first"},
@@ -76,10 +76,29 @@ def test_scripted_load_and_restore(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
     backend = scripted_load(path)
-    assert backend.state() == {"explorer": 0, "planner": 0, "worker": 0}
-    backend.restore({"explorer": 1, "planner": 0, "worker": 0})
-    assert backend.complete(req()).text == "second"
-    assert backend.state() == {"explorer": 2, "planner": 0, "worker": 0}
+    assert [backend.complete(req()).text for _ in rows] == ["first", "second"]
+
+
+def test_scripted_null_token_count_takes_the_estimate():
+    usage = {"input_tokens": None, "output_tokens": 200}
+    backend = ScriptedBackend([{"match": {"role": "worker"}, "reply": "r", "usage": usage}])
+    result = backend.complete(req(role="worker", system="a b", user="c"))
+    assert (result.input_tokens, result.output_tokens) == (3, 200)
+
+
+# a bool is no count here, though it is an int to isinstance
+NOT_COUNTS = ["abc", True, -3, 1.5, [1]]
+
+
+@pytest.mark.parametrize("count", NOT_COUNTS)
+def test_scripted_token_count_that_is_no_count_is_refused(tmp_path, count):
+    row = {"match": {"role": "explorer"}, "reply": "r", "usage": {"output_tokens": count}}
+    with pytest.raises(BadResponse, match="usage output_tokens is"):
+        ScriptedBackend([row]).complete(req())
+    path = tmp_path / "script.jsonl"
+    path.write_text(json.dumps(script_entries("explorer", ["ok"])[0]) + "\n\n" + json.dumps(row))
+    with pytest.raises(MalformedScript, match=r"script\.jsonl:3: usage output_tokens is"):
+        scripted_load(path)
 
 
 def test_scripted_load_empty_file_is_malformed(tmp_path):
@@ -193,6 +212,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
     seen: list[dict] = []
     content = "pong"
+    usage: object = {"prompt_tokens": 11, "completion_tokens": 3}
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -204,7 +224,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
             return
         payload = {
             "choices": [{"message": {"content": type(self).content}}],
-            "usage": {"prompt_tokens": 11, "completion_tokens": 3},
+            "usage": type(self).usage,
         }
         raw = json.dumps(payload).encode()
         self.send_response(200)
@@ -225,6 +245,7 @@ def flaky_server():
     FlakyHandler.statuses = []
     FlakyHandler.seen = []
     FlakyHandler.content = "pong"
+    FlakyHandler.usage = {"prompt_tokens": 11, "completion_tokens": 3}
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -269,6 +290,29 @@ def test_http_reply_with_a_lone_surrogate_is_a_bad_response(flaky_server):
     with pytest.raises(BadResponse, match="not UTF-8 text"):
         backend.complete(req())
     assert len(FlakyHandler.seen) == 1
+
+
+@pytest.mark.parametrize(
+    "usage, tokens",
+    [({"prompt_tokens": None, "completion_tokens": 3}, (0, 3)), ({}, (0, 0)), (None, (0, 0))],
+    ids=["null", "missing", "no-usage"],
+)
+def test_http_missing_or_null_token_count_is_zero(flaky_server, usage, tokens):
+    FlakyHandler.usage = usage
+    result = HttpBackend(flaky_server, "test-model", retry_backoff_ms=1).complete(req())
+    assert (result.input_tokens, result.output_tokens) == tokens
+
+
+@pytest.mark.parametrize("count", NOT_COUNTS)
+def test_http_token_count_that_is_no_count_is_a_bad_response(flaky_server, count):
+    FlakyHandler.usage = {"prompt_tokens": count, "completion_tokens": 3}
+    backend = HttpBackend(flaky_server, "test-model", retry_backoff_ms=1)
+    with pytest.raises(BadResponse, match="usage prompt_tokens is"):
+        backend.complete(req())
+    FlakyHandler.usage = [count]
+    with pytest.raises(BadResponse, match="is not an object"):
+        backend.complete(req())
+    assert len(FlakyHandler.seen) == 2  # not retried
 
 
 def test_http_payload_shape(flaky_server):
@@ -367,37 +411,3 @@ def test_mutator_planner_reuses_visible_task_names():
         "EXPLORE": "USE_EXISTING",
         "SHUFFLE": "USE_EXISTING",
     }
-
-
-# -- checkpoint state -----------------------------------------------------------
-
-
-def test_mutator_restore_continues_the_stream():
-    backend = MutatorBackend(seed=7)
-    backend.complete(req(user="0.5: KLWRK"))
-    state = json.loads(json.dumps(backend.state()))  # as a checkpoint stores it
-    expected = [backend.complete(req(user="0.5: KLWRK")).text for _ in range(3)]
-    resumed = MutatorBackend(seed=123)
-    resumed.restore(state)
-    assert [resumed.complete(req(user="0.5: KLWRK")).text for _ in range(3)] == expected
-
-
-def test_http_backend_has_no_state():
-    backend = HttpBackend("http://127.0.0.1:9/v1", "m")
-    assert backend.state() == {}
-    backend.restore({})
-
-
-def test_router_state_is_keyed_by_slot_not_name():
-    # two mutators share the name "mutator"; each must get its own stream back
-    default, worker = MutatorBackend(seed=1), MutatorBackend(seed=2)
-    router = RoleRouter(TokenLedger(), default, {"worker": worker, "planner": default})
-    state = router.state()
-    assert set(state) == {"default", "worker"}
-    expected = {role: router.complete(role, "", "0.5: KLWRK").text
-                for role in ("explorer", "worker")}
-    fresh = RoleRouter(TokenLedger(), MutatorBackend(seed=9),
-                       {"worker": MutatorBackend(seed=9)})
-    fresh.restore(json.loads(json.dumps(state)))
-    assert {role: fresh.complete(role, "", "0.5: KLWRK").text
-            for role in ("explorer", "worker")} == expected

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,8 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
 from agentopt.errors import InsufficientInit, OracleFailure
-from agentopt.events import Step, read_log, read_steps
+from agentopt.events import Step, load_checkpoint, read_log, read_steps
 from agentopt.oracles import MotifMatchOracle
 from agentopt.rng import RngHub
 
@@ -332,11 +335,9 @@ def test_init_plan_dedups_with_shortfall(tmp_path, caplog):
         "source": {"kind": "file", "path": str(init_file)},
         "count": 10,
     }
-    rng = RngHub(0)
-    plan = build_init_plan(validate_config(cfg), rng)
+    plan = build_init_plan(validate_config(cfg), RngHub(0))
     assert len(plan.candidates) == 8  # two duplicate lines dropped
     assert "8 distinct candidates for requested 10" in caplog.text
-    assert rng.snapshot() == {}  # a file source draws no mutation stream
 
 
 def test_init_plan_keeps_the_guard_pool_only_when_the_guard_is_on():
@@ -502,16 +503,21 @@ def http_oracle_run_config(tmp_path: Path, url: str) -> Path:
 
 
 def test_http_oracle_run_rides_out_a_503(tmp_path, score_server):
-    histories = []
+    histories, retries = [], []
     for name, statuses in (("steady", []), ("flaky", [503])):
         score_server.statuses = statuses
         (tmp_path / name).mkdir()
         config = http_oracle_run_config(tmp_path / name, score_server.url)
         assert main(["run", "--config", str(config)]) == 0
         histories.append((tmp_path / name / "out" / "history.jsonl").read_bytes())
+        batches = [step.events.get("eval_batch", {}) for step in
+                   read_steps(tmp_path / name / "out" / "events.jsonl")]
+        retries.append([batch["failed_attempts"] for batch in batches
+                        if "failed_attempts" in batch])
     assert histories[0] == histories[1]
     assert len(histories[0].splitlines()) == 26
     assert len(score_server.candidates) == 2 * 26 + 1
+    assert retries == [[], [1]]  # the retried request is logged on its batch
 
 
 def test_http_oracle_run_stops_at_a_418(tmp_path, capsys, score_server):
@@ -520,6 +526,72 @@ def test_http_oracle_run_stops_at_a_418(tmp_path, capsys, score_server):
     assert main(["run", "--config", str(config)]) == 2
     assert "error[OracleFailure]: oracle HTTP 418" in capsys.readouterr().err
     assert len(score_server.candidates) == 1
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    """Loopback chat endpoint whose reply is a pure function of the request:
+    three candidates spelled from the hash of its messages. ``requests``
+    records each request's messages in order."""
+
+    requests: list[list[dict]] = []
+
+    def do_POST(self):
+        messages = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"]
+        type(self).requests.append(messages)
+        digest = hashlib.sha256(json.dumps(messages).encode()).hexdigest()
+        candidates = ["".join("AKLW"[int(c, 16) % 4] for c in digest[i:i + 6]) for i in (0, 6, 12)]
+        body = {"choices": [{"message": {"content": candidates_reply(candidates)}}],
+                "usage": {"prompt_tokens": len(digest), "completion_tokens": 9}}
+        raw = json.dumps(body).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def chat_server():
+    """A running ``ChatHandler`` subclass; its ``url`` is its endpoint."""
+    handler = type("Handler", (ChatHandler,), {"requests": []})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    handler.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    yield handler
+    server.shutdown()
+    server.server_close()
+
+
+def test_resume_asks_nothing_for_logged_work(tmp_path, chat_server, score_server,
+                                             checkpoint_recorder):
+    config = yaml.safe_load(http_oracle_run_config(tmp_path, score_server.url).read_text())
+    config["backends"] = {"default": {"kind": "http", "endpoint_url": chat_server.url,
+                                      "model_name": "m", "retry_backoff_ms": 1}}
+    config["objective"]["budget"] = 60
+    config["loop"] = {"max_fails": 2, "seeds_m": 1}
+    assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
+    reference = tmp_path / "out"
+    assert sorted(checkpoint_recorder.rounds(reference))[-1] >= 2
+    asked, scored = list(chat_server.requests), list(score_server.candidates)
+
+    variant = tmp_path / "variant"
+    shutil.copytree(reference, variant)
+    checkpoint_recorder.rewind(reference, 1, to=variant)
+    (variant / "summary.json").unlink()
+    prefix = read_steps(variant / "events.jsonl", load_checkpoint(variant / "checkpoint.json")
+                        .events_seq)
+    logged_calls = sum(step.call is not None for step in prefix)
+    chat_server.requests.clear()
+    score_server.candidates.clear()
+    assert main(["resume", str(variant)]) == 0
+    assert chat_server.requests == asked[logged_calls:]
+    assert score_server.candidates == scored[len(prefix.rows):]
+    assert 0 < len(prefix.rows) and 0 < logged_calls < len(asked)
+    assert (variant / "history.jsonl").read_bytes() == (reference / "history.jsonl").read_bytes()
+    assert summary_without_wall_time(variant) == summary_without_wall_time(reference)
+    assert_events_agree(variant)
 
 
 def test_cli_import_does_not_load_requests():
@@ -764,17 +836,11 @@ def test_resume_after_a_kill_at_every_write(tmp_path, capsys, write_killer):
     assert init_kills == list(range(1, 24))
 
 
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        lambda cp: cp["rng"].update(context_offset=[1, 2]),
-        lambda cp: cp["rng"]["context_offset"].update(words="AAAAAAAAAAA="),
-        lambda cp: cp.update(stop_reason=5),
-        lambda cp: cp["backends"]["default"].update(words="AAAA"),
-        lambda cp: cp["backends"].clear(),
-    ],
-    ids=["rng-list", "rng-two-words", "stop-reason", "mutator", "backends"],
-)
+# The files a resume that fails must leave as they were
+RUN_FILES = ("checkpoint.json", "events.jsonl", "history.jsonl")
+
+
+@pytest.mark.parametrize("tamper", [lambda cp: cp.update(stop_reason=5)], ids=["stop-reason"])
 def test_resume_malformed_checkpoint_leaves_logs_untouched(
     tmp_path, capsys, checkpoint_recorder, tamper
 ):
@@ -782,7 +848,7 @@ def test_resume_malformed_checkpoint_leaves_logs_untouched(
     checkpoint = json.loads(checkpoint_recorder.rounds(out)[1])
     tamper(checkpoint)
     (out / "checkpoint.json").write_text(json.dumps(checkpoint), encoding="utf-8")
-    logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    logs = {name: (out / name).read_bytes() for name in RUN_FILES}
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
     assert "error[CorruptCheckpoint]" in capsys.readouterr().err
@@ -885,7 +951,7 @@ def test_resume_replays_planner_changes_from_every_round(
     logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
-    assert f"error[CorruptCheckpoint]: {out / 'events.jsonl'}: round 3: " in (
+    assert f"error[CorruptCheckpoint]: {out / 'events.jsonl'} line {index + 1}: " in (
         capsys.readouterr().err
     )
     assert {name: (out / name).read_bytes() for name in logs} == logs
@@ -937,7 +1003,7 @@ def test_resume_bad_history_row_leaves_logs_untouched(tmp_path, capsys, checkpoi
     row["score"] = "x"
     for bad in (json.dumps(row).encode() + b"\n", b"\xff\xfe" + lines[4]):
         (out / "history.jsonl").write_bytes(b"".join(lines[:4] + [bad] + lines[5:]))
-        logs = {name: (out / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+        logs = {name: (out / name).read_bytes() for name in RUN_FILES}
         capsys.readouterr()
         assert main(["resume", str(out)]) == 2
         err = capsys.readouterr().err
@@ -951,6 +1017,32 @@ def edit_line(path: Path, index: int, edit) -> None:
     edit(row)
     lines[index] = json.dumps(row).encode() + b"\n"
     path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["step", "eval_batch"], ids=["reply", "score"])
+def test_resume_of_a_tampered_prefix_names_the_line_and_writes_nothing(
+    tmp_path, capsys, checkpoint_recorder, kind
+):
+    out = mutator_rounds_run(tmp_path)
+    checkpoint_recorder.rewind(out, 2)
+    index, event = next(
+        (i, e) for i, e in enumerate(read_log(out / "events.jsonl"))
+        if e["round"] == 1 and e["kind"] == kind and e["payload"].get("n", 1)
+    )
+    if kind == "step":  # a logged reply the mutator does not give again
+        assert event["payload"]["role"] in ("explorer", "worker")
+        edit_line(out / "events.jsonl", index, lambda e: e["payload"].update(reply="{}"))
+        where = f"{out / 'events.jsonl'} line {index + 1}"
+    else:  # a logged score, which its history row no longer agrees with
+        record = event["payload"]["records"][0]
+        edit_line(out / "events.jsonl", index,
+                  lambda e: e["payload"]["records"][0].update(score=record["score"] + 0.25))
+        where = f"{out / 'history.jsonl'} line {record['eval_index']}"
+    files = {name: (out / name).read_bytes() for name in RUN_FILES}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"error[CorruptCheckpoint]: {where}: " in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in RUN_FILES} == files
 
 
 @pytest.mark.parametrize(
@@ -968,7 +1060,7 @@ def test_resume_logs_that_disagree_leave_logs_untouched(
     out = mutator_rounds_run(tmp_path)
     checkpoint_recorder.rewind(out, 2)
     edit_line(out / name, index, edit)
-    logs = {log: (out / log).read_bytes() for log in ("events.jsonl", "history.jsonl")}
+    logs = {log: (out / log).read_bytes() for log in RUN_FILES}
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
     assert f"error[CorruptCheckpoint]: {out / name} line {index + 1}: " in capsys.readouterr().err
@@ -991,7 +1083,7 @@ def test_resume_unreadable_run_file_leaves_logs_untouched(
     out = mutator_rounds_run(tmp_path)
     checkpoint_recorder.rewind(out, 1)
     (out / name).write_bytes(damage((out / name).read_bytes()))
-    logs = {log: (out / log).read_bytes() for log in ("events.jsonl", "history.jsonl")}
+    logs = {log: (out / log).read_bytes() for log in RUN_FILES}
     capsys.readouterr()
     assert main(["resume", str(out)]) == 2
     assert f"error[CorruptCheckpoint]: {out / name}: " in capsys.readouterr().err

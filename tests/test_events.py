@@ -14,11 +14,11 @@ from agentopt.events import (
     HistoryLog,
     load_checkpoint,
     load_history,
+    Replay,
     read_log,
     read_steps,
     record_from_json,
     render_row,
-    resume_logs,
     write_checkpoint,
 )
 
@@ -108,8 +108,9 @@ def test_eval_batch_line_is_json_dumps_of_the_event(tmp_path, n, task):
     rows = [history.write_record(record) for record in records]
     payload = {"origin": origin, "n": n, "truncated": 2, "records": rows}
     expected = {"origin": origin, "n": n, "truncated": 2, "records": [row_of(r) for r in records]}
-    if task is not None:
+    if task is not None:  # with both optional fields, which follow the records
         payload["task"] = expected["task"] = task
+        payload["failed_attempts"] = expected["failed_attempts"] = 2
     events.emit("eval_batch", 3, "worker", payload)
     history.close()
     events.close()
@@ -168,20 +169,71 @@ def write_logs(run_dir, events: bytes, n_history: int = 0) -> None:
 
 
 def at(events_seq: int) -> Checkpoint:
-    return Checkpoint(1, events_seq, None, {}, {})
+    return Checkpoint(1, events_seq, None)
+
+
+def replay_logs(run_dir, checkpoint: Checkpoint) -> tuple[EventLog, HistoryLog]:
+    """The engine's two logs, resuming ``run_dir`` at ``checkpoint``."""
+    replay = Replay(run_dir, checkpoint)
+    return EventLog(run_dir / "events.jsonl", replay), HistoryLog(run_dir / "history.jsonl", replay)
+
+
+def write_batch(events: EventLog, history: HistoryLog, rows: list[dict]) -> None:
+    """What the engine writes for an init batch of ``rows``."""
+    lines = [history.write_record(record_from_json(row)) for row in rows]
+    events.emit("eval_batch", 1, "loop", {"origin": "init", "n": len(rows), "truncated": 0,
+                                          "records": lines})
 
 
 def test_resume_cut_keeps_prefix_bytes(tmp_path):
     lines = [batch(1, history_rows(2))] + [event(i) for i in range(2, 6)]
     write_logs(tmp_path, b"".join(lines), n_history=4)
     history_lines = (tmp_path / "history.jsonl").read_bytes().splitlines(keepends=True)
-    history, steps, cut = resume_logs(tmp_path, at(3))
-    assert [r.candidate.canonical for r in history.records] == ["C1", "C2"]
-    assert len(steps) == 3 and steps.rows == history_rows(2)
-    assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines)  # not cut yet
-    cut()
-    assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines[:3])
-    assert (tmp_path / "history.jsonl").read_bytes() == b"".join(history_lines[:2])
+    events, history = replay_logs(tmp_path, at(3))
+    write_batch(events, history, history_rows(2))
+    # the prefix is compared, not written: a later ts is no difference
+    assert not any(events.emit("checkpoint", 1, "loop", {"finished": False}) for _ in range(2))
+    assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines)
+    assert (tmp_path / "history.jsonl").read_bytes() == b"".join(history_lines)
+    # each log is cut at its own first write past the prefix
+    history.write_record(record_from_json(history_rows(3)[2]))
+    assert (tmp_path / "history.jsonl").read_bytes() == b"".join(history_lines[:3])
+    assert (tmp_path / "events.jsonl").read_bytes() == b"".join(lines)
+    assert events.emit("checkpoint", 1, "loop", {"finished": True})
+    assert (tmp_path / "events.jsonl").read_bytes().startswith(b"".join(lines[:3]) + b'{"seq": 4')
+    events.close()
+    history.close()
+    assert len(read_steps(tmp_path / "events.jsonl")) == 4
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda rows: rows[1].update(score=0.5), lambda rows: rows.append(history_rows(3)[2])],
+    ids=["score", "extra-record"],
+)
+def test_replay_names_the_first_line_it_writes_otherwise(tmp_path, edit):
+    # a history row is compared inside its eval_batch, so the event names the difference
+    write_logs(tmp_path, batch(1, history_rows(2)) + event(2), n_history=2)
+    logs = {name: (tmp_path / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
+    events, history = replay_logs(tmp_path, at(2))
+    rows = history_rows(2)
+    edit(rows)
+    with pytest.raises(CorruptCheckpoint, match="events.jsonl line 1: the replay writes"):
+        write_batch(events, history, rows)
+    with pytest.raises(CorruptCheckpoint, match="events.jsonl line 1: the replay writes"):
+        events.emit("checkpoint", 1, "loop", {"finished": False})  # and nothing after it
+    assert {name: (tmp_path / name).read_bytes() for name in logs} == logs
+
+
+@pytest.mark.parametrize(
+    "checkpoint",
+    [at(1), Checkpoint(2, 2, None), Checkpoint(1, 2, "budget"), Checkpoint(1, 0, None)],
+    ids=["not-a-checkpoint", "round", "finished", "no-events"],
+)
+def test_replay_refuses_a_checkpoint_that_its_log_does_not_end_with(tmp_path, checkpoint):
+    write_logs(tmp_path, batch(1, history_rows(2)) + event(2), n_history=2)
+    with pytest.raises(CorruptCheckpoint, match=r"events.jsonl line \d: not the \{'checkpoint'"):
+        Replay(tmp_path, checkpoint)
 
 
 def test_read_log_beyond_length_is_corrupt(tmp_path):
@@ -189,15 +241,15 @@ def test_read_log_beyond_length_is_corrupt(tmp_path):
     path.write_text('{"seq": 1}\n', encoding="utf-8")
     with pytest.raises(CorruptCheckpoint, match="1 complete lines, checkpoint expects 5"):
         read_log(path, 5)
-    write_logs(tmp_path, batch(1, history_rows(2)), n_history=1)
+    write_logs(tmp_path, batch(1, history_rows(2)) + event(2), n_history=1)
     with pytest.raises(CorruptCheckpoint, match="history.jsonl has 1 complete lines"):
-        resume_logs(tmp_path, at(1))
+        Replay(tmp_path, at(2))
 
 
 def test_resume_seq_gap_is_corrupt(tmp_path):
     write_logs(tmp_path, event(1) + event(3))
     with pytest.raises(CorruptCheckpoint, match="line 2: seq is not 2"):
-        resume_logs(tmp_path, at(2))
+        Replay(tmp_path, at(2))
 
 
 @pytest.mark.parametrize(
@@ -219,9 +271,9 @@ def test_read_log_leaves_out_torn_tail(tmp_path):
     write_logs(tmp_path, event(1) + event(2) + b'{"seq": 3, "tru')
     path = tmp_path / "events.jsonl"
     assert read_log(path) == [json.loads(event(1)), json.loads(event(2))]
-    resume_logs(tmp_path, at(2))
+    Replay(tmp_path, at(2))
     with pytest.raises(CorruptCheckpoint, match="2 complete lines, checkpoint expects 3"):
-        resume_logs(tmp_path, at(3))
+        Replay(tmp_path, at(3))
 
 
 CALL = {"role": "worker", "backend": "mutator", "system_sha": "s", "user_sha": "u",
@@ -277,7 +329,7 @@ def test_read_steps_groups_each_call_with_what_it_caused(tmp_path):
     assert steps[6].call["success"] is True and steps[7].call["success"] is False
     assert steps[6].events["eval_batch"]["records"] == rows[3:4]
     assert (steps[0].round, steps[0].phase) == (1, "loop")
-    assert steps.rows == rows and steps.size == len(data)
+    assert steps.rows == rows and b"".join(steps.lines) == data
 
 
 @pytest.mark.parametrize(
@@ -306,13 +358,7 @@ def test_read_steps_names_a_malformed_event(tmp_path, line, message):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    checkpoint = Checkpoint(
-        round_idx=2,
-        events_seq=40,
-        stop_reason=None,
-        rng={},
-        backends={"default": {"explorer": 4, "planner": 1, "worker": 9}},
-    )
+    checkpoint = Checkpoint(round_idx=2, events_seq=40, stop_reason=None)
     assert write_checkpoint(tmp_path, checkpoint) == tmp_path / "checkpoint.json"
     loaded = load_checkpoint(tmp_path / "checkpoint.json")
     assert loaded == checkpoint
@@ -320,10 +366,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json"]
     written = (tmp_path / "checkpoint.json").read_bytes()
     assert b"\n" not in written and b", " not in written
-    assert list(json.loads(written)) == [
-        "version", "round_idx", "events_seq", "stop_reason", "rng", "backends"
-    ]
-    assert json.loads(written)["version"] == 4
+    assert list(json.loads(written)) == ["version", "round_idx", "events_seq", "stop_reason"]
+    assert json.loads(written)["version"] == 5
 
 
 def test_load_checkpoint_garbage_is_corrupt(tmp_path):
@@ -359,7 +403,7 @@ V3 = {"round_idx": 2, "finished": False, "history_len": 14, "events_seq": 40,
 def test_version_2_checkpoint_is_refused_by_version(tmp_path):
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps({"version": 2, **V3}), encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint, match="version 2 is not supported.*version 4 only"):
+    with pytest.raises(CorruptCheckpoint, match="version 2 is not supported.*version 5 only"):
         load_checkpoint(path)
 
 
@@ -367,19 +411,30 @@ def test_version_3_checkpoint_is_refused_by_version(tmp_path):
     # version 3 also stored the registry, the ledger and the history length
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps({"version": 3, **V3}), encoding="utf-8")
-    with pytest.raises(CorruptCheckpoint, match="version 3 is not supported.*version 4 only"):
+    with pytest.raises(CorruptCheckpoint, match="version 3 is not supported.*version 5 only"):
+        load_checkpoint(path)
+
+
+def test_version_4_checkpoint_is_refused_by_version(tmp_path):
+    # version 4 also stored the RNG streams and the backends' states
+    path = tmp_path / "checkpoint.json"
+    v4 = {"version": 4, "round_idx": 2, "events_seq": 40, "stop_reason": None,
+          "rng": {}, "backends": {}}
+    path.write_text(json.dumps(v4), encoding="utf-8")
+    with pytest.raises(CorruptCheckpoint, match="version 4 is not supported.*version 5 only"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
+        # rng: a field of version 4, of no type in version 5
         ("events_seq", "40"), ("stop_reason", 5), ("rng", []), ("round_idx", ...),
         ("round_idx", True), ("events_seq", -1),
     ],
 )
 def test_checkpoint_field_of_wrong_type_is_corrupt(tmp_path, field, value):
-    checkpoint = Checkpoint(2, 40, None, {}, {})
+    checkpoint = Checkpoint(2, 40, None)
     write_checkpoint(tmp_path, checkpoint)
     payload = json.loads((tmp_path / "checkpoint.json").read_text())
     payload[field] = value
