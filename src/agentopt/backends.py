@@ -153,6 +153,8 @@ class ScriptedBackend(Backend):
         self._queues: dict[str, list[dict]] = {role: [] for role in ROLES}
         self._cursor: dict[str, int] = {role: 0 for role in ROLES}
         for n, entry in enumerate(entries, start=1):
+            if not isinstance(entry, dict):
+                raise MalformedScript(f"entry {n}: not a JSON object")
             match = entry.get("match")
             if not isinstance(match, dict) or match.get("role") not in ROLES:
                 raise MalformedScript(f"entry {n}: match.role must be one of {ROLES}")
@@ -203,9 +205,10 @@ def scripted_load(path: Path) -> ScriptedBackend:
             json.dumps(entry, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise MalformedScript(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+        if not isinstance(entry, dict):
+            raise MalformedScript(f"{path}:{lineno}: not a JSON object")
         try:
-            if isinstance(entry, dict):
-                token_counts(entry.get("usage"), ("input_tokens", "output_tokens"), (0, 0))
+            token_counts(entry.get("usage"), ("input_tokens", "output_tokens"), (0, 0))
         except BadResponse as exc:
             raise MalformedScript(f"{path}:{lineno}: {exc}") from exc
         entries.append(entry)

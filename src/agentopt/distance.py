@@ -3,9 +3,10 @@
 ``levenshtein`` is Myers' bit-parallel edit distance (J. ACM 46(3), 1999)
 in Hyyrö's formulation ("Explaining and extending the bit-parallel
 approximate string matching algorithm of Myers", 2001), with Python ints as
-bit-vectors of any length. The normalized form divides it by the length of
-the shorter string, so it can exceed 1.0 for very different lengths;
-similarity clamps that into [0, 1].
+bit-vectors of any length; ``bit_masks`` builds the match masks it runs on,
+which a caller asking about one text many times keeps. The normalized form
+divides the distance by the length of the shorter string, so it can exceed
+1.0 for very different lengths.
 """
 
 from __future__ import annotations
@@ -13,40 +14,40 @@ from __future__ import annotations
 from typing import Optional
 
 
-def levenshtein(a: str, b: str) -> int:
+def bit_masks(text: str) -> dict[str, int]:
+    """Match masks: bit ``i`` of ``masks[ch]`` is set where ``text[i] == ch``."""
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(text):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    return masks
+
+
+def levenshtein(a: str, b: str, masks: Optional[dict[str, int]] = None) -> int:
     """Edit distance by Myers' bit-vector algorithm (J. ACM 46(3), 1999).
 
     Hyyrö's 2001 formulation for the global distance: ``pv``/``mv`` hold the
-    +1/-1 vertical deltas of one DP column, a bit per character of the
-    shorter string, updated once per character of the longer one; ``score``
-    follows the bottom cell.
+    +1/-1 vertical deltas of one DP column, a bit per character of ``b``,
+    updated once per character of ``a``. The last column starts at
+    ``len(a)`` in the top row, so its bottom cell, the distance, is
+    ``len(a) + popcount(pv) - popcount(mv)``. ``masks`` is ``bit_masks(b)``
+    when the caller holds it.
     """
     if a == b:
         return 0
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(b):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
+    if masks is None:
+        masks = bit_masks(b)
     mask = (1 << len(b)) - 1
-    last = 1 << (len(b) - 1)
-    pv, mv, score = mask, 0, len(b)
+    pv, mv = mask, 0
     for ch in a:
-        eq = peq.get(ch, 0)
+        eq = masks.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
         ph = (ph << 1) | 1
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def normalized_edit_distance(a: str, b: str) -> float:
@@ -57,11 +58,6 @@ def normalized_edit_distance(a: str, b: str) -> float:
     if shorter == 0:
         return float("inf")
     return levenshtein(a, b) / shorter
-
-
-def similarity(a: str, b: str) -> float:
-    """1 minus the normalized edit distance, clamped into [0, 1]."""
-    return 1.0 - min(1.0, normalized_edit_distance(a, b))
 
 
 class EditDistanceIndex:
@@ -84,6 +80,12 @@ class EditDistanceIndex:
     def __init__(self) -> None:
         self._edits: dict[tuple[str, str], int] = {}
         self._witness: dict[str, tuple[str, int]] = {}
+        self._masks: dict[str, dict[str, int]] = {}  # of ``b``, the side a walk keeps
+
+    def witness(self, text: str) -> Optional[str]:
+        """The last text found too close to ``text``, if any."""
+        witness = self._witness.get(text)
+        return None if witness is None else witness[0]
 
     def _known(self, a: str, b: str) -> Optional[int]:
         """An upper bound on ``edits(a, b)`` already at hand, if any."""
@@ -124,8 +126,10 @@ class EditDistanceIndex:
             if upper is not None and upper / shorter < threshold:
                 self._close(a, b, upper)
                 return False
+            if b not in self._masks:
+                self._masks[b] = bit_masks(b)
             # looked up as the module global, so a wrapper sees every call
-            edits = self._edits[key] = levenshtein(a, b)
+            edits = self._edits[key] = levenshtein(a, b, self._masks[b])
         if edits / shorter >= threshold:
             return True
         self._close(a, b, edits)

@@ -34,13 +34,21 @@ class Selection:
 
 
 def _fits(
-    record: ScoredRecord,
-    kept: list[ScoredRecord],
-    threshold: float,
-    distances: EditDistanceIndex,
+    record: ScoredRecord, kept: list[ScoredRecord], ranks: dict[str, int],
+    threshold: float, distances: EditDistanceIndex,
 ) -> bool:
+    """Whether ``record`` sits at least ``threshold`` from all of ``kept``.
+
+    ``ranks`` gives each kept text its position. The record's witness, the
+    last text found too close to it, is likeliest to reject it, so it is
+    asked first when kept; the rest follow in rank order.
+    """
     text = record.candidate.canonical
-    return all(distances.far(text, k.candidate.canonical, threshold) for k in kept)
+    at = ranks.get(distances.witness(text), len(kept))
+    if at < len(kept) and not distances.far(text, kept[at].candidate.canonical, threshold):
+        return False
+    rest = (k for i, k in enumerate(kept) if i != at)
+    return all(distances.far(text, k.candidate.canonical, threshold) for k in rest)
 
 
 def _greedy_select(
@@ -51,10 +59,12 @@ def _greedy_select(
     kept: list[ScoredRecord],
 ) -> list[ScoredRecord]:
     """Extend ``kept`` in place by a greedy walk over a best-first ranking."""
+    ranks = {r.candidate.canonical: i for i, r in enumerate(kept)}
     for record in ranked:
         if len(kept) == max_size:
             break
-        if _fits(record, kept, threshold, distances):
+        if _fits(record, kept, ranks, threshold, distances):
+            ranks[record.candidate.canonical] = len(kept)
             kept.append(record)
     return kept
 
@@ -73,12 +83,13 @@ def _greedy_update(
     ``history`` under the same size, threshold and direction.
     """
     members, seen = (previous.members, previous.seen) if previous else ([], 0)
+    ranks = {r.candidate.canonical: i for i, r in enumerate(members)}
     key = RANK_KEYS[direction]
     for record in sorted(history.records[seen:], key=key):
         above = members[: bisect.bisect_left(members, key(record), key=key)]
         if len(above) == max_size:
             break  # greedy filled up above this record and every later one
-        if _fits(record, above, threshold, distances):
+        if _fits(record, above, ranks, threshold, distances):
             ranked = history.ranked(direction)
             start = bisect.bisect_left(ranked, key(record), key=key)
             return _greedy_select(

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from . import distance
 from .core import Candidate, History, canonicalize
-from .distance import similarity
 from .errors import EmptyCandidate
 from .oracles import run_lines
 
@@ -155,7 +155,12 @@ NO_CONSTRAINT = HardConstraint()
 
 
 class TemplateSimilarityConstraint(HardConstraint):
-    """Require similarity of at least ``min_similarity`` to some template."""
+    """Require similarity of at least ``min_similarity`` to some template.
+
+    Similarity, ``1 - min(1, edits / shorter)``, falls as the edits grow, so
+    the rule is asked as ``edits <= most``; ``most`` comes from that float
+    expression at each count, and every verdict stays exact.
+    """
 
     def __init__(self, templates: Sequence[Candidate], min_similarity: float):
         if not templates:
@@ -164,16 +169,25 @@ class TemplateSimilarityConstraint(HardConstraint):
             raise ValueError("min_similarity must lie in (0, 1]")
         self.templates = list(templates)
         self.min_similarity = min_similarity
+        self._masked = [(t.canonical, distance.bit_masks(t.canonical)) for t in self.templates]
+        self._most: dict[int, int] = {}
+
+    def _most_edits(self, shorter: int) -> int:
+        """The largest edit count that passes at this shorter length."""
+        if shorter not in self._most:  # at length 0, two empty texts pass with 0 edits
+            rule = [1.0 - min(1.0, e / shorter) >= self.min_similarity for e in range(shorter)]
+            self._most[shorter] = max(sum(rule) - 1, 0)  # the passing counts: a prefix
+        return self._most[shorter]
 
     def allows(self, candidate: Candidate) -> bool:
         text = candidate.canonical
-        for template in self.templates:
-            shorter = min(len(text), len(template.canonical))
+        for other, masks in self._masked:
+            most = self._most_edits(min(len(text), len(other)))
             # edits >= |len a - len b|: skip a template this bound already rules out
-            gap = abs(len(text) - len(template.canonical))
-            if shorter and 1.0 - min(1.0, gap / shorter) < self.min_similarity:
+            if abs(len(text) - len(other)) > most:
                 continue
-            if similarity(text, template.canonical) >= self.min_similarity:
+            # looked up as the module global, so a wrapper sees every call
+            if distance.levenshtein(text, other, masks) <= most:
                 return True
         return False
 

@@ -17,6 +17,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .backends import post_json
 from .core import Candidate, DomainKind, canonicalize
+from .distance import bit_masks
 from .errors import BackendUnavailable, BadResponse, EmptyCandidate, InsufficientInit
 from .errors import OracleFailure, OracleTimeout
 from .events import Replay
@@ -76,29 +77,26 @@ class MotifMatchOracle(Oracle):
             raise ValueError("motif target must be non-empty")
         self.target = target
         self.name = "motif-match"
+        self._masks = bit_masks(target)
 
     def _score(self, canonical: str) -> float:
-        lcs = _lcs_length(canonical, self.target)
+        lcs = _lcs_length(canonical, self.target, self._masks)
         return lcs / max(len(canonical), len(self.target))
 
 
-def _lcs_length(a: str, b: str) -> int:
-    """Longest common subsequence length, bit-parallel over ``a``.
+def _lcs_length(a: str, b: str, masks: dict[str, int]) -> int:
+    """Longest common subsequence length, bit-parallel over ``b``.
 
-    The row update of Allison and Dix (1986) in Hyyrö's form (2004): the
+    The row update of Allison and Dix (1986) in Hyyrö's form (2004), once
+    per character of ``a``, on ``masks``, which is ``bit_masks(b)``: the
     zero bits of ``v`` mark where the LCS row steps up by one.
     """
-    if not a or not b:
-        return 0
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << len(a)) - 1
+    mask = (1 << len(b)) - 1
     v = mask
-    for ch in b:
-        u = v & peq.get(ch, 0)
+    for ch in a:
+        u = v & masks.get(ch, 0)
         v = ((v + u) | (v - u)) & mask
-    return (~v & mask).bit_count()
+    return len(b) - v.bit_count()
 
 
 class HiddenWeightsOracle(Oracle):

@@ -137,6 +137,35 @@ def long_text(alphabet: str, max_size: int = 150) -> st.SearchStrategy[str]:
     )
 
 
+def reference_levenshtein(a: str, b: str, masks=None) -> int:
+    """Independent full-matrix Wagner-Fischer implementation; ``masks`` is ignored."""
+    n, m = len(a), len(b)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        table[i][0] = i
+    for j in range(m + 1):
+        table[0][j] = j
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + cost,
+            )
+    return table[n][m]
+
+
+def reference_similarity(a: str, b: str) -> float:
+    """``1 - min(1, edits / shorter)`` over ``reference_levenshtein``: the
+    template constraint's float rule. Two empty texts are alike; an empty text
+    and another are not."""
+    shorter = min(len(a), len(b))
+    if shorter == 0:
+        return 1.0 if a == b else 0.0
+    return 1.0 - min(1.0, reference_levenshtein(a, b) / shorter)
+
+
 def diverse_init(n: int = 10, length: int = 6) -> list[str]:
     """Mutually distant strings (distinct repeated letters), all scoring 0
     under a count-of-A objective."""
@@ -175,9 +204,9 @@ def kernel_calls(monkeypatch) -> list[tuple[str, str]]:
     calls: list[tuple[str, str]] = []
     kernel = distance_module.levenshtein
 
-    def counting(a: str, b: str) -> int:
+    def counting(a: str, b: str, masks=None) -> int:
         calls.append((a, b))
-        return kernel(a, b)
+        return kernel(a, b, masks)
 
     monkeypatch.setattr(distance_module, "levenshtein", counting)
     return calls

@@ -39,7 +39,6 @@ from agentopt.distance import (
     EditDistanceIndex,
     levenshtein,
     normalized_edit_distance,
-    similarity,
 )
 from agentopt.diversity import best_portfolio_greedy
 from agentopt.domains import make_domain
@@ -51,7 +50,13 @@ from agentopt.oracles import CandidatePool, HiddenWeightsOracle, PlateauOracle
 from agentopt.prompts import parse_candidates
 from agentopt.rng import RngHub
 
-from .conftest import candidates_reply, diverse_init, random_history, write_script
+from .conftest import (
+    candidates_reply,
+    diverse_init,
+    random_history,
+    reference_similarity,
+    write_script,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -423,7 +428,8 @@ def test_template_constraint_soundness(tmp_path, seed):
     beyond_init = [r for r in result.history.records if r.origin != "init"]
     assert beyond_init, "scenario must evaluate post-init candidates"
     for record in beyond_init:
-        best = max(similarity(record.candidate.canonical, t.canonical) for t in templates)
+        text = record.candidate.canonical
+        best = max(reference_similarity(text, t.canonical) for t in templates)
         assert best >= 0.75, f"{record.candidate.canonical} violates the constraint"
 
     rejected_reasons = [

@@ -115,6 +115,15 @@ def test_scripted_load_bad_json_is_malformed(tmp_path):
         scripted_load(path)
 
 
+def test_scripted_row_that_is_no_object_is_malformed(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"match": {"role": "explorer"}, "reply": "ok"}\n[1]\n')
+    with pytest.raises(MalformedScript, match=r"bad\.jsonl:2: not a JSON object"):
+        scripted_load(path)
+    with pytest.raises(MalformedScript, match=r"entry 2: not a JSON object"):
+        ScriptedBackend([{"match": {"role": "explorer"}, "reply": "ok"}, [1]])
+
+
 def test_scripted_load_keeps_unicode_line_separators_inside_a_row(tmp_path):
     path = tmp_path / "script.jsonl"
     reply = "CANDIDATES:\nAAB\u2028A\u2029A\x85\n"  # written raw, not escaped

@@ -411,6 +411,15 @@ def test_reply_with_a_lone_surrogate_is_refused_where_the_script_is_read(
     assert f"script.jsonl:{index + 1}: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_run_refuses_a_script_row_that_is_no_object(tmp_path, capsys):
+    config = scripted_run_config(tmp_path)
+    script = tmp_path / "script.jsonl"
+    script.write_text(script.read_text(encoding="utf-8") + "[1]\n", encoding="utf-8")
+    n_rows = len(multi_round_replies(4)) + 1
+    assert main(["run", "--config", str(config)]) == 1
+    assert f"script.jsonl:{n_rows}: not a JSON object" in capsys.readouterr().err
+
+
 def test_resume_takes_a_run_directory_only(tmp_path, capsys, checkpoint_recorder):
     config = scripted_run_config(tmp_path)
     assert main(["run", "--config", str(config)]) == 0

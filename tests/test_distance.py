@@ -8,31 +8,12 @@ from hypothesis import strategies as st
 
 from agentopt.distance import (
     EditDistanceIndex,
+    bit_masks,
     levenshtein,
     normalized_edit_distance,
-    similarity,
 )
 
-from .conftest import long_text
-
-
-def reference_levenshtein(a: str, b: str) -> int:
-    """Independent full-matrix Wagner-Fischer implementation."""
-    n, m = len(a), len(b)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        table[i][0] = i
-    for j in range(m + 1):
-        table[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            table[i][j] = min(
-                table[i - 1][j] + 1,
-                table[i][j - 1] + 1,
-                table[i - 1][j - 1] + cost,
-            )
-    return table[n][m]
+from .conftest import long_text, reference_levenshtein
 
 
 def test_levenshtein_known_values():
@@ -61,6 +42,19 @@ def test_levenshtein_matches_full_matrix_past_one_word(a, b):
     assert levenshtein(b, a) == expected
 
 
+# Non-ASCII letters (one outside the Basic Multilingual Plane), the empty
+# string, and lengths past one 64-bit machine word.
+@settings(max_examples=200, deadline=None)
+@given(long_text("Aß\u0416\u6f22"), long_text("ß\u0416\u6f22\U0001f600"))
+@example(a="", b="")
+@example(a="", b="\u0416" * 70)
+def test_levenshtein_with_and_without_masks_equals_full_matrix(a, b):
+    expected = reference_levenshtein(a, b)
+    for x, y in ((a, b), (b, a)):
+        assert levenshtein(x, y) == expected
+        assert levenshtein(x, y, bit_masks(y)) == expected
+
+
 @given(st.text(alphabet="ABCDE", max_size=20), st.text(alphabet="ABCDE", max_size=20))
 def test_levenshtein_symmetry_and_identity(a, b):
     assert levenshtein(a, b) == levenshtein(b, a)
@@ -77,22 +71,6 @@ def test_normalized_divides_by_shorter_length():
 def test_normalized_degenerate_lengths():
     assert normalized_edit_distance("", "") == 0.0
     assert normalized_edit_distance("", "ABC") == float("inf")
-
-
-def test_similarity_examples():
-    assert similarity("KLWR", "KLWR") == 1.0
-    assert similarity("KITTEN", "SITTING") == 0.5
-    # normalized distance 3.0 clamps to similarity 0
-    assert similarity("AB", "XYXYXY") == 0.0
-
-
-@given(st.text(alphabet="ACGT", min_size=1, max_size=15),
-       st.text(alphabet="ACGT", min_size=1, max_size=15))
-def test_similarity_bounds_symmetry_identity(a, b):
-    s = similarity(a, b)
-    assert 0.0 <= s <= 1.0
-    assert s == similarity(b, a)
-    assert similarity(a, a) == 1.0
 
 
 def test_index_memoizes_kernel_counts(kernel_calls):

@@ -23,13 +23,14 @@ from agentopt.context import ContextSpec
 from agentopt.core import (
     Direction,
     DomainKind,
+    History,
     ObjectiveSpec,
     PortfolioSpec,
     ScoredRecord,
     canonicalize,
 )
 from agentopt.distance import EditDistanceIndex
-from agentopt.diversity import best_portfolio_greedy
+from agentopt.diversity import best_portfolio_greedy, select_diverse_seeds
 from agentopt.domains import DomainSpec, make_domain
 from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
 from agentopt.errors import (
@@ -429,6 +430,9 @@ class CountingIndex:
         self.lookups.append((a, b))
         return self.index.far(a, b, threshold)
 
+    def witness(self, text: str):
+        return self.index.witness(text)
+
 
 def test_seed_update_looks_up_only_the_new_records(tmp_path):
     # one round in which no agent reply parses: the history stays the init,
@@ -468,6 +472,23 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path):
     assert all(set(pair) & set(new) for pair in lookups)
     assert [r.candidate.canonical for r in seeds.members[6:]] == ["KKKKKK"]
     assert seeds == select(None)
+
+
+def test_a_record_whose_witness_is_kept_is_rejected_after_one_lookup():
+    history = History()
+    for text, score in [("AAAAAAAA", 9.0), ("DDDDDDDD", 8.0), ("KKKKKKKK", 7.0)]:
+        history.append(cand(text), score, "init")
+    index = EditDistanceIndex()
+    seeds = select_diverse_seeds(history, 4, 0.5, index, Direction.MAXIMIZE)
+    assert len(seeds.members) == 3
+    # a near-copy of the last seed, already found too close to it
+    assert index.far("KKKKKKKW", "KKKKKKKK", 0.5) is False
+    history.append(cand("KKKKKKKW"), 6.0, "explorer")
+    counting = CountingIndex(index)
+    update = select_diverse_seeds(history, 4, 0.5, counting, Direction.MAXIMIZE, seeds)
+    # the witness alone, not AAAAAAAA and DDDDDDDD ranked above it
+    assert counting.lookups == [("KKKKKKKW", "KKKKKKKK")]
+    assert update.members == seeds.members
 
 
 def point_elsewhere(engine, text: str, score: float) -> ScoredRecord:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentopt.core import History
-from agentopt.distance import similarity
+from agentopt.core import Candidate, DomainKind, History
 from agentopt.errors import OracleFailure, OracleTimeout
 from agentopt.filtering import (
     NO_CONSTRAINT,
@@ -24,7 +23,7 @@ from agentopt.filtering import (
     smiles_syntax_ok,
 )
 
-from .conftest import LETTERS, cand
+from .conftest import LETTERS, cand, reference_similarity
 
 ECHO_VALID = "import sys\nfor line in sys.stdin:\n    print('VALID')\n"
 
@@ -169,8 +168,17 @@ def test_template_constraint_any_template_suffices():
 @example(text="KKKKKKKKKK", templates=["KKKKKKKKKKKKK"], min_similarity=0.7)
 def test_template_constraint_verdict_equals_similarity(text, templates, min_similarity):
     constraint = TemplateSimilarityConstraint([cand(t) for t in templates], min_similarity)
-    expected = any(similarity(text, t) >= min_similarity for t in templates)
+    expected = any(reference_similarity(text, t) >= min_similarity for t in templates)
     assert constraint.allows(cand(text)) == expected
+
+
+def test_template_constraint_on_empty_texts_keeps_the_float_rule():
+    # a directly built Candidate may be empty: two empty texts are alike,
+    # an empty text and another are not
+    empty = Candidate("", "", DomainKind.GENERIC)
+    assert TemplateSimilarityConstraint([cand("KL"), empty], 1.0).allows(empty) is True
+    assert TemplateSimilarityConstraint([cand("KL")], 0.3).allows(empty) is False
+    assert TemplateSimilarityConstraint([empty], 0.3).allows(cand("K")) is False
 
 
 def test_template_constraint_validates_params():
@@ -265,4 +273,5 @@ def test_template_feasibility_of_accepted(generic_domain, batch):
     constraint = TemplateSimilarityConstraint(templates, 0.75)
     report = filter_batch(batch, History(), constraint, generic_domain)
     for accepted in report.accepted:
-        assert max(similarity(accepted.canonical, t.canonical) for t in templates) >= 0.75
+        text = accepted.canonical
+        assert max(reference_similarity(text, t.canonical) for t in templates) >= 0.75

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from agentopt.core import DomainKind
+from agentopt.distance import bit_masks
 from agentopt.errors import InsufficientInit, OracleFailure, OracleTimeout
 from agentopt.oracles import (
     CandidatePool,
@@ -56,7 +57,7 @@ def test_lcs_matches_full_table_oracle():
     for _ in range(300):
         a = "".join(rng.choice("ABCD") for _ in range(rng.randint(0, 15)))
         b = "".join(rng.choice("ABCD") for _ in range(rng.randint(0, 15)))
-        assert _lcs_length(a, b) == reference_lcs(a, b)
+        assert _lcs_length(a, b, bit_masks(b)) == reference_lcs(a, b)
 
 
 # Lengths past one 64-bit machine word, and letters that occur in only one
@@ -65,8 +66,8 @@ def test_lcs_matches_full_table_oracle():
 @given(long_text("ABCDE"), long_text("CDEFG"))
 def test_lcs_matches_full_table_past_one_word(a, b):
     expected = reference_lcs(a, b)
-    assert _lcs_length(a, b) == expected
-    assert _lcs_length(b, a) == expected
+    assert _lcs_length(a, b, bit_masks(b)) == expected
+    assert _lcs_length(b, a, bit_masks(a)) == expected
 
 
 # -- hidden weights ---------------------------------------------------------------
