@@ -16,6 +16,7 @@ import logging
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -85,16 +86,6 @@ class InitPlan:
     candidates: list[Candidate]
     floor: float = 0.0
     pool: Optional[CandidatePool] = None
-
-
-@dataclass
-class TrajectoryState:
-    """One live local-search trajectory inside a worker phase."""
-
-    task_name: str
-    x_curr: ScoredRecord  # the seed, then each chosen move
-    fails: int = 0
-    terminated: bool = False
 
 
 @dataclass
@@ -370,72 +361,45 @@ class Engine:
             self.direction,
             self._seeds,
         )
-        trajectories = [
-            TrajectoryState(task_name=task.name, x_curr=seed)
-            for task in work
-            for seed in self._seeds.members
-        ]
-        for index, trajectory in enumerate(trajectories):
-            self._run_trajectory(index, trajectory, trajectories)
-            trajectory.terminated = True
+        for index, (task, seed) in enumerate(product(work, self._seeds.members)):
+            self._run_trajectory(index, task, seed)
 
-    def _run_trajectory(
-        self,
-        index: int,
-        trajectory: TrajectoryState,
-        trajectories: list[TrajectoryState],
-    ) -> None:
-        # only the planner phase changes which tasks the registry holds
-        task_name = trajectory.task_name
-        entry = self.registry.entries[task_name]
-        while trajectory.fails < self.loop.max_fails:
+    def _run_trajectory(self, index: int, task: TaskEntry, seed: ScoredRecord) -> None:
+        """Hill-climb from ``seed`` until ``max_fails`` steps in a row fail.
+
+        Each step moves to its best strict improvement, ties going to the
+        earliest evaluation; a step with none is a fail. A move never lands on
+        another trajectory's current point: that point is a record of the
+        history, and ``filter_batch`` keeps only texts new to the history.
+        """
+        current, fails = seed, 0
+        while fails < self.loop.max_fails:
             system, user = build_worker_prompts(
-                self.domain.prompt_pack, entry.text, trajectory.x_curr.candidate.canonical
+                self.domain.prompt_pack, task.text, current.candidate.canonical
             )
             with self._call(
                 "worker",
                 system,
                 user,
-                task=task_name,
+                task=task.name,
                 trajectory=index,
-                parent=trajectory.x_curr.eval_index,
+                parent=current.eval_index,
             ) as (result, step):
-                records = self._propose(result.text, step, f"worker:{task_name}", task_name)
-                chosen = self._pick_improvement(records or [], trajectory, trajectories)
-                success = chosen is not None
+                records = self._propose(result.text, step, f"worker:{task.name}", task.name)
+                moves = [
+                    r
+                    for r in records or []
+                    if is_improvement(r.score, current.score, self.direction)
+                ]
+                success = bool(moves)
                 if success:
-                    trajectory.x_curr = chosen
-                    trajectory.fails = 0
+                    current = min(moves, key=RANK_KEYS[self.direction])
+                    fails = 0
                 else:
-                    trajectory.fails += 1
-                self.registry.record_outcome(task_name, success)
+                    fails += 1
+                self.registry.record_outcome(task.name, success)
                 step["success"] = success
             self._check_budget()
-
-    def _pick_improvement(
-        self,
-        records: list[ScoredRecord],
-        trajectory: TrajectoryState,
-        trajectories: list[TrajectoryState],
-    ) -> Optional[ScoredRecord]:
-        """Best strict improvement that does not collapse onto another trajectory.
-
-        Collapse guard: a move is vetoed when its canonical text equals the
-        current point of any other live trajectory, which keeps the
-        multi-trajectory search from merging onto a single incumbent.
-        """
-        live_points = {
-            t.x_curr.candidate.canonical
-            for t in trajectories
-            if t is not trajectory and not t.terminated
-        }
-        moves = [
-            r
-            for r in records
-            if is_improvement(r.score, trajectory.x_curr.score, self.direction)
-            and r.candidate.canonical not in live_points
-        ]
-        return min(moves, key=RANK_KEYS[self.direction], default=None)
 
     # -- run control ---------------------------------------------------------
 

@@ -7,7 +7,7 @@ never spent on malformed strings, repeats, or infeasible designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from . import distance
 from .core import Candidate, History, canonicalize
@@ -125,17 +125,14 @@ class ExternalLineValidator:
         answers = run_lines(self.command, texts, self.timeout_s, "external validator")
         return [line.strip().upper() == "VALID" for line in answers]
 
-    def __call__(self, text: str) -> bool:
-        return self.validate_many([text])[0]
 
-
-Validator = Callable[[str], bool]
+# a per-text check, or an external one that answers a whole batch
+Validator = Union[Callable[[str], bool], ExternalLineValidator]
 
 
 def _validate_many(validator: Validator, texts: list[str]) -> list[bool]:
-    bulk = getattr(validator, "validate_many", None)
-    if bulk is not None:
-        return bulk(texts)
+    if isinstance(validator, ExternalLineValidator):
+        return validator.validate_many(texts)
     return [validator(t) for t in texts]
 
 

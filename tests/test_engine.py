@@ -26,13 +26,12 @@ from agentopt.core import (
     History,
     ObjectiveSpec,
     PortfolioSpec,
-    ScoredRecord,
     canonicalize,
 )
 from agentopt.distance import EditDistanceIndex
 from agentopt.diversity import best_portfolio_greedy, select_diverse_seeds
 from agentopt.domains import DomainSpec, make_domain
-from agentopt.engine import Engine, InitPlan, LoopParams, TrajectoryState
+from agentopt.engine import Engine, InitPlan, LoopParams
 from agentopt.errors import (
     BackendUnavailable,
     BadResponse,
@@ -491,55 +490,60 @@ def test_a_record_whose_witness_is_kept_is_rejected_after_one_lookup():
     assert update.members == seeds.members
 
 
-def point_elsewhere(engine, text: str, score: float) -> ScoredRecord:
-    """The current point of a trajectory whose batch this history has not seen."""
-    candidate = canonicalize(text, engine.domain.kind)
-    return ScoredRecord(candidate, score, eval_index=len(engine.history) + 1, origin="worker")
-
-
-def test_collapse_guard_vetoes_move_onto_live_trajectory(tmp_path):
-    # Scripted interleaving state: another live trajectory already sits at
-    # "AAAB" (as happens when batches race under concurrent execution), and
-    # this trajectory's only improving candidate is exactly that point.
-    replies = [("worker", candidates_reply(["AAAB"]))] * 3
-    engine, _ = build_engine(
-        tmp_path, replies, count_a_oracle(), ["BBBBBBBB", "DDDDDDDD"], budget=50,
-    )
-    engine._init_phase()
-    mine = TrajectoryState(task_name="SIMILAR", x_curr=engine.history.records[0])
-    other = TrajectoryState(task_name="SIMILAR", x_curr=point_elsewhere(engine, "AAAB", 3.0))
-    engine._phase = "worker"
-    engine._run_trajectory(0, mine, [mine, other])
-    engine.close()
-    # the improving move was vetoed every time: trajectory never advanced
-    assert mine.x_curr.candidate.canonical == "BBBBBBBB"
-    assert mine.fails == 3
-    similar = engine.registry.get("SIMILAR")
-    assert (similar.attempts, similar.successes) == (3, 0)
-    # but the candidate itself was still evaluated once (budget spent)
-    assert "AAAB" in engine.history.canonical_index
-
-
-def test_collapse_guard_allows_distinct_improvements(tmp_path):
+def test_worker_moves_to_the_best_strict_improvement(tmp_path):
     replies = [
-        ("worker", candidates_reply(["AAAB", "AAAA"])),
-        ("worker", GARBAGE),  # the improvement resets patience; fail once to stop
+        # scores 2, 3, 3: the best ties, and the earlier evaluation wins
+        ("worker", candidates_reply(["AAB", "AAAB", "BAAA"])),
+        ("worker", candidates_reply(["ABAA"])),  # ties AAAB: no strict improvement
     ]
     engine, _ = build_engine(
         tmp_path, replies, count_a_oracle(), ["BBBBBBBB", "DDDDDDDD"], budget=50,
         max_fails=1,
     )
     engine._init_phase()
-    mine = TrajectoryState(task_name="SIMILAR", x_curr=engine.history.records[0])
-    other = TrajectoryState(task_name="SIMILAR", x_curr=point_elsewhere(engine, "AAAB", 3.0))
-    engine._phase = "worker"
-    engine._run_trajectory(0, mine, [mine, other])
-    engine.close()
-    # AAAB vetoed by the guard, AAAA chosen even though both improve
-    assert mine.x_curr.candidate.canonical == "AAAA"
-    assert mine.fails == 1
     similar = engine.registry.get("SIMILAR")
+    engine._phase = "worker"
+    engine._run_trajectory(0, similar, engine.history.records[0])
+    engine.close()
+    index = engine.history.canonical_index
+    steps = agent_calls(tmp_path / "events.jsonl", "worker")
+    assert [s["parent"] for s in steps] == [index["BBBBBBBB"], index["AAAB"]]
+    assert [s["success"] for s in steps] == [True, False]
     assert (similar.attempts, similar.successes) == (2, 1)
+
+
+def test_a_worker_never_moves_onto_another_trajectorys_point(tmp_path):
+    # trajectories: (SIMILAR, AAAAAAAA), (SIMILAR, BBBBBBBB),
+    # (EXPLORE, AAAAAAAA), (EXPLORE, BBBBBBBB)
+    replies = [
+        ("explorer", GARBAGE),
+        ("planner", '{"SIMILAR": "USE_EXISTING", "EXPLORE": "USE_EXISTING"}'),
+        ("worker", GARBAGE),
+        # the best seed, where the next trajectory starts, and its own point
+        ("worker", candidates_reply(["AAAAAAAA", "BBBBBBBB"])),
+        ("worker", GARBAGE),
+        ("worker", GARBAGE),
+    ]
+    engine, _ = build_engine(
+        tmp_path, replies, count_a_oracle(), ["AAAAAAAA", "BBBBBBBB"], budget=50,
+        max_fails=1,
+    )
+    assert engine.run().stop_reason == "stagnation"
+    engine.close()
+    index = engine.history.canonical_index
+    steps = agent_calls(tmp_path / "events.jsonl", "worker")
+    assert [s["parent"] for s in steps] == [
+        index["AAAAAAAA"], index["BBBBBBBB"], index["AAAAAAAA"], index["BBBBBBBB"],
+    ]
+    assert steps[1]["rejected"] == {"duplicate_in_history": 2}
+    assert steps[1]["success"] is False
+    batches = [
+        e["payload"]
+        for e in read_log(tmp_path / "events.jsonl")
+        if e["kind"] == "eval_batch" and e["phase"] == "worker"
+    ]
+    assert [b["n"] for b in batches] == [0]
+    assert batches[0]["task"] == "SIMILAR"
 
 
 # -- minimization end-to-end -------------------------------------------------------
