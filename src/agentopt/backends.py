@@ -199,7 +199,7 @@ def scripted_load(path: Path) -> ScriptedBackend:
             continue
         try:
             entry = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedScript(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         try:  # a lone surrogate escape decodes, but no log can write it
             json.dumps(entry, ensure_ascii=False).encode("utf-8")
@@ -390,7 +390,7 @@ class HttpBackend(Backend):
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise BadResponse(f"malformed completion payload: {exc}") from exc
         if not isinstance(text, str):
             raise BadResponse("completion content is not a string")

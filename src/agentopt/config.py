@@ -170,7 +170,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override has an empty key path: {item!r}")
         try:
             value = yaml.safe_load(raw_value)
-        except yaml.YAMLError:
+        except (yaml.YAMLError, RecursionError):
             value = raw_value
         node = out
         for key in keys[:-1]:
@@ -190,7 +190,7 @@ def load_config_file(path: Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if data is None:
         data = {}

@@ -68,8 +68,9 @@ class EditDistanceIndex:
     the memoized kernel:
 
     - the length bound ``edits(a, b) >= |len a - len b|`` proves "far";
-    - each text keeps a witness, the last text found too close to it, with
-      an upper bound on their edits; the triangle inequality
+    - the walked text, the first argument of ``far``, keeps one witness:
+      the last kept text it was found too close to, with an upper bound on
+      their edits; the triangle inequality
       ``edits(a, b) <= bound(a, w) + edits(w, b)`` proves "too close".
 
     A bound goes through the same expression as the exact count,
@@ -83,33 +84,18 @@ class EditDistanceIndex:
         self._masks: dict[str, dict[str, int]] = {}  # of ``b``, the side a walk keeps
 
     def witness(self, text: str) -> Optional[str]:
-        """The last text found too close to ``text``, if any."""
+        """The last text ``text`` was walked against and found too close to."""
         witness = self._witness.get(text)
         return None if witness is None else witness[0]
 
-    def _known(self, a: str, b: str) -> Optional[int]:
-        """An upper bound on ``edits(a, b)`` already at hand, if any."""
-        edits = self._edits.get((a, b) if a <= b else (b, a))
-        if edits is not None:
-            return edits
-        for x, y in ((a, b), (b, a)):
-            witness = self._witness.get(x)
-            if witness is not None and witness[0] == y:
-                return witness[1]
-        return None
-
     def _upper(self, a: str, b: str) -> Optional[int]:
-        """An upper bound on ``edits(a, b)`` through either text's witness."""
-        best = None
-        for x, y in ((a, b), (b, a)):
-            witness = self._witness.get(x)
-            if witness is None:
-                continue
-            w, bound = witness
-            rest = 0 if w == y else self._known(w, y)
-            if rest is not None and (best is None or bound + rest < best):
-                best = bound + rest
-        return best
+        """An upper bound on ``edits(a, b)`` through ``a``'s witness, if any."""
+        witness = self._witness.get(a)
+        if witness is None:
+            return None
+        w, bound = witness
+        rest = 0 if w == b else self._edits.get((w, b) if w <= b else (b, w))
+        return None if rest is None else bound + rest
 
     def far(self, a: str, b: str, threshold: float) -> bool:
         """``normalized_edit_distance(a, b) >= threshold``."""
@@ -137,4 +123,3 @@ class EditDistanceIndex:
 
     def _close(self, a: str, b: str, bound: int) -> None:
         self._witness[a] = (b, bound)
-        self._witness[b] = (a, bound)

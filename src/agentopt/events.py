@@ -178,7 +178,7 @@ def _decode(path: Path, data: bytes, where: str = "") -> Any:
     """The JSON value of UTF-8 ``data``; anything else is a ``CorruptCheckpoint``."""
     try:
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, or too deep
         raise CorruptCheckpoint(f"{path}{where}: {exc}") from exc
 
 

@@ -156,7 +156,10 @@ class TemplateSimilarityConstraint(HardConstraint):
 
     Similarity, ``1 - min(1, edits / shorter)``, falls as the edits grow, so
     the rule is asked as ``edits <= most``; ``most`` comes from that float
-    expression at each count, and every verdict stays exact.
+    expression at each count, and every verdict stays exact. Templates are
+    asked latest admitter first, so the one that admitted the last text
+    leads: one template tends to admit most texts, and since any one close
+    template admits a text, the order changes no verdict.
     """
 
     def __init__(self, templates: Sequence[Candidate], min_similarity: float):
@@ -178,13 +181,14 @@ class TemplateSimilarityConstraint(HardConstraint):
 
     def allows(self, candidate: Candidate) -> bool:
         text = candidate.canonical
-        for other, masks in self._masked:
+        for i, (other, masks) in enumerate(self._masked):
             most = self._most_edits(min(len(text), len(other)))
             # edits >= |len a - len b|: skip a template this bound already rules out
             if abs(len(text) - len(other)) > most:
                 continue
             # looked up as the module global, so a wrapper sees every call
             if distance.levenshtein(text, other, masks) <= most:
+                self._masked.insert(0, self._masked.pop(i))
                 return True
         return False
 

@@ -273,7 +273,7 @@ class HttpOracle(Oracle):
         self.failed_attempts += failed
         try:
             return response.json()["score"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise OracleFailure(f"malformed oracle payload: {exc}") from exc
 
 

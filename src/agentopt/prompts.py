@@ -152,7 +152,7 @@ def _iter_json_objects(text: str) -> Iterator[object]:
             return
         try:
             value, _ = _DECODER.raw_decode(text, start)
-        except ValueError:
+        except (ValueError, RecursionError):  # or nested too deep: no object starts here
             pass
         else:
             yield value

@@ -320,14 +320,16 @@ class ScoreHandler(BaseHTTPRequestHandler):
 
     The ``score_server`` fixture sets the class attributes on a fresh
     subclass: ``statuses`` are answered first, one per request, then 200s
-    carrying ``score(text)``; with ``hang`` set, no request is answered until
-    the test ends. ``candidates`` records every request in order.
+    carrying ``score(text)``, or ``body`` as is when set; with ``hang`` set,
+    no request is answered until the test ends. ``candidates`` records every
+    request in order.
     """
 
     statuses: list[int]
     candidates: list[str]
     hang: bool
     release: threading.Event
+    body: bytes
 
     @staticmethod
     def score(text: str):
@@ -340,7 +342,9 @@ class ScoreHandler(BaseHTTPRequestHandler):
             self.release.wait(10)
             return
         status = self.statuses.pop(0) if self.statuses else 200
-        raw = json.dumps({"score": self.score(text)}).encode() if status == 200 else b""
+        raw = b""
+        if status == 200:
+            raw = self.body or json.dumps({"score": self.score(text)}).encode()
         self.send_response(status)
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
@@ -356,7 +360,10 @@ def score_server():
     handler = type(
         "Handler",
         (ScoreHandler,),
-        {"statuses": [], "candidates": [], "hang": False, "release": threading.Event()},
+        {
+            "statuses": [], "candidates": [], "hang": False, "release": threading.Event(),
+            "body": b"",
+        },
     )
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()

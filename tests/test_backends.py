@@ -115,6 +115,13 @@ def test_scripted_load_bad_json_is_malformed(tmp_path):
         scripted_load(path)
 
 
+def test_scripted_row_nested_too_deep_is_malformed(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    path.write_text('{"match": {"role": "explorer"}, "reply": "ok"}\n' + "[" * 5000 + "\n")
+    with pytest.raises(MalformedScript, match=r"deep\.jsonl:2: invalid JSON"):
+        scripted_load(path)
+
+
 def test_scripted_row_that_is_no_object_is_malformed(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"match": {"role": "explorer"}, "reply": "ok"}\n[1]\n')
@@ -222,6 +229,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
     seen: list[dict] = []
     content = "pong"
     usage: object = {"prompt_tokens": 11, "completion_tokens": 3}
+    body = b""  # when set, sent as is in place of the payload
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
@@ -235,7 +243,7 @@ class FlakyHandler(BaseHTTPRequestHandler):
             "choices": [{"message": {"content": type(self).content}}],
             "usage": type(self).usage,
         }
-        raw = json.dumps(payload).encode()
+        raw = type(self).body or json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
@@ -255,6 +263,7 @@ def flaky_server():
     FlakyHandler.seen = []
     FlakyHandler.content = "pong"
     FlakyHandler.usage = {"prompt_tokens": 11, "completion_tokens": 3}
+    FlakyHandler.body = b""
     yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
     server.shutdown()
     server.server_close()
@@ -297,6 +306,14 @@ def test_http_reply_with_a_lone_surrogate_is_a_bad_response(flaky_server):
     FlakyHandler.content = "CANDIDATES:\nAAB\ud800A\n"
     backend = HttpBackend(flaky_server, "test-model", retry_backoff_ms=1)
     with pytest.raises(BadResponse, match="not UTF-8 text"):
+        backend.complete(req())
+    assert len(FlakyHandler.seen) == 1
+
+
+def test_http_body_nested_too_deep_is_a_bad_response(flaky_server):
+    FlakyHandler.body = b'{"choices": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    backend = HttpBackend(flaky_server, "test-model", retry_backoff_ms=1)
+    with pytest.raises(BadResponse, match="malformed completion payload: maximum recursion"):
         backend.complete(req())
     assert len(FlakyHandler.seen) == 1
 

@@ -64,34 +64,43 @@ def events_without_ts(path: Path) -> bytes:
     return "".join(lines).encode("utf-8")
 
 
-# Seed 7, as the benchmark's reference runs. The history hashes and kernel
-# counts are those of the same runs before the edit-distance index: the index
-# may save kernel calls, never change a history. The events hashes are those
-# of the logs with one step event per agent call, which are the earlier logs
-# folded (agent_call, filter_report and worker outcome into each step), apart
-# from seq, ts and the step's parent: a refactor keeps every event, byte for
-# byte apart from its time stamp.
+# Seed 7, as the benchmark's reference runs. The history hashes are those of
+# the same runs before the edit-distance index: the index may save kernel
+# calls, never change a history. Kernel counts repeat exactly, so each bound
+# is the count noted beside it plus 3%: a fast path that stops saving calls
+# fails here rather than hiding in the benchmark's noise. The events hashes
+# are those of the logs with one step event per agent call, which are the
+# earlier logs folded (agent_call, filter_report and worker outcome into each
+# step), apart from seq, ts and the step's parent: a refactor keeps every
+# event, byte for byte apart from its time stamp.
 @pytest.mark.parametrize(
-    "workload, budget, sha256, events_sha256, kernel_calls_before",
+    "workload, budget, sha256, events_sha256, kernel_calls_most",
     [
         (
             "peptide-long",
             1000,
             "c8bfb7971e6f108da9e8f6f5d0bf8ec0ccee13a667c59ab421d041cbd848c1e8",
             "36b967c516b7fb6b2f4140ce6fa40771e1244440de2b1bf6cb6097934d8b7216",
-            505,
+            388,  # 377
+        ),
+        (
+            "peptide-long",
+            2500,
+            "7cb220fad4cbdaa37fe3d64c948b7b7f63831e82951179588e33c5c2e63d7be7",
+            "fa3aff05594a7a62a708c7407e2309dfa7694bc6ca26f3901d29ea7c813f4c36",
+            902,  # 876
         ),
         (
             "smiles-portfolio",
             300,
             "85f4e0b91f977560288f8a366aa2162e5da92f141a654933f74397a2b7688ddd",
             "09d1e9d60b8891eb0c9e8925c8212c54d871844b7f13bf58c0efbe89b9494fcf",
-            1539,
+            847,  # 823
         ),
     ],
 )
 def test_index_saves_kernel_calls_and_keeps_the_history(
-    tmp_path, kernel_calls, workload, budget, sha256, events_sha256, kernel_calls_before
+    tmp_path, kernel_calls, workload, budget, sha256, events_sha256, kernel_calls_most
 ):
     workloads = load_bench_module("workloads")
     cfg = workloads.config_for(workload, seed=7, budget=budget)
@@ -104,4 +113,4 @@ def test_index_saves_kernel_calls_and_keeps_the_history(
     assert hashlib.sha256(history).hexdigest() == sha256
     events = events_without_ts(tmp_path / EVENTS_FILE)
     assert hashlib.sha256(events).hexdigest() == events_sha256
-    assert 0 < len(kernel_calls) < kernel_calls_before
+    assert 0 < len(kernel_calls) <= kernel_calls_most

@@ -221,6 +221,35 @@ def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_config_nested_too_deep_is_a_config_error(tmp_path, capsys):
+    deep = "[" * 3000 + "]" * 3000
+    config = tmp_path / "config.yaml"
+    config.write_text(f"run: {{seed: {deep}}}\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(config)]) == 1
+    assert f"error[ConfigError]: config {config} is not valid YAML: " in capsys.readouterr().err
+    # an override too deep to parse stays a string, which no int key takes
+    config = write_yaml(tmp_path / "config.yaml", {"domain": {"kind": "generic"}})
+    assert main(["validate-config", "--config", str(config), "--set", f"run.seed={deep}"]) == 1
+    assert "error[ConfigError]" in capsys.readouterr().err
+
+
+def test_explorer_reply_nested_too_deep_is_a_failed_step(tmp_path):
+    config = scripted_run_config(tmp_path, n_rounds=2)
+    replies = multi_round_replies(2)
+    replies[1] = ("explorer", '{"a":' * 5000)  # in place of the first failing batch
+    write_script(tmp_path / "script.jsonl", replies)
+    assert main(["run", "--config", str(config), "--set", "objective.budget=17"]) == 0
+    calls = [s for s in read_steps(tmp_path / "out" / "events.jsonl") if s.call is not None]
+    # that call evaluates nothing and is the first of the three fails that end
+    # the phase: the planner comes next after the fourth explorer call
+    assert [s.call["role"] for s in calls] == (
+        ["explorer"] * 4 + ["planner"] + ["worker"] * 6 + ["explorer"] * 4
+    )
+    assert ["eval_batch" in s.events for s in calls[:4]] == [True, False, True, True]
+    assert calls[1].call["rejected"] == {}
+    assert_events_agree(tmp_path / "out")
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

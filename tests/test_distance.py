@@ -91,7 +91,7 @@ def test_length_bound_settles_far_without_the_kernel(kernel_calls):
 def test_witness_settles_too_close_without_the_kernel(kernel_calls):
     a, w, b = "AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAAABB"
     index = EditDistanceIndex()
-    assert index.far(a, w, 0.5) is False  # 1 edit: a and w witness each other
+    assert index.far(a, w, 0.5) is False  # 1 edit: w is a's witness
     assert index.far(w, b, 0.5) is False  # 1 edit
     assert len(kernel_calls) == 2
     # edits(a, b) <= edits(a, w) + edits(w, b) = 2, and 2 / 10 < 0.5
@@ -131,6 +131,13 @@ THRESHOLDS = st.sampled_from([0.25, 0.3, 0.5, 0.75, 1.0, 1.5]) | st.builds(
 @example(
     texts=["AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAABBB"],
     queries=[(0, 1, 0.3), (1, 2, 0.3), (0, 2, 0.3)],
+)
+# The kept text asked first: b is kept when w is walked against it, then
+# walked against a. A witness kept on b's side (w, 1 edit) plus the memo's
+# edits(w, a) would settle the pair; now only the kernel does.
+@example(
+    texts=["AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAAABB"],
+    queries=[(1, 0, 0.5), (1, 2, 0.5), (2, 0, 0.5)],
 )
 def test_index_verdict_equals_exact_distance(texts, queries):
     index = EditDistanceIndex()

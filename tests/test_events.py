@@ -254,8 +254,12 @@ def test_resume_seq_gap_is_corrupt(tmp_path):
 
 @pytest.mark.parametrize(
     "bad, reason",
-    [(b'{"seq": 2', "Expecting"), (b'\xff\xfe{"seq": 2}', "utf-8")],
-    ids=["json", "utf-8"],
+    [
+        (b'{"seq": 2', "Expecting"),
+        (b'\xff\xfe{"seq": 2}', "utf-8"),
+        (b"[" * 5000 + b"]" * 5000, "maximum recursion depth"),
+    ],
+    ids=["json", "utf-8", "too-deep"],
 )
 def test_read_log_bad_line_is_corrupt_and_names_it(tmp_path, bad, reason):
     path = tmp_path / "events.jsonl"

@@ -2,9 +2,10 @@
 
 Each drawn config runs twice: as built, and with three plain stand-ins for
 the fast paths: the full-matrix kernel, which ignores the match masks, the
-template constraint's float rule over that kernel, and the greedy walk's
-rank-order check without the witness asked first. The logs must agree byte
-for byte, the events apart from their wall-clock ``ts``.
+template constraint's float rule over that kernel with the templates in
+config order, and the greedy walk's rank-order check without the witness
+asked first. The logs must agree byte for byte, the events apart from their
+wall-clock ``ts``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ def run_configs(draw) -> dict:
     config = {
         "run": {"seed": seed},
         "domain": {"kind": kind},
-        "objective": {"direction": "maximize", "budget": budget},
-        "loop": {"seeds_m": draw(st.integers(1, 4))},
+        "objective": {
+            "direction": draw(st.sampled_from(["maximize", "minimize"])),
+            "budget": budget,
+        },
+        "loop": {"seeds_m": draw(st.integers(1, 4)), "max_fails": draw(st.integers(1, 4))},
         "backends": {"default": {"kind": "mutator", "seed": seed}},
         "oracle": {
             "kind": "synthetic",

@@ -200,6 +200,12 @@ def test_http_oracle_rejects_a_boolean_score(score_server):
         HttpOracle(score_server.url).evaluate(cand("AAAA"))
 
 
+def test_http_oracle_body_nested_too_deep_is_an_oracle_failure(score_server):
+    score_server.body = b'{"score": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    with pytest.raises(OracleFailure, match="malformed oracle payload: maximum recursion"):
+        HttpOracle(score_server.url).evaluate(cand("AAAA"))
+
+
 def test_http_oracle_times_out_after_every_retry(score_server, monkeypatch):
     sleeps: list[float] = []
     monkeypatch.setattr("agentopt.backends.time.sleep", sleeps.append)

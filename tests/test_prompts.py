@@ -180,6 +180,13 @@ def test_parse_empty_list_is_not_an_error():
     assert parse_candidates('{"candidates": []}') == []
 
 
+def test_parse_skips_an_object_nested_too_deep_to_decode():
+    deep = '{"a":' * 5000
+    with pytest.raises(NoCandidatesFound):
+        parse_candidates(deep)
+    assert parse_candidates(deep + ' {"candidates": ["OK"]}') == ["OK"]
+
+
 def test_parse_fuzzed_wrappers_match_reference_extractor():
     # reference oracle: decode with the stdlib from every '{' and keep the
     # last dict carrying a "candidates" list
