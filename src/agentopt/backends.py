@@ -344,7 +344,6 @@ class HttpBackend(Backend):
         max_retries: int = MAX_RETRIES,
         retry_backoff_ms: int = RETRY_BACKOFF_MS,
         timeout_s: float = 300.0,
-        name: Optional[str] = None,
     ):
         if not endpoint_url or not model_name:
             raise ValueError("http backend requires endpoint_url and model_name")
@@ -354,7 +353,7 @@ class HttpBackend(Backend):
         self.max_retries = max_retries
         self.retry_backoff_ms = retry_backoff_ms
         self.timeout_s = timeout_s
-        self.name = name or f"http:{model_name}"
+        self.name = f"http:{model_name}"
 
     def _headers(self) -> dict[str, str]:
         # requests sets Content-Type itself for a JSON body

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -250,17 +251,14 @@ def _expect(cfg: dict, path: str, types: type, default: Any = _REQUIRED) -> Any:
     return value
 
 
-def _number(cfg: dict, path: str, kind: type, default: Any = _REQUIRED) -> Any:
-    """The leaf at ``path`` read by ``kind`` (``int`` or ``float``), never from a bool."""
+def _number(cfg: dict, path: str, default: Any = _REQUIRED) -> Any:
+    """The leaf at ``path``: a finite int or float, never a bool or a string."""
     value = _get(cfg, path, default)
     if value is default:
         return value
-    if not isinstance(value, bool):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise _bad(path, value, kind.__name__)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise _bad(path, value, "a finite number")
+    return float(value)
 
 
 def validate_config(cfg: dict) -> RunConfig:
@@ -302,18 +300,18 @@ def validate_config(cfg: dict) -> RunConfig:
         loop = LoopParams(
             max_fails=_expect(merged, "loop.max_fails", int),
             seeds_m=_expect(merged, "loop.seeds_m", int),
-            seed_threshold=_number(merged, "loop.seed_threshold", float),
+            seed_threshold=_number(merged, "loop.seed_threshold"),
             registry_capacity=_expect(merged, "loop.registry_capacity", int),
             context=ContextSpec(
-                context_size=_number(merged, "loop.context.context_size", int),
-                top_k=_number(merged, "loop.context.top_k", int),
+                context_size=_expect(merged, "loop.context.context_size", int),
+                top_k=_expect(merged, "loop.context.top_k", int),
             ),
         )
         TaskRegistry(domain.default_tasks, capacity=loop.registry_capacity)
     except ValueError as exc:
         raise ConfigError(f"loop: {exc}") from exc
 
-    init_count = _number(merged, "init.count", int)
+    init_count = _expect(merged, "init.count", int)
     if init_count < 1:
         raise ConfigError("init.count must be >= 1")
     init_source = _candidate_pool(merged, "init.source", "templates_plus_mutations", domain)
@@ -333,7 +331,7 @@ def validate_config(cfg: dict) -> RunConfig:
         init_count=init_count,
         init_source=init_source,
         init_pool=init_pool if _expect(merged, "init.zero_signal_guard", bool) else None,
-        init_floor=_number(merged, "init.floor", float),
+        init_floor=_number(merged, "init.floor"),
     )
     build_oracle(merged)
     build_router(config, TokenLedger())
@@ -344,7 +342,7 @@ def build_portfolio_spec(cfg: dict) -> PortfolioSpec:
     """``PortfolioSpec`` from an ``objective.portfolio`` mapping; raises ConfigError."""
     try:
         return PortfolioSpec(
-            size=_number(cfg, "size", int, 20), beta=_number(cfg, "beta", float, 0.75)
+            size=_expect(cfg, "size", int, 20), beta=_number(cfg, "beta", 0.75)
         )
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"objective.portfolio: {exc}") from exc
@@ -396,7 +394,7 @@ def build_constraint(cfg: dict, domain: DomainSpec) -> HardConstraint:
     templates = _templates(cfg, "constraint", domain)
     try:
         return TemplateSimilarityConstraint(
-            templates, _number(cfg, "constraint.min_similarity", float)
+            templates, _number(cfg, "constraint.min_similarity")
         )
     except ValueError as exc:
         raise ConfigError(f"constraint: {exc}") from exc
@@ -409,7 +407,7 @@ def build_oracle(cfg: dict) -> Oracle:
     ``validate_config`` checks the section by building one.
     """
     kind = _get(cfg, "oracle.kind", None)
-    timeout_s = _number(cfg, "oracle.timeout_ms", float) / 1000.0
+    timeout_s = _number(cfg, "oracle.timeout_ms") / 1000.0
     try:
         if kind == "synthetic":
             return make_synthetic(
@@ -433,7 +431,7 @@ def _build_backend(config: RunConfig, slot: str) -> Backend:
             return scripted_load(Path(_expect(cfg, f"{at}.script", str)))
         if kind == "mutator":
             return MutatorBackend(
-                seed=_number(cfg, f"{at}.seed", int, config.seed),
+                seed=_expect(cfg, f"{at}.seed", int, config.seed),
                 alphabet=_expect(cfg, f"{at}.alphabet", str, None) or config.domain.alphabet,
             )
         if kind == "http":
@@ -442,9 +440,9 @@ def _build_backend(config: RunConfig, slot: str) -> Backend:
                 endpoint_url=_expect(cfg, f"{at}.endpoint_url", str),
                 model_name=_expect(cfg, f"{at}.model_name", str),
                 api_key_env_var=_expect(cfg, f"{at}.api_key_env_var", str, None),
-                max_retries=_number(cfg, f"{at}.max_retries", int, MAX_RETRIES),
-                retry_backoff_ms=_number(cfg, f"{at}.retry_backoff_ms", int, RETRY_BACKOFF_MS),
-                timeout_s=_number(cfg, f"{at}.timeout_s", float, 300.0),
+                max_retries=_expect(cfg, f"{at}.max_retries", int, MAX_RETRIES),
+                retry_backoff_ms=_expect(cfg, f"{at}.retry_backoff_ms", int, RETRY_BACKOFF_MS),
+                timeout_s=_number(cfg, f"{at}.timeout_s", 300.0),
             )
     except (MalformedScript, ValueError) as exc:
         raise ConfigError(f"{at}: {exc}") from exc
@@ -464,8 +462,8 @@ def build_router(config: RunConfig, ledger: TokenLedger) -> RoleRouter:
         at = f"backends.roles.{role}"
         try:
             settings[role] = RoleSettings(
-                temperature=_number(config.raw, f"{at}.temperature", float),
-                max_output_tokens=_number(config.raw, f"{at}.max_output_tokens", int),
+                temperature=_number(config.raw, f"{at}.temperature"),
+                max_output_tokens=_expect(config.raw, f"{at}.max_output_tokens", int),
             )
         except ValueError as exc:
             raise ConfigError(f"{at}: {exc}") from exc

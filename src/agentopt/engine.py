@@ -232,13 +232,9 @@ class Engine:
         return records
 
     def _context_text(self) -> str:
-        ctx = coverage_sample(
-            self.history,
-            self.loop.context,
-            self.direction,
-            self.rng.stream("context_offset"),
-        )
-        return render_context(ctx)
+        offsets = self.rng.stream("context_offset")
+        records = coverage_sample(self.history, self.loop.context, self.direction, offsets)
+        return render_context(records)
 
     # -- statistics driving explorer persistence ----------------------------
 

@@ -457,10 +457,11 @@ def test_coverage_sampling_structure():
                 rng.uniform(0, 100),
                 "init",
             )
-        ctx = coverage_sample(history, spec, Direction.MAXIMIZE, rng)
-        ranks = [rank for rank, _ in ctx.entries]
+        records = coverage_sample(history, spec, Direction.MAXIMIZE, rng)
+        position = {id(r): i for i, r in enumerate(history.ranked(Direction.MAXIMIZE), 1)}
+        ranks = [position[id(r)] for r in records]
         assert ranks[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
-        assert len(ctx.entries) == 20
+        assert len(records) == 20
         assert len(set(ranks)) == 20
         if n >= 80:
             worst_quartile_start = n - n // 4 + 1

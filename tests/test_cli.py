@@ -289,6 +289,36 @@ def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, overrides):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    ("text", "override", "message"),
+    [
+        ("init: {count: .inf}", None, "config key init.count is inf, expected int"),
+        (
+            "objective: {portfolio: {size: .inf}}",
+            None,
+            "objective.portfolio: config key size is inf, expected int",
+        ),
+        ("init: {count: 2.9}", None, "config key init.count is 2.9, expected int"),
+        (
+            'loop: {context: {context_size: "20"}}',
+            None,
+            "config key loop.context.context_size is '20', expected int",
+        ),
+        ("loop: {seed_threshold: .nan}", None, "config key loop.seed_threshold is nan"),
+        ("oracle: {timeout_ms: .inf}", None, "config key oracle.timeout_ms is inf"),
+        ("{}", "init.count=2.9", "config key init.count is 2.9, expected int"),
+    ],
+)
+def test_number_keys_take_only_finite_numbers_of_their_kind(
+    tmp_path, capsys, text, override, message
+):
+    config = tmp_path / "config.yaml"
+    config.write_text(text + "\n", encoding="utf-8")
+    sets = ["--set", override] if override else []
+    assert main(["validate-config", "--config", str(config), *sets]) == 1
+    assert f"error[ConfigError]: {message}" in capsys.readouterr().err
+
+
 def test_init_file_that_is_not_utf8_names_key_and_path(tmp_path, capsys):
     init_file = tmp_path / "init.txt"
     init_file.write_bytes(b"\xff\xfeKLWR\n")

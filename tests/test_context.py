@@ -4,13 +4,7 @@ import random
 
 import pytest
 
-from agentopt.context import (
-    ContextSpec,
-    GlobalContext,
-    coverage_sample,
-    render_context,
-    sampled_ranks,
-)
+from agentopt.context import ContextSpec, coverage_sample, render_context
 from agentopt.core import Direction
 from agentopt.errors import EmptyHistory
 
@@ -28,6 +22,18 @@ class FixedOffsetRng(random.Random):
         return self._offset
 
 
+class CountingRng(random.Random):
+    """Records the arguments of every ``randrange`` call."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.calls: list[tuple] = []
+
+    def randrange(self, *args, **kwargs):  # noqa: D102 - test double
+        self.calls.append(args)
+        return super().randrange(*args, **kwargs)
+
+
 def reference_sampled_ranks(n: int, context_size: int, top_k: int, offset: int):
     """Independent index-arithmetic oracle for the rank selection."""
     if n <= context_size:
@@ -42,65 +48,99 @@ def reference_sampled_ranks(n: int, context_size: int, top_k: int, offset: int):
     return ranks
 
 
+def ranks_of(history, records) -> list[int]:
+    """1-based positions of ``records`` in the history's maximizing ranking."""
+    position = {id(r): i for i, r in enumerate(history.ranked(Direction.MAXIMIZE), 1)}
+    return [position[id(r)] for r in records]
+
+
+def stride_of(n: int, spec: ContextSpec) -> int:
+    return (n - spec.top_k) // (spec.context_size - spec.top_k)
+
+
 def test_small_history_passes_through_whole():
     history = make_history([float(i) for i in range(15)])
-    ctx = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
-    assert len(ctx.entries) == 15
-    assert [rank for rank, _ in ctx.entries] == list(range(1, 16))
+    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
+    assert len(records) == 15
+    assert ranks_of(history, records) == list(range(1, 16))
+    # a copy: callers may not modify the history's own ranking
+    assert records is not history.ranked(Direction.MAXIMIZE)
 
 
 def test_large_history_keeps_top_k_and_distinct_ranks():
     history = make_history([float(i) for i in range(100)])
-    ctx = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(1))
-    ranks = [rank for rank, _ in ctx.entries]
+    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(1))
+    ranks = ranks_of(history, records)
     assert ranks[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
-    assert len(ctx.entries) == 20
+    assert len(records) == 20
     assert len(set(ranks)) == 20
     assert all(9 <= r <= 100 for r in ranks[8:])
 
 
 def test_stride_arithmetic_with_forced_zero_offset():
     # |h|=100, top_k=8, 12 samples, stride floor(92/12)=7 -> 9, 16, 23, ...
-    ranks = sampled_ranks(100, ContextSpec(), offset=0)
-    assert ranks[8:] == [9, 16, 23, 30, 37, 44, 51, 58, 65, 72, 79, 86]
+    history = make_history([float(i) for i in range(100)])
+    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, FixedOffsetRng(0))
+    assert ranks_of(history, records)[8:] == [9, 16, 23, 30, 37, 44, 51, 58, 65, 72, 79, 86]
 
 
 @pytest.mark.parametrize("n", [21, 50, 100, 137, 400])
 @pytest.mark.parametrize("offset", [0, 1, 3])
 def test_sampled_ranks_match_independent_oracle(n, offset):
     spec = ContextSpec()
-    stride = (n - spec.top_k) // (spec.context_size - spec.top_k)
-    if offset >= stride:
-        pytest.skip("offset outside stride for this size")
-    assert sampled_ranks(n, spec, offset) == reference_sampled_ranks(
+    # the drawn offset is below the stride: clamp the case to its last offset
+    offset = min(offset, stride_of(n, spec) - 1)
+    history = make_history([float(i) for i in range(n)])
+    records = coverage_sample(history, spec, Direction.MAXIMIZE, FixedOffsetRng(offset))
+    assert ranks_of(history, records) == reference_sampled_ranks(
         n, spec.context_size, spec.top_k, offset
     )
 
 
 def test_coverage_sample_via_forced_offset_matches_oracle():
     history = make_history([float(i) for i in range(100)])
-    ctx = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, FixedOffsetRng(0))
+    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, FixedOffsetRng(0))
     ranked = history.ranked(Direction.MAXIMIZE)
     expected = reference_sampled_ranks(100, 20, 8, 0)
-    assert [rank for rank, _ in ctx.entries] == expected
-    for rank, record in ctx.entries:
+    assert ranks_of(history, records) == expected
+    for rank, record in zip(expected, records):
         assert record is ranked[rank - 1]
+
+
+@pytest.mark.parametrize(
+    ("n", "spec", "draws"),
+    [
+        (100, ContextSpec(), [(7,)]),
+        (400, ContextSpec(context_size=30, top_k=1), [(13,)]),
+        (15, ContextSpec(), []),
+        (20, ContextSpec(), []),
+        (21, ContextSpec(), []),
+        (100, ContextSpec(context_size=20, top_k=20), []),
+        (100, ContextSpec(context_size=1, top_k=1), []),
+    ],
+)
+def test_offset_drawn_once_below_a_stride_above_one(n, spec, draws):
+    history = make_history([float(i) for i in range(n)])
+    rng = CountingRng()
+    records = coverage_sample(history, spec, Direction.MAXIMIZE, rng)
+    assert rng.calls == draws
+    assert len(records) == min(n, spec.context_size)
 
 
 def test_contains_global_best_and_spans_spectrum():
     rng = random.Random(5)
     for _ in range(50):
         history = random_history(rng, rng.randint(25, 300))
-        ctx = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, rng)
-        ranks = [rank for rank, _ in ctx.entries]
+        records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, rng)
+        ranks = ranks_of(history, records)
         best = history.best_record(Direction.MAXIMIZE)
-        assert any(rec is best for _, rec in ctx.entries)
+        assert any(rec is best for rec in records)
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == len(ranks)
         n = len(history)
         if n > 20:
             spec = ContextSpec()
-            stride = (n - spec.top_k) // (spec.context_size - spec.top_k)
+            stride = stride_of(n, spec)
             # last sampled rank lands within one stride plus the sample
             # count of the worst rank
             assert max(ranks) > n - (stride + spec.context_size - spec.top_k)
@@ -110,7 +150,7 @@ def test_deterministic_given_same_seed():
     history = make_history([float(i) for i in range(200)])
     a = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(42))
     b = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(42))
-    assert [r for r, _ in a.entries] == [r for r, _ in b.entries]
+    assert ranks_of(history, a) == ranks_of(history, b)
 
 
 def test_empty_history_raises():
@@ -133,16 +173,15 @@ def test_context_spec_validates_top_k():
 def test_render_single_entry_line_format():
     history = make_history([])
     record = history.append(cand("CC(C)=CCO"), 0.4833, "init")
-    ctx = GlobalContext(entries=[(1, record)])
-    assert render_context(ctx) == "0.4833: CC(C)=CCO"
+    assert render_context([record]) == "0.4833: CC(C)=CCO"
 
 
 def test_render_minimize_puts_lowest_first():
     history = make_history([])
     history.append(cand("SEQONE"), 90.12, "init")
     history.append(cand("SEQTWO"), 85.12, "init")
-    ctx = coverage_sample(history, ContextSpec(), Direction.MINIMIZE, random.Random(0))
-    text = render_context(ctx)
+    records = coverage_sample(history, ContextSpec(), Direction.MINIMIZE, random.Random(0))
+    text = render_context(records)
     assert text.splitlines() == ["85.12: SEQTWO", "90.12: SEQONE"]
 
 
@@ -150,8 +189,8 @@ def test_render_maximize_sorts_high_to_low():
     history = make_history([])
     history.append(cand("LOW"), 0.1, "init")
     history.append(cand("HIGH"), 0.9, "init")
-    ctx = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
-    assert render_context(ctx).splitlines() == [
+    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
+    assert render_context(records).splitlines() == [
         "0.9000: HIGH",
         "0.1000: LOW",
     ]
@@ -159,4 +198,4 @@ def test_render_maximize_sorts_high_to_low():
 
 def test_render_empty_context_raises():
     with pytest.raises(EmptyHistory):
-        render_context(GlobalContext(entries=[]))
+        render_context([])

@@ -49,6 +49,7 @@ def run_configs(draw) -> dict:
     kind = draw(st.sampled_from(["smiles", "peptide"]))
     seed = draw(st.integers(0, 10_000))
     budget = draw(st.integers(20, 300))
+    context_size = draw(st.integers(1, 30))
     config = {
         "run": {"seed": seed},
         "domain": {"kind": kind},
@@ -56,7 +57,11 @@ def run_configs(draw) -> dict:
             "direction": draw(st.sampled_from(["maximize", "minimize"])),
             "budget": budget,
         },
-        "loop": {"seeds_m": draw(st.integers(1, 4)), "max_fails": draw(st.integers(1, 4))},
+        "loop": {
+            "seeds_m": draw(st.integers(1, 4)),
+            "max_fails": draw(st.integers(1, 4)),
+            "context": {"context_size": context_size, "top_k": draw(st.integers(1, context_size))},
+        },
         "backends": {"default": {"kind": "mutator", "seed": seed}},
         "oracle": {
             "kind": "synthetic",
