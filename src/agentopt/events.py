@@ -3,8 +3,9 @@
 Every line is independently parseable JSON and flushed on write, so a run
 killed at any moment leaves logs that are valid up to their last byte. The
 event stream carries enough payload (agent replies, evaluated records) to
-rebuild the history and to re-run the engine against it: a ``Replay``.
-``read_log`` and ``read_json`` are the only readers of a run directory.
+rebuild the history and to re-run the engine against it: a ``Replay``, which
+checks the logged lines by comparing them with the engine's. ``read_lines``
+and ``read_json`` are the only readers of a run directory.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ def record_from_json(payload: dict) -> ScoredRecord:
 class JsonlWriter:
     """One JSON text per line, flushed immediately, append-only.
 
-    Until a resume's ``replay`` is over nothing is written: an event is
-    compared with the logged one instead, a history row inside its batch.
-    The first line past the replay cuts the file to it, bytes intact."""
+    Until a resume's ``replay`` is over nothing is written: each line is
+    compared with the next logged line of the file instead. The first line
+    past the replay cuts the file to the lines compared, bytes intact."""
 
     def __init__(self, path: Path, replay: Optional["Replay"] = None):
         self.path, self.replay = Path(path), replay
@@ -114,8 +115,7 @@ class JsonlWriter:
         """Write ``line``, or compare it while the replay lasts; whether it was written."""
         if self._fh is None:
             if not self.replay.over:
-                if isinstance(self, EventLog):
-                    self.replay.compare(line)
+                self.replay.compare(self.path.name, line)
                 return False
             os.truncate(self.path, self.replay.sizes[self.path.name])
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -166,14 +166,6 @@ class HistoryLog(JsonlWriter):
         return line
 
 
-class Log(list):
-    """The rows of a JSONL log in file order, and the ``lines`` they were read from."""
-
-    def __init__(self, rows: list, lines: list[bytes]):
-        super().__init__(rows)
-        self.lines = lines
-
-
 def _decode(path: Path, data: bytes, where: str = "") -> Any:
     """The JSON value of UTF-8 ``data``; anything else is a ``CorruptCheckpoint``."""
     try:
@@ -182,13 +174,12 @@ def _decode(path: Path, data: bytes, where: str = "") -> Any:
         raise CorruptCheckpoint(f"{path}{where}: {exc}") from exc
 
 
-def read_log(path: Path, limit: Optional[int] = None) -> Log:
-    """The rows of a JSONL log: every complete line, or exactly the first ``limit``.
+def read_lines(path: Path, limit: Optional[int] = None) -> list[bytes]:
+    """The lines of a JSONL log as read: every complete line, or exactly the first ``limit``.
 
     A last line without its newline is a write that a kill cut short, so it
-    is left out, and lines past ``limit`` are not read. A line that is not
-    UTF-8 JSON, or fewer than ``limit`` complete lines, is a
-    ``CorruptCheckpoint`` naming the file and the line.
+    is left out, and lines past ``limit`` are not read. Fewer than ``limit``
+    complete lines is a ``CorruptCheckpoint`` naming the file.
     """
     try:
         with open(path, "rb") as fh:
@@ -201,7 +192,12 @@ def read_log(path: Path, limit: Optional[int] = None) -> Log:
         raise CorruptCheckpoint(
             f"{path} has {len(lines)} complete lines, checkpoint expects {limit}"
         )
-    return Log([_decode(path, line, f" line {n}") for n, line in enumerate(lines, 1)], lines)
+    return lines
+
+
+def read_log(path: Path, limit: Optional[int] = None) -> list:
+    """The rows of the lines ``read_lines`` reads, each UTF-8 JSON or a ``CorruptCheckpoint``."""
+    return [_decode(path, line, f" line {n}") for n, line in enumerate(read_lines(path, limit), 1)]
 
 
 @dataclass
@@ -221,8 +217,8 @@ class Step:
         return self.events.get("step")
 
 
-class Steps(Log):
-    """The steps of an event log, and the ``lines`` they were read from."""
+class Steps(list):
+    """The steps of an event log."""
 
     @property
     def rows(self) -> list:
@@ -231,47 +227,49 @@ class Steps(Log):
         return [row for batch in batches for row in batch["records"]]
 
 
-def _awaits_call(step: Step) -> bool:
-    """Whether ``step`` is an explorer or worker batch still without its call."""
-    batch = step.events.get("eval_batch")
-    return (
-        step.call is None
-        and batch is not None
-        and (batch["origin"] == "explorer" or batch["origin"].startswith("worker:"))
-    )
+def read_event(path: Path, lineno: int, line: bytes) -> dict:
+    """The event of line ``lineno`` of the event log at ``path``: it carries ``seq``
+    ``lineno``, a known kind and a payload with that kind's fields, each of its
+    type (a bool is no number), or it is a ``CorruptCheckpoint`` naming its line."""
+    event = _decode(path, line, f" line {lineno}")
+    where = f"{path} line {lineno}"
+    if not isinstance(event, dict) or event.get("seq") != lineno:
+        raise CorruptCheckpoint(f"{where}: seq is not {lineno}")
+    kind, payload = event.get("kind"), event.get("payload")
+    if not isinstance(kind, str) or kind not in EVENT_FIELDS:
+        raise CorruptCheckpoint(f"{where}: kind {kind!r} is not an event kind")
+    if not isinstance(payload, dict):
+        raise CorruptCheckpoint(f"{where}: payload {payload!r} is not an object")
+    optional = [field for field in OPTIONAL_FIELDS.get(kind, {}).items() if field[0] in payload]
+    for name, types in (*EVENT_FIELDS[kind].items(), *optional):
+        value = payload.get(name)
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            raise CorruptCheckpoint(f"{where}: {kind} {name} is {value!r}")
+    return event
+
+
+def _awaits_call(event: dict) -> bool:
+    """Whether ``event`` is an explorer or worker batch, which its call's ``step`` follows."""
+    origin = event["payload"].get("origin")
+    return event["kind"] == "eval_batch" and (origin == "explorer" or origin.startswith("worker:"))
 
 
 def read_steps(path: Path, limit: Optional[int] = None) -> Steps:
-    """The steps of the event log at ``path``, whose lines ``read_log`` reads.
+    """The steps of the event log at ``path``, each line checked by ``read_event``.
 
-    Each event must carry the next ``seq`` from 1, a known kind and a payload
-    with that kind's fields, or it is a ``CorruptCheckpoint`` naming its line.
     A ``step`` event joins the ``eval_batch`` of an explorer or worker call
     right before it; every other event is a step of its own. A batch whose
-    step a kill cut off stays a step without a call.
-    """
-    events = read_log(path, limit)
-    steps: list[Step] = []
-    for lineno, event in enumerate(events, start=1):
-        where = f"{path} line {lineno}"
-        if not isinstance(event, dict) or event.get("seq") != lineno:
-            raise CorruptCheckpoint(f"{where}: seq is not {lineno}")
-        kind, payload = event.get("kind"), event.get("payload")
-        if not isinstance(kind, str) or kind not in EVENT_FIELDS:
-            raise CorruptCheckpoint(f"{where}: kind {kind!r} is not an event kind")
-        if not isinstance(payload, dict):
-            raise CorruptCheckpoint(f"{where}: payload {payload!r} is not an object")
-        for name, types in EVENT_FIELDS[kind].items():
-            if not isinstance(payload.get(name), types):
-                raise CorruptCheckpoint(f"{where}: {kind} {name} is {payload.get(name)!r}")
-        for name, types in OPTIONAL_FIELDS.get(kind, {}).items():
-            if name in payload and not isinstance(payload[name], types):
-                raise CorruptCheckpoint(f"{where}: {kind} {name} is {payload[name]!r}")
-        if kind == "step" and steps and _awaits_call(steps[-1]):
+    step a kill cut off stays a step without a call."""
+    steps, awaits_call = Steps(), False
+    for lineno, line in enumerate(read_lines(path, limit), start=1):
+        event = read_event(path, lineno, line)
+        kind, payload = event["kind"], event["payload"]
+        if kind == "step" and awaits_call:
             steps[-1].events[kind] = payload
         else:
             steps.append(Step(event.get("round"), event.get("phase"), {kind: payload}))
-    return Steps(steps, events.lines)
+        awaits_call = _awaits_call(event)
+    return steps
 
 
 def read_json(path: Path) -> Any:
@@ -356,70 +354,77 @@ def load_checkpoint(path: Path) -> Checkpoint:
 
 
 class Replay:
-    """A run's logs up to ``checkpoint``, which a resume re-runs the engine against.
+    """A run's logs up to ``checkpoint``, as read, which a resume re-runs the engine against.
 
-    Until the replay is ``over`` the engine's event lines are compared with
-    the logged ones, and the stand-ins for the oracle and the HTTP backends
-    answer from :meth:`batch` and :meth:`logged`, not the live ones."""
+    Until it is ``over`` each line the engine writes is compared with the next
+    logged line of its file: the one check of the prefix. The stand-ins for the
+    oracle and the HTTP backends answer from :meth:`batch` and :meth:`logged`,
+    which decode only the lines they hand out."""
 
     def __init__(self, run_dir: Path, checkpoint: Checkpoint):
-        self.path, history_path = Path(run_dir) / EVENTS_FILE, Path(run_dir) / HISTORY_FILE
-        steps = read_steps(self.path, checkpoint.events_seq)
+        self.dir = Path(run_dir)
+        self.lines = {EVENTS_FILE: read_lines(self.dir / EVENTS_FILE, checkpoint.events_seq),
+                      HISTORY_FILE: read_lines(self.dir / HISTORY_FILE)}
+        self.taken, self.sizes = dict.fromkeys(self.lines, 0), dict.fromkeys(self.lines, 0)
+        self.error = None
         end = {"checkpoint": {"finished": checkpoint.stop_reason is not None}}
-        if not steps or (steps[-1].round, steps[-1].events) != (checkpoint.round_idx, end):
-            at = f"{self.path} line {checkpoint.events_seq}"
+        last = self._event(checkpoint.events_seq - 1) if checkpoint.events_seq else {}
+        if (last.get("round"), {last.get("kind"): last.get("payload")}) != (
+                checkpoint.round_idx, end):
+            at = f"{self.dir / EVENTS_FILE} line {checkpoint.events_seq}"
             raise CorruptCheckpoint(f"{at}: not the {end} of round {checkpoint.round_idx}")
-        rows = read_log(history_path, len(steps.rows))
-        for lineno, (row, record) in enumerate(zip(rows, steps.rows), 1):
-            if row != record:
-                raise CorruptCheckpoint(f"{history_path} line {lineno}: not its eval_batch record")
-        self.lines, self.taken, self.error = steps.lines, 0, None
-        self.sizes = {name: sum(map(len, log.lines))
-                      for name, log in ((EVENTS_FILE, steps), (HISTORY_FILE, rows))}
-        starts = itertools.accumulate((len(step.events) for step in steps), initial=0)
-        self._steps = dict(zip(starts, steps))  # each step by the index of its first line
 
     @property
     def over(self) -> bool:
-        """Whether the engine has written every logged event again, and the same."""
-        return self.error is None and self.taken == len(self.lines)
-
-    def compare(self, line: str) -> None:
-        """Take the engine's next event line, which must be the logged one but
-        for its second field, the wall-clock ``ts``, which no replay repeats."""
+        """Whether the engine has written every logged event again, or the replay's error."""
         if self.error is not None:
             raise self.error
-        ours, theirs = (b", ".join(text.split(b", ", 2)[::2])
-                        for text in ((line + "\n").encode("utf-8"), self.lines[self.taken]))
-        self.taken += 1
+        return self.taken[EVENTS_FILE] == len(self.lines[EVENTS_FILE])
+
+    def compare(self, name: str, line: str) -> None:
+        """Take the engine's next line of log ``name``: the logged one, but an event's
+        second field, the wall-clock ``ts``, which no replay repeats."""
+        lines, index = self.lines[name], self.taken[name]
+        ours, theirs = (line + "\n").encode("utf-8"), lines[index] if index < len(lines) else b""
+        if name == EVENTS_FILE:
+            ours, theirs = (b", ".join(text.split(b", ", 2)[::2]) for text in (ours, theirs))
         if ours != theirs:
             at = len(os.path.commonprefix([ours, theirs]))
-            self._fail(f"line {self.taken}: the replay writes {ours[at:at + 60]!r} at byte {at},"
-                       f" the log has {theirs[at:at + 60]!r}")
+            self._fail(f"the replay writes {ours[at:at + 60]!r} at byte {at}, "
+                       f"the log has {theirs[at:at + 60]!r}", name)
+        self.taken[name] += 1
+        self.sizes[name] += len(lines[index])  # where the file is cut once the replay is over
 
-    def _fail(self, message: str) -> NoReturn:
+    def _fail(self, message: str, name: str = EVENTS_FILE) -> NoReturn:
         # every later line raises it again, so what the engine writes on its way out cannot hide it
-        self.error = CorruptCheckpoint(f"{self.path} {message}")
+        self.error = CorruptCheckpoint(f"{self.dir / name} line {self.taken[name] + 1}: {message}")
         raise self.error
 
+    def _event(self, index: int) -> dict:
+        """The logged event at ``index``, checked by ``read_event``, or the failed replay."""
+        try:
+            return read_event(self.dir / EVENTS_FILE, index + 1, self.lines[EVENTS_FILE][index])
+        except CorruptCheckpoint as exc:
+            self.error = exc
+            raise
+
     def logged(self, kind: str) -> Optional[dict]:
-        """The ``step`` or ``eval_batch`` payload of the step that the engine's
-        next event line starts, or None once the replay is over."""
+        """The ``kind`` payload logged for the engine's next step, or None past the replay."""
         if self.over:
             return None
-        step = self._steps.get(self.taken)
-        if step is None or kind not in step.events:
-            self._fail(f"line {self.taken + 1}: the log has no {kind} here")
-        return step.events[kind]
+        event = self._event(self.taken[EVENTS_FILE])
+        if kind == "step" and _awaits_call(event):
+            event = self._event(event["seq"])  # the batch's call, on the line after it
+        if event["kind"] != kind:
+            self._fail(f"the log has no {kind} here")
+        return event["payload"]
 
     def batch(self) -> Optional[tuple[list[float], int]]:
-        """The logged scores and failed attempts of the batch the engine evaluates
-        next, or None; the rest of each record is checked in the engine's line."""
+        """The logged scores and failed attempts of the engine's next batch, or None."""
         batch = self.logged("eval_batch")
         if batch is None:
             return None
-        try:
-            scores = [float(row["score"]) for row in batch["records"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            self._fail(f"line {self.taken + 1}: {exc!r}")
+        scores = [row.get("score") if isinstance(row, dict) else None for row in batch["records"]]
+        if not all(isinstance(score, float) and math.isfinite(score) for score in scores):
+            self._fail(f"the scores {scores} are not all finite floats")
         return scores, batch.get("failed_attempts", 0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -16,13 +17,16 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
+import agentopt.events as events_module
 from agentopt.backends import MutatorBackend
 from agentopt.cli import main
 from agentopt.config import build_init_plan, default_config, validate_config
 from agentopt.core import PortfolioSpec
 from agentopt.errors import InsufficientInit, OracleFailure
-from agentopt.events import Step, load_checkpoint, read_log, read_steps
+from agentopt.events import Replay, Step, load_checkpoint, read_log, read_steps
 from agentopt.oracles import MotifMatchOracle
 from agentopt.rng import RngHub
 
@@ -1156,6 +1160,165 @@ def test_resume_unreadable_run_file_leaves_logs_untouched(
     assert main(["resume", str(out)]) == 2
     assert f"error[CorruptCheckpoint]: {out / name}: " in capsys.readouterr().err
     assert {log: (out / log).read_bytes() for log in logs} == logs
+
+
+def test_resume_names_a_history_row_of_other_bytes(tmp_path, capsys):
+    # the same row in the bytes of another encoder: render_row never writes it
+    assert main(["run", "--config", str(mutator_run_config(tmp_path, budget=150))]) == 0
+    out = tmp_path / "out"
+    (out / "summary.json").unlink()
+    lines = (out / "history.jsonl").read_bytes().splitlines(keepends=True)
+    lines[4] = json.dumps(json.loads(lines[4]), separators=(",", ":")).encode() + b"\n"
+    (out / "history.jsonl").write_bytes(b"".join(lines))
+    files = {name: (out / name).read_bytes() for name in (*RUN_FILES, "config.json")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert f"error[CorruptCheckpoint]: {out / 'history.jsonl'} line 5: " in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in files} == files
+    assert not (out / "summary.json").exists()
+
+
+def test_replay_decodes_only_the_lines_it_hands_out(tmp_path, monkeypatch):
+    out = mutator_rounds_run(tmp_path)
+    (out / "summary.json").unlink()
+    checkpoint = load_checkpoint(out / "checkpoint.json")
+    lines = (out / "events.jsonl").read_bytes().splitlines(keepends=True)
+    kinds = [json.loads(line)["kind"] for line in lines]
+    assert {"step", "round_end", "checkpoint"} < set(kinds) and kinds.count("checkpoint") >= 5
+    decoded: list[tuple[str, bytes]] = []
+    decode = events_module._decode
+
+    def counting(path, data, where=""):
+        decoded.append((Path(path).name, data))
+        return decode(path, data, where)
+
+    monkeypatch.setattr(events_module, "_decode", counting)
+    Replay(out, checkpoint)
+    assert decoded == [("events.jsonl", lines[-1])]  # the checkpoint it ends with
+    decoded.clear()
+    assert main(["resume", str(out)]) == 0
+    batches = [line for line, kind in zip(lines, kinds) if kind == "eval_batch"]
+    assert [data for name, data in decoded if name == "events.jsonl"] == [lines[-1], *batches]
+    assert not [name for name, _ in decoded if name == "history.jsonl"]
+
+
+# The bytes of one JSON number outside a string, and of one JSON string
+NUMBER = re.compile(rb'"(?:[^"\\]|\\.)*"|(-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)')
+# The fields of a logged call that a resume hands to the engine instead of asking again
+ANSWERS = re.compile(rb'"(?:reply|input_tokens|output_tokens|latency_ms|failed_attempts)": '
+                     rb'("(?:[^"\\]|\\.)*"|\d+)')
+SCORES = re.compile(rb'"score": ([^,}]+)')
+TS_FIELD = re.compile(rb'^\{"seq": \d+, ("ts": [^,]*)')
+
+
+def damage_line(data, line: bytes) -> tuple[bytes, tuple[int, int], str]:
+    """One damaged form of ``line``: the bytes that replace it, the span of
+    ``line`` that the damage hit, and its name."""
+    body = len(line) - 1  # the newline stays
+    how = data.draw(st.sampled_from(["flip", "cut", "delete", "number", "nest"]))
+    if how == "flip":
+        at = data.draw(st.integers(0, body - 1))
+        value = data.draw(st.one_of(st.just(0xFF), st.integers(0, 255)).filter(
+            lambda v: v != line[at]))
+        return line[:at] + bytes([value]) + line[at + 1:], (at, at + 1), how
+    if how == "cut":
+        at = data.draw(st.integers(0, body - 1))
+        return line[:at] + b"\n", (at, body), how
+    if how == "number":
+        numbers = [m.span(1) for m in NUMBER.finditer(line) if m.group(1)]
+        start, end = data.draw(st.sampled_from(numbers))
+        value = data.draw(st.sampled_from([b"NaN", b"1e999", b"true"]))
+        return line[:start] + value + line[end:], (start, end), how
+    if how == "nest":
+        return b"[" * 3000 + line[:body] + b"]" * 3000 + b"\n", (0, body), how
+    return b"", (0, body), how
+
+
+def inside(span: tuple[int, int], spans) -> bool:
+    return any(start <= span[0] and span[1] <= end for start, end in spans)
+
+
+def downstream(lines: list[bytes], index: int, name: str, lineno: int) -> bool:
+    """Whether line ``lineno`` of log ``name`` is one the engine writes after it
+    acts on an answer logged on events line ``index + 1``: from the batch that
+    the answer fed on, in either log."""
+    event = json.loads(lines[index])
+    if event["kind"] == "step" and index and json.loads(lines[index - 1])["kind"] == "eval_batch":
+        index -= 1  # an explorer or worker reply feeds the batch logged right before it
+    if name == "events.jsonl":
+        return lineno > index
+    rows = sum(json.loads(line)["payload"]["n"] for line in lines[:index]
+               if json.loads(line)["kind"] == "eval_batch")
+    return lineno > rows
+
+
+@pytest.mark.parametrize("backend", ["mutator", "chat"])
+def test_resume_of_a_damaged_prefix_names_the_line_or_changes_nothing(
+    tmp_path, capsys, chat_server, backend
+):
+    """One line of either log damaged, in one of five ways, anywhere in a
+    finished run. The resume fails and names that line, leaving every run
+    file as it was, or it reproduces the history when only ``ts`` was hit.
+
+    A value that the replay hands out (a logged score, or a replayed call's
+    reply and counts) is trusted: a changed one that is still valid is named
+    at the first line the engine writes otherwise because of it, and one that
+    changes nothing the engine does goes unseen. A line deleted from, or split
+    in, the event log shifts every later line, so the end of the prefix is
+    named instead."""
+    config = yaml.safe_load(mutator_run_config(tmp_path, budget=120).read_text())
+    config["loop"] = {"max_fails": 1, "seeds_m": 1}
+    if backend == "chat":
+        config["backends"] = {"default": {"kind": "http", "endpoint_url": chat_server.url,
+                                          "model_name": "m", "retry_backoff_ms": 1}}
+    assert main(["run", "--config", str(write_yaml(tmp_path / "config.yaml", config))]) == 0
+    reference = tmp_path / "out"
+    (reference / "summary.json").unlink()
+    logs = {name: (reference / name).read_bytes().splitlines(keepends=True)
+            for name in ("events.jsonl", "history.jsonl")}
+    cases = itertools.count()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(logs)))
+        index = data.draw(st.integers(0, len(logs[name]) - 1))
+        line = logs[name][index]
+        damaged, span, how = damage_line(data, line)
+        out = tmp_path / f"case{next(cases)}"
+        shutil.copytree(reference, out)
+        (out / name).write_bytes(b"".join(logs[name][:index] + [damaged] + logs[name][index + 1:]))
+        files = {file: (out / file).read_bytes() for file in (*RUN_FILES, "config.json")}
+        is_event = name == "events.jsonl"
+        ts_only = is_event and inside(span, [TS_FIELD.match(line).span(1)])
+        answers = [*SCORES.finditer(line), *(ANSWERS.finditer(line) if backend == "chat" else ())]
+        # a flipped byte can leave a valid answer; NaN, 1e999 or true never is one
+        handed_out = how == "flip" and is_event and inside(span, [m.span(1) for m in answers])
+        shifted = is_event and (how == "delete" or b"\n" in damaged[:-1])
+        capsys.readouterr()
+        code = main(["resume", str(out)])
+        err = capsys.readouterr().err
+        note(f"{name} line {index + 1}, {how} at {span}: exit {code}, {err}")
+        if code == 0:
+            assert ts_only or handed_out
+            assert (out / "history.jsonl").read_bytes() == b"".join(logs["history.jsonl"])
+            shutil.rmtree(out)
+            return
+        assert code == 2 and "error[CorruptCheckpoint]: " in err
+        assert {file: (out / file).read_bytes() for file in files} == files
+        assert not (out / "summary.json").exists()
+        named = re.search(rf"{re.escape(str(out))}/(\S+?)(?: line (\d+))?:? ", err)
+        assert named, err
+        file, lineno = named.group(1), int(named.group(2) or 0)
+        ok = (file, lineno) == (name, index + 1)
+        if shifted:
+            ok = ok or file == name and (lineno in (0, len(logs[name])))
+        if handed_out and not ok:
+            ok = downstream(logs["events.jsonl"], index, file, lineno)
+        assert ok, err
+        shutil.rmtree(out)
+
+    check()
 
 
 # -- exports -----------------------------------------------------------------------

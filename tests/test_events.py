@@ -207,20 +207,22 @@ def test_resume_cut_keeps_prefix_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit",
-    [lambda rows: rows[1].update(score=0.5), lambda rows: rows.append(history_rows(3)[2])],
+    "edit, lineno",
+    [(lambda rows: rows[1].update(score=0.5), 2),
+     (lambda rows: rows.append(history_rows(3)[2]), 3)],
     ids=["score", "extra-record"],
 )
-def test_replay_names_the_first_line_it_writes_otherwise(tmp_path, edit):
-    # a history row is compared inside its eval_batch, so the event names the difference
+def test_replay_names_the_first_line_it_writes_otherwise(tmp_path, edit, lineno):
+    # a history row is compared with the next logged row, before its eval_batch is
     write_logs(tmp_path, batch(1, history_rows(2)) + event(2), n_history=2)
     logs = {name: (tmp_path / name).read_bytes() for name in ("events.jsonl", "history.jsonl")}
     events, history = replay_logs(tmp_path, at(2))
     rows = history_rows(2)
     edit(rows)
-    with pytest.raises(CorruptCheckpoint, match="events.jsonl line 1: the replay writes"):
+    message = f"history.jsonl line {lineno}: the replay writes"
+    with pytest.raises(CorruptCheckpoint, match=message):
         write_batch(events, history, rows)
-    with pytest.raises(CorruptCheckpoint, match="events.jsonl line 1: the replay writes"):
+    with pytest.raises(CorruptCheckpoint, match=message):
         events.emit("checkpoint", 1, "loop", {"finished": False})  # and nothing after it
     assert {name: (tmp_path / name).read_bytes() for name in logs} == logs
 
@@ -241,9 +243,11 @@ def test_read_log_beyond_length_is_corrupt(tmp_path):
     path.write_text('{"seq": 1}\n', encoding="utf-8")
     with pytest.raises(CorruptCheckpoint, match="1 complete lines, checkpoint expects 5"):
         read_log(path, 5)
+    # a history shorter than its batches fails at the first row it lacks
     write_logs(tmp_path, batch(1, history_rows(2)) + event(2), n_history=1)
-    with pytest.raises(CorruptCheckpoint, match="history.jsonl has 1 complete lines"):
-        Replay(tmp_path, at(2))
+    events, history = replay_logs(tmp_path, at(2))
+    with pytest.raises(CorruptCheckpoint, match="history.jsonl line 2: the replay writes"):
+        write_batch(events, history, history_rows(2))
 
 
 def test_resume_seq_gap_is_corrupt(tmp_path):
@@ -333,7 +337,7 @@ def test_read_steps_groups_each_call_with_what_it_caused(tmp_path):
     assert steps[6].call["success"] is True and steps[7].call["success"] is False
     assert steps[6].events["eval_batch"]["records"] == rows[3:4]
     assert (steps[0].round, steps[0].phase) == (1, "loop")
-    assert steps.rows == rows and b"".join(steps.lines) == data
+    assert steps.rows == rows
 
 
 @pytest.mark.parametrize(
@@ -344,12 +348,13 @@ def test_read_steps_groups_each_call_with_what_it_caused(tmp_path):
         (event(2, "error", [1]), r"payload \[1\] is not an object"),
         (event(2, "step", {**CALL, "input_tokens": None}), "step input_tokens is None"),
         (event(2, "step", {**WORKER, "success": 1}), "step success is 1"),
+        (event(2, "step", {**CALL, "latency_ms": False}), "step latency_ms is False"),
         (event(2, "agent_call", CALL), "kind 'agent_call' is not an event kind"),
         (event(2, "eval_batch", {"origin": "init", "n": 0, "truncated": 0}),
          "eval_batch records is None"),
     ],
     ids=[
-        "not-object", "kind", "payload", "field-type", "optional-field-type",
+        "not-object", "kind", "payload", "field-type", "optional-field-type", "bool-for-int",
         "version-2-kind", "field-missing",
     ],
 )
@@ -359,6 +364,33 @@ def test_read_steps_names_a_malformed_event(tmp_path, line, message):
     with pytest.raises(CorruptCheckpoint, match=f"events.jsonl line 2: {message}"):
         read_steps(path)
     assert len(read_steps(path, 1)) == 1  # lines past the limit are not checked
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), True, 1, "0.5", None])
+def test_replay_hands_out_finite_float_scores_only(tmp_path, score):
+    rows = history_rows(2)
+    rows[1]["score"] = score
+    write_logs(tmp_path, batch(1, rows) + event(2), n_history=2)
+    replay = Replay(tmp_path, at(2))
+    message = "events.jsonl line 1: the scores .* are not all finite floats"
+    with pytest.raises(CorruptCheckpoint, match=message):
+        replay.batch()
+    with pytest.raises(CorruptCheckpoint, match=message):
+        replay.logged("eval_batch")
+
+
+def test_replay_fails_for_good_at_a_line_it_cannot_hand_out(tmp_path):
+    # an explorer batch, then its step, which the replay reads ahead when asked for the call
+    explorer = {"origin": "explorer", "n": 2, "truncated": 0, "records": history_rows(2)}
+    step = event(2, "step", {**CALL, "role": "explorer", "input_tokens": True})
+    write_logs(tmp_path, event(1, "eval_batch", explorer) + step + event(3), n_history=2)
+    events, history = replay_logs(tmp_path, at(3))
+    message = "events.jsonl line 2: step input_tokens is True"
+    with pytest.raises(CorruptCheckpoint, match=message):
+        events.replay.logged("step")
+    for later in (events.replay.batch, lambda: write_batch(events, history, history_rows(2))):
+        with pytest.raises(CorruptCheckpoint, match=message):
+            later()
 
 
 def test_checkpoint_round_trip(tmp_path):
