@@ -11,7 +11,7 @@ divides the distance by the length of the shorter string, so it can exceed
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 def bit_masks(text: str) -> dict[str, int]:
@@ -61,17 +61,17 @@ def normalized_edit_distance(a: str, b: str) -> float:
 
 
 class EditDistanceIndex:
-    """Answers "is ``normalized_edit_distance(a, b) >= threshold``?" for a run.
+    """Answers "is ``text`` at least ``threshold`` from every kept text?" for a run.
 
     The engine keeps one for the whole run, shared by seed selection and the
-    portfolio, and each export builds its own. Cheap bounds are tried before
-    the memoized kernel:
+    portfolio, and each export builds its own. Each pair in :meth:`fits`
+    tries cheap bounds before the memoized kernel:
 
     - the length bound ``edits(a, b) >= |len a - len b|`` proves "far";
-    - the walked text, the first argument of ``far``, keeps one witness:
-      the last kept text it was found too close to, with an upper bound on
-      their edits; the triangle inequality
-      ``edits(a, b) <= bound(a, w) + edits(w, b)`` proves "too close".
+    - the walked text keeps one witness: the last kept text it was found
+      too close to, with an upper bound on their edits; the triangle
+      inequality ``edits(a, b) <= bound(a, w) + edits(w, b)`` proves "too
+      close".
 
     A bound goes through the same expression as the exact count,
     ``edits / shorter``, and dividing by the same positive length is
@@ -81,45 +81,42 @@ class EditDistanceIndex:
     def __init__(self) -> None:
         self._edits: dict[tuple[str, str], int] = {}
         self._witness: dict[str, tuple[str, int]] = {}
-        self._masks: dict[str, dict[str, int]] = {}  # of ``b``, the side a walk keeps
+        self._masks: dict[str, dict[str, int]] = {}  # of the kept side
 
-    def witness(self, text: str) -> Optional[str]:
-        """The last text ``text`` was walked against and found too close to."""
-        witness = self._witness.get(text)
-        return None if witness is None else witness[0]
+    def fits(self, text: str, kept: Sequence[str], threshold: float) -> bool:
+        """``normalized_edit_distance(text, k) >= threshold`` for every ``k`` in ``kept``.
 
-    def _upper(self, a: str, b: str) -> Optional[int]:
-        """An upper bound on ``edits(a, b)`` through ``a``'s witness, if any."""
-        witness = self._witness.get(a)
-        if witness is None:
-            return None
-        w, bound = witness
-        rest = 0 if w == b else self._edits.get((w, b) if w <= b else (b, w))
-        return None if rest is None else bound + rest
-
-    def far(self, a: str, b: str, threshold: float) -> bool:
-        """``normalized_edit_distance(a, b) >= threshold``."""
-        len_a, len_b = len(a), len(b)
-        shorter = len_a if len_a < len_b else len_b
-        if shorter == 0:
-            return normalized_edit_distance(a, b) >= threshold
-        if abs(len_a - len_b) / shorter >= threshold:
-            return True
-        key = (a, b) if a <= b else (b, a)
-        edits = self._edits.get(key)
-        if edits is None:
-            upper = self._upper(a, b)
-            if upper is not None and upper / shorter < threshold:
-                self._close(a, b, upper)
+        The witness is likeliest to be too close, so it is asked first when
+        it is in ``kept``; the rest follow in the order of ``kept``.
+        """
+        w, bound = self._witness.get(text, (None, 0))
+        order = kept
+        if w in kept:
+            order = [w, *(b for b in kept if b != w)]
+        len_a = len(text)
+        for b in order:
+            len_b = len(b)
+            shorter = len_a if len_a < len_b else len_b
+            if shorter == 0:
+                if normalized_edit_distance(text, b) >= threshold:
+                    continue
                 return False
-            if b not in self._masks:
-                self._masks[b] = bit_masks(b)
-            # looked up as the module global, so a wrapper sees every call
-            edits = self._edits[key] = levenshtein(a, b, self._masks[b])
-        if edits / shorter >= threshold:
-            return True
-        self._close(a, b, edits)
-        return False
-
-    def _close(self, a: str, b: str, bound: int) -> None:
-        self._witness[a] = (b, bound)
+            if abs(len_a - len_b) / shorter >= threshold:
+                continue
+            key = (text, b) if text <= b else (b, text)
+            edits = self._edits.get(key)
+            if edits is None:
+                if w is not None:
+                    rest = 0 if w == b else self._edits.get((w, b) if w <= b else (b, w))
+                    if rest is not None and (bound + rest) / shorter < threshold:
+                        self._witness[text] = (b, bound + rest)
+                        return False
+                if b not in self._masks:
+                    self._masks[b] = bit_masks(b)
+                # looked up as the module global, so a wrapper sees every call
+                edits = self._edits[key] = levenshtein(text, b, self._masks[b])
+            if edits / shorter >= threshold:
+                continue
+            self._witness[text] = (b, edits)
+            return False
+        return True

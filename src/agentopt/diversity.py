@@ -3,8 +3,9 @@
 Both use the same greedy rule: walk the history best-to-worst and keep a
 record only if it sits at least ``threshold`` away from everything already
 kept. Greedy is not optimal in general, but it is deterministic, cheap, and
-always feasible, which is what the loop needs at every step. Every "is it
-far enough?" question goes to one ``EditDistanceIndex``.
+always feasible, which is what the loop needs at every step. Each record's
+question, "is it far enough from everything kept?", goes to one
+``EditDistanceIndex.fits``.
 
 Both also update an earlier selection instead of rebuilding it as the
 history grows. Greedy's verdict on a record depends only on the records kept
@@ -33,24 +34,6 @@ class Selection:
     seen: int
 
 
-def _fits(
-    record: ScoredRecord, kept: list[ScoredRecord], ranks: dict[str, int],
-    threshold: float, distances: EditDistanceIndex,
-) -> bool:
-    """Whether ``record`` sits at least ``threshold`` from all of ``kept``.
-
-    ``ranks`` gives each kept text its position. The record's witness, the
-    last text found too close to it, is likeliest to reject it, so it is
-    asked first when kept; the rest follow in rank order.
-    """
-    text = record.candidate.canonical
-    at = ranks.get(distances.witness(text), len(kept))
-    if at < len(kept) and not distances.far(text, kept[at].candidate.canonical, threshold):
-        return False
-    rest = (k for i, k in enumerate(kept) if i != at)
-    return all(distances.far(text, k.candidate.canonical, threshold) for k in rest)
-
-
 def _greedy_select(
     ranked: list[ScoredRecord],
     max_size: int,
@@ -59,13 +42,14 @@ def _greedy_select(
     kept: list[ScoredRecord],
 ) -> list[ScoredRecord]:
     """Extend ``kept`` in place by a greedy walk over a best-first ranking."""
-    ranks = {r.candidate.canonical: i for i, r in enumerate(kept)}
+    texts = [r.candidate.canonical for r in kept]
     for record in ranked:
         if len(kept) == max_size:
             break
-        if _fits(record, kept, ranks, threshold, distances):
-            ranks[record.candidate.canonical] = len(kept)
+        text = record.candidate.canonical
+        if distances.fits(text, texts, threshold):
             kept.append(record)
+            texts.append(text)
     return kept
 
 
@@ -83,17 +67,18 @@ def _greedy_update(
     ``history`` under the same size, threshold and direction.
     """
     members, seen = (previous.members, previous.seen) if previous else ([], 0)
-    ranks = {r.candidate.canonical: i for i, r in enumerate(members)}
+    texts = [r.candidate.canonical for r in members]
     key = RANK_KEYS[direction]
     for record in sorted(history.records[seen:], key=key):
-        above = members[: bisect.bisect_left(members, key(record), key=key)]
-        if len(above) == max_size:
+        above = bisect.bisect_left(members, key(record), key=key)
+        if above == max_size:
             break  # greedy filled up above this record and every later one
-        if _fits(record, above, ranks, threshold, distances):
+        if distances.fits(record.candidate.canonical, texts[:above], threshold):
             ranked = history.ranked(direction)
             start = bisect.bisect_left(ranked, key(record), key=key)
             return _greedy_select(
-                ranked[start + 1 :], max_size, threshold, distances, above + [record]
+                ranked[start + 1 :], max_size, threshold, distances,
+                members[:above] + [record],
             )
     return members
 

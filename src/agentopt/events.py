@@ -419,11 +419,14 @@ class Replay:
             self._fail(f"the log has no {kind} here")
         return event["payload"]
 
-    def batch(self) -> Optional[tuple[list[float], int]]:
-        """The logged scores and failed attempts of the engine's next batch, or None."""
+    def batch(self, n: int) -> Optional[tuple[list[float], int]]:
+        """The logged scores and failed attempts of the engine's next batch, of
+        ``n`` candidates, or None."""
         batch = self.logged("eval_batch")
         if batch is None:
             return None
+        if len(batch["records"]) != n:
+            self._fail(f"the log has {len(batch['records'])} scores for {n} candidates")
         scores = [row.get("score") if isinstance(row, dict) else None for row in batch["records"]]
         if not all(isinstance(score, float) and math.isfinite(score) for score in scores):
             self._fail(f"the scores {scores} are not all finite floats")

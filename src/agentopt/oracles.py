@@ -284,7 +284,7 @@ class ReplayOracle(Oracle):
         self.live, self.replay, self.name = live, replay, live.name
 
     def evaluate_many(self, candidates: Sequence[Candidate]) -> list[float]:
-        logged = self.replay.batch()
+        logged = self.replay.batch(len(candidates))
         if logged is None:
             before = self.live.failed_attempts
             logged = self.live.evaluate_many(candidates), self.live.failed_attempts - before

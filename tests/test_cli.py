@@ -1178,6 +1178,30 @@ def test_resume_names_a_history_row_of_other_bytes(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_resume_names_a_logged_batch_of_another_size(tmp_path, capsys):
+    # a worker batch logged one record short: its scores cannot answer the
+    # candidates the engine asks about, so the resume stops at that line
+    out = mutator_rounds_run(tmp_path)
+    (out / "summary.json").unlink()
+    index = 9
+    event = json.loads((out / "events.jsonl").read_bytes().splitlines()[index])
+    assert event["payload"]["origin"].startswith("worker:")
+    n = event["payload"]["n"]
+
+    def drop_last(event):
+        event["payload"]["records"].pop()
+        event["payload"]["n"] -= 1
+
+    edit_line(out / "events.jsonl", index, drop_last)
+    files = {name: (out / name).read_bytes() for name in (*RUN_FILES, "config.json")}
+    capsys.readouterr()
+    assert main(["resume", str(out)]) == 2
+    assert (f"error[CorruptCheckpoint]: {out / 'events.jsonl'} line {index + 1}: "
+            f"the log has {n - 1} scores for {n} candidates") in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in files} == files
+    assert not (out / "summary.json").exists()
+
+
 def test_replay_decodes_only_the_lines_it_hands_out(tmp_path, monkeypatch):
     out = mutator_rounds_run(tmp_path)
     (out / "summary.json").unlink()

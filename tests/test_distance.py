@@ -75,38 +75,38 @@ def test_normalized_degenerate_lengths():
 
 def test_index_memoizes_kernel_counts(kernel_calls):
     index = EditDistanceIndex()
-    assert index.far("ABCD", "ABXD", 0.25) is True  # 1 edit over 4
-    assert index.far("ABXD", "ABCD", 0.3) is False  # flipped order, same memo slot
+    assert index.fits("ABCD", ["ABXD"], 0.25) is True  # 1 edit over 4
+    assert index.fits("ABXD", ["ABCD"], 0.3) is False  # flipped order, same memo slot
     assert kernel_calls == [("ABCD", "ABXD")]
 
 
 def test_length_bound_settles_far_without_the_kernel(kernel_calls):
     index = EditDistanceIndex()
-    assert index.far("AB", "ABCDEFGH", 0.75) is True  # at least 6 edits over 2
-    assert index.far("ABCDEFGHIJ", "ABCDEFGHIJKLM", 0.3) is True  # 3 over 10
-    assert index.far("ABCDEFGHIJ", "ABCDEFGHIJKL", 0.3) is False  # 2 over 10: open
+    assert index.fits("AB", ["ABCDEFGH"], 0.75) is True  # at least 6 edits over 2
+    assert index.fits("ABCDEFGHIJ", ["ABCDEFGHIJKLM"], 0.3) is True  # 3 over 10
+    assert index.fits("ABCDEFGHIJ", ["ABCDEFGHIJKL"], 0.3) is False  # 2 over 10: open
     assert kernel_calls == [("ABCDEFGHIJ", "ABCDEFGHIJKL")]
 
 
 def test_witness_settles_too_close_without_the_kernel(kernel_calls):
     a, w, b = "AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAAABB"
     index = EditDistanceIndex()
-    assert index.far(a, w, 0.5) is False  # 1 edit: w is a's witness
-    assert index.far(w, b, 0.5) is False  # 1 edit
+    assert index.fits(a, [w], 0.5) is False  # 1 edit: w is a's witness
+    assert index.fits(w, [b], 0.5) is False  # 1 edit
     assert len(kernel_calls) == 2
     # edits(a, b) <= edits(a, w) + edits(w, b) = 2, and 2 / 10 < 0.5
-    assert index.far(a, b, 0.5) is False
+    assert index.fits(a, [b], 0.5) is False
     assert len(kernel_calls) == 2
 
 
 def test_witness_bound_at_the_threshold_leaves_the_verdict_to_the_kernel(kernel_calls):
     a, w, b = "AAAAAAAAAA", "AAAAAAAAAB", "AAAAAAABBB"
     index = EditDistanceIndex()
-    assert index.far(a, w, 0.3) is False  # 1 edit
-    assert index.far(w, b, 0.3) is False  # 2 edits
+    assert index.fits(a, [w], 0.3) is False  # 1 edit
+    assert index.fits(w, [b], 0.3) is False  # 2 edits
     # the bound is 1 + 2 = 3 edits, and 3 / 10 is not below 0.3: only the
     # kernel can tell, and the exact 3 edits make the pair far
-    assert index.far(a, b, 0.3) is True
+    assert index.fits(a, [b], 0.3) is True
     assert kernel_calls[-1] == (a, b)
     assert normalized_edit_distance(a, b) == 0.3
 
@@ -144,9 +144,60 @@ def test_index_verdict_equals_exact_distance(texts, queries):
     # cold: the first queries meet empty memo and witness tables
     for i, j, threshold in queries:
         a, b = texts[i % len(texts)], texts[j % len(texts)]
-        assert index.far(a, b, threshold) == (normalized_edit_distance(a, b) >= threshold)
+        assert index.fits(a, [b], threshold) == (normalized_edit_distance(a, b) >= threshold)
     # warmed: every pair again, with the witnesses the queries left behind
     for a, b in itertools.product(texts, repeat=2):
         for threshold in (0.3, 0.5, 0.75):
             expected = normalized_edit_distance(a, b) >= threshold
-            assert index.far(a, b, threshold) == expected
+            assert index.fits(a, [b], threshold) == expected
+
+
+@st.composite
+def near_copies(draw) -> list[str]:
+    """Texts over three letters, each after the first one edit away from an
+    earlier one: chains of near-copies, along which the witness bound is tight."""
+    texts = [draw(st.text(alphabet="ABC", max_size=10))]
+    for _ in range(draw(st.integers(1, 9))):
+        parent = texts[draw(st.integers(0, len(texts) - 1))]
+        at = draw(st.integers(0, len(parent)))
+        letter = draw(st.sampled_from("ABC"))
+        how = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        if how == "insert" or at == len(parent):
+            texts.append(parent[:at] + letter + parent[at:])
+        elif how == "substitute":
+            texts.append(parent[:at] + letter + parent[at + 1 :])
+        else:
+            texts.append(parent[:at] + parent[at + 1 :])
+    return list(dict.fromkeys(texts))
+
+
+# A question's threshold is drawn, or is exactly the distance of two texts.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    texts=near_copies(),
+    questions=st.lists(
+        st.tuples(
+            st.integers(0, 9),
+            st.lists(st.integers(0, 9), max_size=6),
+            THRESHOLDS | st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        ),
+        min_size=1, max_size=30,
+    ),
+)
+# A tight triangle: the text is one edit from its witness, and the witness
+# one edit from the kept text of the last question, which is two edits from
+# the text. At a threshold of a tenth that bound of two edits over eleven
+# settles nothing, where one edit less would.
+@example(
+    texts=["AAAAAAAAAB", "AAAAAAAAAAB", "AAAAAAAAABA"],
+    questions=[(1, [0], 0.25), (2, [0], 0.25), (1, [2], (0, 1))],
+)
+def test_fits_equals_the_exact_distance_to_every_kept_text(texts, questions):
+    index = EditDistanceIndex()  # one for every question, so witnesses and memo carry over
+    for i, picks, threshold in questions:
+        text = texts[i % len(texts)]
+        kept = list(dict.fromkeys(texts[j % len(texts)] for j in picks))
+        if isinstance(threshold, tuple):
+            threshold = normalized_edit_distance(*(texts[j % len(texts)] for j in threshold))
+        expected = all(normalized_edit_distance(text, k) >= threshold for k in kept)
+        assert index.fits(text, kept, threshold) == expected

@@ -423,17 +423,14 @@ class CountingIndex:
 
     def __init__(self, index: EditDistanceIndex):
         self.index = index
-        self.lookups: list[tuple[str, str]] = []
+        self.lookups: list[tuple[str, list[str]]] = []
 
-    def far(self, a: str, b: str, threshold: float) -> bool:
-        self.lookups.append((a, b))
-        return self.index.far(a, b, threshold)
-
-    def witness(self, text: str):
-        return self.index.witness(text)
+    def fits(self, text: str, kept: list[str], threshold: float) -> bool:
+        self.lookups.append((text, list(kept)))
+        return self.index.fits(text, kept, threshold)
 
 
-def test_seed_update_looks_up_only_the_new_records(tmp_path):
+def test_seed_update_looks_up_only_the_new_records(tmp_path, kernel_calls):
     # one round in which no agent reply parses: the history stays the init,
     # six mutually distant records, fewer than the eight seeds asked for
     replies = [("explorer", GARBAGE), ("planner", GARBAGE)] + [("worker", GARBAGE)] * 18
@@ -465,15 +462,19 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path):
     new = ["BBBBBD", "KKKKKK"]  # a near-copy of the best seed, and a far record
     for text in new:
         engine.history.append(canonicalize(text, engine.domain.kind), 0.0, "explorer")
+    before = len(kernel_calls)
     seeds = select(previous)
-    # each new record against the seeds above it, until one rejects it
-    assert len(lookups) == 1 + 6
-    assert all(set(pair) & set(new) for pair in lookups)
+    # each new record once, against the seeds above it: all six
+    kept = [r.candidate.canonical for r in previous.members]
+    assert lookups == [(text, kept) for text in new]
+    # each pair until one rejects: the near-copy against the best seed alone
+    assert len(kernel_calls[before:]) == 1 + 6
+    assert all(set(pair) & set(new) for pair in kernel_calls[before:])
     assert [r.candidate.canonical for r in seeds.members[6:]] == ["KKKKKK"]
     assert seeds == select(None)
 
 
-def test_a_record_whose_witness_is_kept_is_rejected_after_one_lookup():
+def test_a_record_whose_witness_is_kept_is_rejected_after_one_lookup(kernel_calls):
     history = History()
     for text, score in [("AAAAAAAA", 9.0), ("DDDDDDDD", 8.0), ("KKKKKKKK", 7.0)]:
         history.append(cand(text), score, "init")
@@ -481,12 +482,13 @@ def test_a_record_whose_witness_is_kept_is_rejected_after_one_lookup():
     seeds = select_diverse_seeds(history, 4, 0.5, index, Direction.MAXIMIZE)
     assert len(seeds.members) == 3
     # a near-copy of the last seed, already found too close to it
-    assert index.far("KKKKKKKW", "KKKKKKKK", 0.5) is False
+    assert index.fits("KKKKKKKW", ["KKKKKKKK"], 0.5) is False
     history.append(cand("KKKKKKKW"), 6.0, "explorer")
-    counting = CountingIndex(index)
-    update = select_diverse_seeds(history, 4, 0.5, counting, Direction.MAXIMIZE, seeds)
-    # the witness alone, not AAAAAAAA and DDDDDDDD ranked above it
-    assert counting.lookups == [("KKKKKKKW", "KKKKKKKK")]
+    before = len(kernel_calls)
+    update = select_diverse_seeds(history, 4, 0.5, index, Direction.MAXIMIZE, seeds)
+    # the witness alone, from the memo: not AAAAAAAA and DDDDDDDD ranked
+    # above it, which only the kernel can tell apart from it
+    assert kernel_calls[before:] == []
     assert update.members == seeds.members
 
 

@@ -374,7 +374,7 @@ def test_replay_hands_out_finite_float_scores_only(tmp_path, score):
     replay = Replay(tmp_path, at(2))
     message = "events.jsonl line 1: the scores .* are not all finite floats"
     with pytest.raises(CorruptCheckpoint, match=message):
-        replay.batch()
+        replay.batch(2)
     with pytest.raises(CorruptCheckpoint, match=message):
         replay.logged("eval_batch")
 
@@ -388,7 +388,7 @@ def test_replay_fails_for_good_at_a_line_it_cannot_hand_out(tmp_path):
     message = "events.jsonl line 2: step input_tokens is True"
     with pytest.raises(CorruptCheckpoint, match=message):
         events.replay.logged("step")
-    for later in (events.replay.batch, lambda: write_batch(events, history, history_rows(2))):
+    for later in (lambda: events.replay.batch(2), lambda: write_batch(events, history, history_rows(2))):
         with pytest.raises(CorruptCheckpoint, match=message):
             later()
 

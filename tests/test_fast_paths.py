@@ -3,8 +3,9 @@
 Each drawn config runs twice: as built, and with three plain stand-ins for
 the fast paths: the full-matrix kernel, which ignores the match masks, the
 template constraint's float rule over that kernel with the templates in
-config order, and the greedy walk's rank-order check without the witness
-asked first. The logs must agree byte for byte, the events apart from their
+config order, and the greedy walk's question asked of every kept text in
+rank order through that kernel, without the index's memo, bounds or
+witness. The logs must agree byte for byte, the events apart from their
 wall-clock ``ts``.
 """
 
@@ -19,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agentopt.distance as distance_module
-import agentopt.diversity as diversity_module
 from agentopt.cli import main
 from agentopt.core import DomainKind
+from agentopt.distance import EditDistanceIndex, normalized_edit_distance
 from agentopt.domains import BUILTIN
 from agentopt.events import EVENTS_FILE, HISTORY_FILE
 from agentopt.filtering import TemplateSimilarityConstraint
@@ -39,9 +40,8 @@ def float_rule(self, candidate) -> bool:
     )
 
 
-def rank_order_fits(record, kept, ranks, threshold, distances) -> bool:
-    text = record.candidate.canonical
-    return all(distances.far(text, k.candidate.canonical, threshold) for k in kept)
+def plain_fits(self, text, kept, threshold) -> bool:
+    return all(normalized_edit_distance(text, k) >= threshold for k in kept)
 
 
 @st.composite
@@ -109,6 +109,6 @@ def test_fast_paths_leave_every_log_as_the_plain_rules_write_it(config):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(distance_module, "levenshtein", reference_levenshtein)
             patch.setattr(TemplateSimilarityConstraint, "allows", float_rule)
-            patch.setattr(diversity_module, "_fits", rank_order_fits)
+            patch.setattr(EditDistanceIndex, "fits", plain_fits)
             plain = run_logs(config, Path(tmp) / "plain")
     assert fast == plain
