@@ -17,7 +17,6 @@ from .core import (
     ScoredRecord,
     canonicalize,
     format_score,
-    is_improvement,
 )
 from .engine import Engine, InitPlan, LoopParams, RunResult
 from .errors import AgentOptError
@@ -39,6 +38,5 @@ __all__ = [
     "ScoredRecord",
     "canonicalize",
     "format_score",
-    "is_improvement",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from .config import (
     load_config_file,
     validate_config,
 )
-from .core import Direction, History, PortfolioSpec, is_improvement
+from .core import Direction, History, PortfolioSpec
 from .distance import EditDistanceIndex
 from .diversity import best_portfolio_greedy, portfolio_progress
 from .engine import Engine, RunResult
@@ -83,7 +83,7 @@ def _write_summary(
     ledger: TokenLedger,
     wall_time_s: float,
 ) -> dict:
-    best = result.history.best_record(config.objective.direction)
+    best = result.history.best_record()
     summary = {
         "budget": config.objective.budget,
         "evals_used": result.history.evals_used,
@@ -210,49 +210,46 @@ def _read_run_config(path: Path) -> dict:
     return cfg
 
 
-def _load_export(
-    args: argparse.Namespace,
-) -> tuple[History, Direction, Optional[PortfolioSpec]]:
-    """The history an export reads, its direction and its portfolio spec.
+def _load_export(args: argparse.Namespace) -> tuple[History, Optional[PortfolioSpec]]:
+    """The history an export reads, ranked by its direction, and its portfolio spec.
 
     Both come from the ``objective`` section of the run's ``config.json``
     beside the history, if there is one. Each flag given overrides its own
-    key there; a portfolio key that neither sets takes its default.
+    key there; a portfolio key that neither sets takes its default, and the
+    direction defaults to ``maximize``.
     """
-    history = load_history(args.history)
     run_cfg = Path(args.history).parent / CONFIG_COPY_FILE
     cfg = _read_run_config(run_cfg) if run_cfg.is_file() else {}
     objective = cfg.get("objective", {})
     if not isinstance(objective, dict):
         raise CorruptCheckpoint(f"{run_cfg}: objective {objective!r} is not an object")
+    try:
+        direction = Direction(args.direction or objective.get("direction", "maximize"))
+    except ValueError as exc:
+        raise ConfigError(f"objective.direction: {exc}") from exc
     section = _expect(cfg, "objective.portfolio", dict, None)
     flags = {"size": args.portfolio_size, "beta": args.portfolio_beta}
     flags = {key: value for key, value in flags.items() if value is not None}
     if flags:
         section = {**(section or {}), **flags}
-    try:
-        direction = Direction(args.direction or objective.get("direction", "maximize"))
-    except ValueError as exc:
-        raise ConfigError(f"objective.direction: {exc}") from exc
-    return history, direction, build_portfolio_spec(section) if section else None
+    spec = build_portfolio_spec(section) if section else None
+    return load_history(args.history, direction), spec
 
 
 def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
-    history, direction, portfolio_spec = _load_export(args)  # main() reports errors
+    history, portfolio_spec = _load_export(args)  # main() reports errors
     out_path = Path(args.out)
     header = ["eval_index", "best_so_far"]
     points = None
     if portfolio_spec is not None:
         header += ["portfolio_agg", "portfolio_complete"]
-        points = portfolio_progress(
-            history, portfolio_spec, EditDistanceIndex(), direction
-        )
+        points = portfolio_progress(history, portfolio_spec, EditDistanceIndex())
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         best: Optional[float] = None
         for i, record in enumerate(history.records):
-            if best is None or is_improvement(record.score, best, direction):
+            if best is None or history.improves(record.score, best):
                 best = record.score
             row = [record.eval_index, best]
             if points is not None:
@@ -263,10 +260,8 @@ def cmd_export_curve(args: argparse.Namespace, extras: list[str]) -> int:
 
 
 def cmd_export_portfolio(args: argparse.Namespace, extras: list[str]) -> int:
-    history, direction, spec = _load_export(args)  # main() reports errors
-    portfolio = best_portfolio_greedy(
-        history, spec or PortfolioSpec(), EditDistanceIndex(), direction
-    )
+    history, spec = _load_export(args)  # main() reports errors
+    portfolio = best_portfolio_greedy(history, spec or PortfolioSpec(), EditDistanceIndex())
     payload = [
         {
             "sequence": record.candidate.canonical,

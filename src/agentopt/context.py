@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Direction, History, ScoredRecord, format_score
+from .core import History, ScoredRecord, format_score
 from .errors import EmptyHistory
 
 
@@ -29,7 +29,6 @@ class ContextSpec:
 def coverage_sample(
     history: History,
     spec: ContextSpec,
-    direction: Direction,
     rng: random.Random,
 ) -> list[ScoredRecord]:
     """The records the agents see, best first.
@@ -39,15 +38,17 @@ def coverage_sample(
     at the rank stride ``(n - top_k) // (context_size - top_k)``, starting at
     a random offset below the stride drawn from ``rng``.
     """
-    if len(history) == 0:
+    n = len(history)
+    if n == 0:
         raise EmptyHistory("cannot sample context from an empty history")
-    ranked = history.ranked(direction)
-    if len(ranked) <= spec.context_size:
-        return list(ranked)
+    if n <= spec.context_size:
+        return history.ranked()
     n_samples = spec.context_size - spec.top_k
-    stride = (len(ranked) - spec.top_k) // n_samples if n_samples else 1
+    stride = (n - spec.top_k) // n_samples if n_samples else 1
     start = spec.top_k + (rng.randrange(stride) if stride > 1 else 0)
-    return ranked[: spec.top_k] + ranked[start : start + n_samples * stride : stride]
+    return history.ranked(0, spec.top_k) + history.ranked(
+        start, start + n_samples * stride, stride
+    )
 
 
 def render_context(records: list[ScoredRecord]) -> str:

@@ -1,8 +1,9 @@
 """Candidate/score/history data model shared by every other module.
 
-Scores are plain floats carried together with an explicit optimization
-direction; minimization is never rewritten as negated maximization, so the
-numbers agents see in prompts are always raw objective values.
+Scores are plain floats and stay raw objective values, so the numbers agents
+see in prompts are the oracle's own. A run's direction is held by its
+``History``, which ranks the records by it; minimization is never rewritten
+as negated maximization outside the history's rank key.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import DuplicateCandidate, EmptyCandidate, EmptyHistory
@@ -71,13 +73,6 @@ def canonicalize(raw: str, kind: DomainKind) -> Candidate:
     return Candidate(raw=raw, canonical=canonical, kind=kind)
 
 
-def is_improvement(a: float, b: float, direction: Direction) -> bool:
-    """True iff score ``a`` is strictly better than ``b``. Ties never improve."""
-    if direction == Direction.MAXIMIZE:
-        return a > b
-    return a < b
-
-
 def format_score(value: float) -> str:
     """Render a score with 4 significant digits for prompts and summaries.
 
@@ -108,27 +103,24 @@ class ScoredRecord:
     origin: str  # "init" | "explorer" | "worker:<TASK>" | "resampled-init"
 
 
-# The one ranking of the history: best score first, ties to the earliest eval.
-# Keys are unique (eval indices are), so bisect finds a record's rank.
-RANK_KEYS = {
-    Direction.MAXIMIZE: lambda r: (-r.score, r.eval_index),
-    Direction.MINIMIZE: lambda r: (r.score, r.eval_index),
-}
-
-
 class History:
-    """Append-only evaluated dataset with a canonical-form uniqueness index.
+    """Append-only evaluated dataset, ranked by its run's direction.
 
     Single-writer: all mutation flows through :meth:`append`, which hands out
-    contiguous eval indices and keeps the best-first ranking of every
-    direction asked for so far. Readers may hold references to ``records``
-    freely; the list is never reordered.
+    contiguous eval indices and inserts each record into the one ranking:
+    best score first, ties to the earliest eval. The ranking holds
+    ``(*key(record), record)`` tuples; eval indices are unique, so the tuples
+    compare in C and never reach the record. Every ranked question is
+    answered here. Readers may hold references to ``records`` freely; the
+    list is never reordered.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, direction: Direction) -> None:
+        self.direction = direction
         self.records: list[ScoredRecord] = []
         self.canonical_index: dict[str, int] = {}
-        self._ranked: dict[Direction, list[ScoredRecord]] = {}
+        self._sign = -1.0 if direction == Direction.MAXIMIZE else 1.0
+        self._ranking: list[tuple[float, int, ScoredRecord]] = []
 
     @property
     def evals_used(self) -> int:
@@ -152,39 +144,41 @@ class History:
         """
         if candidate.canonical in self.canonical_index:
             raise DuplicateCandidate(candidate.canonical)
-        record = ScoredRecord(
-            candidate=candidate,
-            score=score,
-            eval_index=len(self.records) + 1,
-            origin=origin,
-        )
+        eval_index = len(self.records) + 1
+        record = ScoredRecord(candidate, score, eval_index, origin)
         self.records.append(record)
-        self.canonical_index[candidate.canonical] = record.eval_index
-        for direction, ranked in self._ranked.items():
-            bisect.insort(ranked, record, key=RANK_KEYS[direction])
+        self.canonical_index[candidate.canonical] = eval_index
+        bisect.insort(self._ranking, (self._sign * score, eval_index, record))
         return record
 
-    def best_record(self, direction: Direction) -> ScoredRecord:
-        """Best record under ``direction``; ties go to the earliest eval."""
-        if not self.records:
-            raise EmptyHistory("history has no records")
-        return self._ranking(direction)[0]
+    def key(self, record: ScoredRecord) -> tuple[float, int]:
+        """The record's rank key: sorting by it gives the ranking."""
+        return (self._sign * record.score, record.eval_index)
 
-    def ranked(self, direction: Direction) -> list[ScoredRecord]:
-        """Records best-to-worst, ties broken by earliest eval index.
+    def improves(self, a: float, b: float) -> bool:
+        """True iff score ``a`` is strictly better than ``b``. Ties never improve."""
+        return self._sign * a < self._sign * b
 
-        The list is the history's own index, built on the first ask for
-        ``direction`` and kept up to date by :meth:`append` from then on;
-        callers must not modify it.
+    def rank(self, record: ScoredRecord) -> int:
+        """The 0-based position of a record of this history in the ranking."""
+        return bisect.bisect_left(self._ranking, self.key(record))
+
+    def ranked(
+        self, start: int = 0, stop: Optional[int] = None, step: int = 1
+    ) -> list[ScoredRecord]:
+        """The records ``start:stop:step`` of the ranking, best first."""
+        return list(map(itemgetter(2), self._ranking[start:stop:step]))
+
+    def best_record(self, direction: Optional[Direction] = None) -> ScoredRecord:
+        """The best record; ties go to the earliest eval.
+
+        ``direction``, if given, must be the history's own.
         """
-        return self._ranking(direction)
-
-    def _ranking(self, direction: Direction) -> list[ScoredRecord]:
-        ranked = self._ranked.get(direction)
-        if ranked is None:
-            ranked = sorted(self.records, key=RANK_KEYS[direction])
-            self._ranked[direction] = ranked
-        return ranked
+        if direction is not None and direction != self.direction:
+            raise ValueError(f"this history ranks by {self.direction.value}")
+        if not self._ranking:
+            raise EmptyHistory("history has no records")
+        return self._ranking[0][2]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import RANK_KEYS, Direction, History, PortfolioSpec, ScoredRecord
+from .core import History, PortfolioSpec, ScoredRecord
 from .distance import EditDistanceIndex
 from .errors import EmptyHistory
 
@@ -59,26 +59,23 @@ def _greedy_update(
     max_size: int,
     threshold: float,
     distances: EditDistanceIndex,
-    direction: Direction,
 ) -> list[ScoredRecord]:
     """Greedy selection of the whole history, from ``previous`` when given.
 
     ``previous`` must be this function's selection of an earlier prefix of
-    ``history`` under the same size, threshold and direction.
+    ``history`` under the same size and threshold.
     """
     members, seen = (previous.members, previous.seen) if previous else ([], 0)
     texts = [r.candidate.canonical for r in members]
-    key = RANK_KEYS[direction]
+    key = history.key
     for record in sorted(history.records[seen:], key=key):
         above = bisect.bisect_left(members, key(record), key=key)
         if above == max_size:
             break  # greedy filled up above this record and every later one
         if distances.fits(record.candidate.canonical, texts[:above], threshold):
-            ranked = history.ranked(direction)
-            start = bisect.bisect_left(ranked, key(record), key=key)
             return _greedy_select(
-                ranked[start + 1 :], max_size, threshold, distances,
-                members[:above] + [record],
+                history.ranked(history.rank(record) + 1), max_size, threshold,
+                distances, members[:above] + [record],
             )
     return members
 
@@ -88,7 +85,6 @@ def select_diverse_seeds(
     m: int,
     threshold: float,
     distances: EditDistanceIndex,
-    direction: Direction,
     previous: Optional[Selection] = None,
 ) -> Selection:
     """Pick up to ``m`` mutually-distant starting points for local search.
@@ -102,7 +98,7 @@ def select_diverse_seeds(
         raise EmptyHistory("cannot select seeds from an empty history")
     if m < 1:
         raise ValueError("seed count must be >= 1")
-    members = _greedy_update(history, previous, m, threshold, distances, direction)
+    members = _greedy_update(history, previous, m, threshold, distances)
     return Selection(members=members, seen=len(history))
 
 
@@ -118,7 +114,6 @@ def best_portfolio_greedy(
     history: History,
     spec: PortfolioSpec,
     distances: EditDistanceIndex,
-    direction: Direction,
     previous: Optional[Portfolio] = None,
 ) -> Portfolio:
     """Best-first greedy portfolio under the pairwise distance constraint.
@@ -128,9 +123,7 @@ def best_portfolio_greedy(
     """
     if len(history) == 0:
         raise EmptyHistory("cannot build a portfolio from an empty history")
-    members = _greedy_update(
-        history, previous, spec.size, spec.beta, distances, direction
-    )
+    members = _greedy_update(history, previous, spec.size, spec.beta, distances)
     return Portfolio(
         members=members,
         seen=len(history),
@@ -143,7 +136,6 @@ def portfolio_progress(
     history: History,
     spec: PortfolioSpec,
     distances: EditDistanceIndex,
-    direction: Direction,
 ) -> list[Portfolio]:
     """The portfolio of every prefix of the history, shortest first.
 
@@ -151,11 +143,9 @@ def portfolio_progress(
     evaluation; each prefix's portfolio is updated from the one before.
     """
     portfolios: list[Portfolio] = []
-    replay = History()
+    replay = History(history.direction)
     for record in history.records:
         replay.append(record.candidate, record.score, record.origin)
         previous = portfolios[-1] if portfolios else None
-        portfolios.append(
-            best_portfolio_greedy(replay, spec, distances, direction, previous)
-        )
+        portfolios.append(best_portfolio_greedy(replay, spec, distances, previous))
     return portfolios

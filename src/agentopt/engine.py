@@ -22,15 +22,7 @@ from typing import Iterator, Optional
 
 from .backends import CompletionResult, RoleRouter
 from .context import ContextSpec, coverage_sample, render_context
-from .core import (
-    RANK_KEYS,
-    Candidate,
-    History,
-    ObjectiveSpec,
-    ScoredRecord,
-    format_score,
-    is_improvement,
-)
+from .core import Candidate, History, ObjectiveSpec, ScoredRecord, format_score
 from .diversity import (
     Portfolio,
     Selection,
@@ -133,7 +125,7 @@ class Engine:
         self.run_dir = Path(run_dir)
         self.events = event_log
         self.history_log = history_log
-        self.history = History()
+        self.history = History(objective.direction)
         self.registry = TaskRegistry(domain.default_tasks, capacity=loop.registry_capacity)
         self.round = 0
         self.direction = objective.direction
@@ -233,7 +225,7 @@ class Engine:
 
     def _context_text(self) -> str:
         offsets = self.rng.stream("context_offset")
-        records = coverage_sample(self.history, self.loop.context, self.direction, offsets)
+        records = coverage_sample(self.history, self.loop.context, offsets)
         return render_context(records)
 
     # -- statistics driving explorer persistence ----------------------------
@@ -248,7 +240,6 @@ class Engine:
             self.history,
             self.objective.portfolio,
             self._distances,
-            self.direction,
             self._portfolio,
         )
         return self._portfolio
@@ -258,12 +249,12 @@ class Engine:
         if self.objective.portfolio is not None:
             portfolio = self._current_portfolio()
             return (len(portfolio.members), portfolio.agg_value)
-        return (0, self.history.best_record(self.direction).score)
+        return (0, self.history.best_record().score)
 
     def _statistic_improved(self, before: tuple[int, float]) -> bool:
         """A larger portfolio, or a strictly better score."""
         size, score = self._explorer_statistic()
-        return size > before[0] or is_improvement(score, before[1], self.direction)
+        return size > before[0] or self.history.improves(score, before[1])
 
     # -- phases --------------------------------------------------------------
 
@@ -311,7 +302,7 @@ class Engine:
         fails = 0
         while fails < self.loop.max_fails:
             stat_before = self._explorer_statistic()
-            best = self.history.best_record(self.direction)
+            best = self.history.best_record()
             prompt = build_explorer_prompt(
                 self.domain.prompt_pack,
                 self._context_text(),
@@ -354,7 +345,6 @@ class Engine:
             self.loop.seeds_m,
             self.loop.seed_threshold,
             self._distances,
-            self.direction,
             self._seeds,
         )
         for index, (task, seed) in enumerate(product(work, self._seeds.members)):
@@ -382,14 +372,11 @@ class Engine:
                 parent=current.eval_index,
             ) as (result, step):
                 records = self._propose(result.text, step, f"worker:{task.name}", task.name)
-                moves = [
-                    r
-                    for r in records or []
-                    if is_improvement(r.score, current.score, self.direction)
-                ]
+                improves = self.history.improves
+                moves = [r for r in records or [] if improves(r.score, current.score)]
                 success = bool(moves)
                 if success:
-                    current = min(moves, key=RANK_KEYS[self.direction])
+                    current = min(moves, key=self.history.key)
                     fails = 0
                 else:
                     fails += 1
@@ -407,7 +394,7 @@ class Engine:
                 "round_end",
                 {
                     "evals_used": self.history.evals_used,
-                    "best_score": self.history.best_record(self.direction).score,
+                    "best_score": self.history.best_record().score,
                     "stop_reason": stop_reason,
                 },
             )

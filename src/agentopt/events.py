@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, NoReturn, Optional
 
-from .core import Candidate, DomainKind, History, ScoredRecord
+from .core import Candidate, Direction, DomainKind, History, ScoredRecord
 from .errors import CorruptCheckpoint, DuplicateCandidate
 
 # Each event kind and the payload fields, with their types, that every event of it carries
@@ -281,13 +281,13 @@ def read_json(path: Path) -> Any:
     return _decode(path, data)
 
 
-def load_history(path: Path) -> History:
-    """The History of the history.jsonl at ``path``.
+def load_history(path: Path, direction: Direction) -> History:
+    """The History of the history.jsonl at ``path``, ranked by ``direction``.
 
     A row that is no record, or is out of order, raises ``CorruptCheckpoint``
     naming its line.
     """
-    history = History()
+    history = History(direction)
     for lineno, row in enumerate(read_log(path), start=1):
         try:
             record = record_from_json(row)

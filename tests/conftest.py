@@ -19,7 +19,7 @@ import agentopt.engine as engine_module
 import agentopt.events as events_module
 from agentopt.backends import TokenLedger
 from agentopt.cli import fold_tokens, main
-from agentopt.core import Candidate, DomainKind, History, canonicalize
+from agentopt.core import Candidate, Direction, DomainKind, History, canonicalize
 from agentopt.domains import make_domain
 from agentopt.events import (
     CHECKPOINT_FILE,
@@ -41,9 +41,10 @@ def make_history(
     scores: list[float],
     kind: DomainKind = DomainKind.GENERIC,
     prefix: str = "S",
+    direction: Direction = Direction.MAXIMIZE,
 ) -> History:
     """History with the given scores and synthetic distinct candidates."""
-    history = History()
+    history = History(direction)
     for i, score in enumerate(scores):
         history.append(cand(f"{prefix}{i:04d}", kind), score, origin="init")
     return history
@@ -55,9 +56,10 @@ def random_history(
     kind: DomainKind = DomainKind.GENERIC,
     min_len: int = 5,
     max_len: int = 20,
+    direction: Direction = Direction.MAXIMIZE,
 ) -> History:
     """History of random distinct strings with random scores."""
-    history = History()
+    history = History(direction)
     seen: set[str] = set()
     while len(history) < size:
         length = rng.randint(min_len, max_len)

@@ -303,7 +303,7 @@ def _clustered_history(rng: random.Random) -> History:
         "".join(rng.choice(alphabet) for _ in range(rng.randint(8, 12)))
         for _ in range(rng.randint(2, 4))
     ]
-    history = History()
+    history = History(Direction.MAXIMIZE)
     seen: set[str] = set()
     size = rng.randint(4, 12)
     while len(history) < size:
@@ -330,14 +330,10 @@ def test_portfolio_feasibility_and_gap():
     for _ in range(200):
         history = _clustered_history(rng)
         dist = functools.cache(normalized_edit_distance)  # the exact distance
-        portfolio = best_portfolio_greedy(
-            history, spec, EditDistanceIndex(), Direction.MAXIMIZE
-        )
+        portfolio = best_portfolio_greedy(history, spec, EditDistanceIndex())
         for a, b in itertools.combinations(portfolio.members, 2):
             assert dist(a.candidate.canonical, b.candidate.canonical) >= spec.beta
-        top_by_score = [
-            r.eval_index for r in history.ranked(Direction.MAXIMIZE)[: spec.size]
-        ]
+        top_by_score = [r.eval_index for r in history.ranked(0, spec.size)]
         if [r.eval_index for r in portfolio.members] != top_by_score:
             constraint_bit += 1
         if not portfolio.complete:
@@ -450,15 +446,15 @@ def test_coverage_sampling_structure():
     spec = ContextSpec()
     for _ in range(1000):
         n = rng.randint(25, 500)
-        history = History()
+        history = History(Direction.MAXIMIZE)
         for i in range(n):
             history.append(
                 canonicalize(f"C{i:05d}", DomainKind.GENERIC),
                 rng.uniform(0, 100),
                 "init",
             )
-        records = coverage_sample(history, spec, Direction.MAXIMIZE, rng)
-        position = {id(r): i for i, r in enumerate(history.ranked(Direction.MAXIMIZE), 1)}
+        records = coverage_sample(history, spec, rng)
+        position = {id(r): i for i, r in enumerate(history.ranked(), 1)}
         ranks = [position[id(r)] for r in records]
         assert ranks[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
         assert len(records) == 20
@@ -705,7 +701,7 @@ def _zero_signal_trial(tmp_path: Path, seed: int) -> bool:
     resampled = [r for r in result.history.records if r.origin == "resampled-init"]
     if not resampled or resampled[-1].score <= 0.0:
         return False  # the guard must be the thing that found the signal
-    best = result.history.best_record(Direction.MAXIMIZE)
+    best = result.history.best_record()
     return best.score > 0.0 and best.eval_index <= 500
 
 

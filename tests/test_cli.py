@@ -1387,6 +1387,26 @@ def test_export_curve_running_min(tmp_path):
     assert [r[1] for r in rows[1:]] == ["9.0", "7.0", "7.0"]
 
 
+@pytest.mark.parametrize(
+    "flags, curve, first",
+    [([], ["9.0", "7.0", "7.0"], 7.0), (["--direction", "maximize"], ["9.0", "9.0", "9.0"], 9.0)],
+    ids=["from-config", "flag-overrides"],
+)
+def test_export_direction_comes_from_the_run_config(tmp_path, flags, curve, first):
+    history = tmp_path / "history.jsonl"
+    write_history(history, [9.0, 7.0, 8.0])
+    (tmp_path / "config.json").write_text(
+        json.dumps({"objective": {"direction": "minimize"}}), encoding="utf-8"
+    )
+    out = tmp_path / "curve.csv"
+    assert main(["export-curve", str(history), "--out", str(out), *flags]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert [r[1] for r in rows[1:]] == curve
+    out = tmp_path / "portfolio.json"
+    assert main(["export-portfolio", str(history), "--out", str(out), *flags]) == 0
+    assert json.loads(out.read_text())[0]["score"] == first
+
+
 def test_export_curve_portfolio_columns(tmp_path):
     history = tmp_path / "history.jsonl"
     rows = []

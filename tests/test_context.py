@@ -49,8 +49,8 @@ def reference_sampled_ranks(n: int, context_size: int, top_k: int, offset: int):
 
 
 def ranks_of(history, records) -> list[int]:
-    """1-based positions of ``records`` in the history's maximizing ranking."""
-    position = {id(r): i for i, r in enumerate(history.ranked(Direction.MAXIMIZE), 1)}
+    """1-based positions of ``records`` in the history's ranking."""
+    position = {id(r): i for i, r in enumerate(history.ranked(), 1)}
     return [position[id(r)] for r in records]
 
 
@@ -60,16 +60,17 @@ def stride_of(n: int, spec: ContextSpec) -> int:
 
 def test_small_history_passes_through_whole():
     history = make_history([float(i) for i in range(15)])
-    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
+    records = coverage_sample(history, ContextSpec(), random.Random(0))
     assert len(records) == 15
     assert ranks_of(history, records) == list(range(1, 16))
-    # a copy: callers may not modify the history's own ranking
-    assert records is not history.ranked(Direction.MAXIMIZE)
+    # a copy: changing it leaves the history's own ranking as it was
+    records.clear()
+    assert len(history.ranked()) == 15
 
 
 def test_large_history_keeps_top_k_and_distinct_ranks():
     history = make_history([float(i) for i in range(100)])
-    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(1))
+    records = coverage_sample(history, ContextSpec(), random.Random(1))
     ranks = ranks_of(history, records)
     assert ranks[:8] == [1, 2, 3, 4, 5, 6, 7, 8]
     assert len(records) == 20
@@ -80,7 +81,7 @@ def test_large_history_keeps_top_k_and_distinct_ranks():
 def test_stride_arithmetic_with_forced_zero_offset():
     # |h|=100, top_k=8, 12 samples, stride floor(92/12)=7 -> 9, 16, 23, ...
     history = make_history([float(i) for i in range(100)])
-    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, FixedOffsetRng(0))
+    records = coverage_sample(history, ContextSpec(), FixedOffsetRng(0))
     assert ranks_of(history, records)[8:] == [9, 16, 23, 30, 37, 44, 51, 58, 65, 72, 79, 86]
 
 
@@ -91,7 +92,7 @@ def test_sampled_ranks_match_independent_oracle(n, offset):
     # the drawn offset is below the stride: clamp the case to its last offset
     offset = min(offset, stride_of(n, spec) - 1)
     history = make_history([float(i) for i in range(n)])
-    records = coverage_sample(history, spec, Direction.MAXIMIZE, FixedOffsetRng(offset))
+    records = coverage_sample(history, spec, FixedOffsetRng(offset))
     assert ranks_of(history, records) == reference_sampled_ranks(
         n, spec.context_size, spec.top_k, offset
     )
@@ -99,8 +100,8 @@ def test_sampled_ranks_match_independent_oracle(n, offset):
 
 def test_coverage_sample_via_forced_offset_matches_oracle():
     history = make_history([float(i) for i in range(100)])
-    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, FixedOffsetRng(0))
-    ranked = history.ranked(Direction.MAXIMIZE)
+    records = coverage_sample(history, ContextSpec(), FixedOffsetRng(0))
+    ranked = history.ranked()
     expected = reference_sampled_ranks(100, 20, 8, 0)
     assert ranks_of(history, records) == expected
     for rank, record in zip(expected, records):
@@ -122,7 +123,7 @@ def test_coverage_sample_via_forced_offset_matches_oracle():
 def test_offset_drawn_once_below_a_stride_above_one(n, spec, draws):
     history = make_history([float(i) for i in range(n)])
     rng = CountingRng()
-    records = coverage_sample(history, spec, Direction.MAXIMIZE, rng)
+    records = coverage_sample(history, spec, rng)
     assert rng.calls == draws
     assert len(records) == min(n, spec.context_size)
 
@@ -131,9 +132,9 @@ def test_contains_global_best_and_spans_spectrum():
     rng = random.Random(5)
     for _ in range(50):
         history = random_history(rng, rng.randint(25, 300))
-        records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, rng)
+        records = coverage_sample(history, ContextSpec(), rng)
         ranks = ranks_of(history, records)
-        best = history.best_record(Direction.MAXIMIZE)
+        best = history.best_record()
         assert any(rec is best for rec in records)
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == len(ranks)
@@ -148,8 +149,8 @@ def test_contains_global_best_and_spans_spectrum():
 
 def test_deterministic_given_same_seed():
     history = make_history([float(i) for i in range(200)])
-    a = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(42))
-    b = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(42))
+    a = coverage_sample(history, ContextSpec(), random.Random(42))
+    b = coverage_sample(history, ContextSpec(), random.Random(42))
     assert ranks_of(history, a) == ranks_of(history, b)
 
 
@@ -157,7 +158,7 @@ def test_empty_history_raises():
     from agentopt.core import History
 
     with pytest.raises(EmptyHistory):
-        coverage_sample(History(), ContextSpec(), Direction.MAXIMIZE, random.Random(0))
+        coverage_sample(History(Direction.MAXIMIZE), ContextSpec(), random.Random(0))
 
 
 def test_context_spec_validates_top_k():
@@ -177,10 +178,10 @@ def test_render_single_entry_line_format():
 
 
 def test_render_minimize_puts_lowest_first():
-    history = make_history([])
+    history = make_history([], direction=Direction.MINIMIZE)
     history.append(cand("SEQONE"), 90.12, "init")
     history.append(cand("SEQTWO"), 85.12, "init")
-    records = coverage_sample(history, ContextSpec(), Direction.MINIMIZE, random.Random(0))
+    records = coverage_sample(history, ContextSpec(), random.Random(0))
     text = render_context(records)
     assert text.splitlines() == ["85.12: SEQTWO", "90.12: SEQONE"]
 
@@ -189,7 +190,7 @@ def test_render_maximize_sorts_high_to_low():
     history = make_history([])
     history.append(cand("LOW"), 0.1, "init")
     history.append(cand("HIGH"), 0.9, "init")
-    records = coverage_sample(history, ContextSpec(), Direction.MAXIMIZE, random.Random(0))
+    records = coverage_sample(history, ContextSpec(), random.Random(0))
     assert render_context(records).splitlines() == [
         "0.9000: HIGH",
         "0.1000: LOW",

@@ -14,7 +14,6 @@ from agentopt.core import (
     PortfolioSpec,
     canonicalize,
     format_score,
-    is_improvement,
 )
 from agentopt.errors import DuplicateCandidate, EmptyCandidate, EmptyHistory
 
@@ -61,23 +60,23 @@ def test_candidate_equality_is_canonical_only():
     assert a != canonicalize("KLWK", DomainKind.PEPTIDE)
 
 
-# -- is_improvement ----------------------------------------------------------
+# -- History.improves --------------------------------------------------------
 
 
 def test_ties_are_never_improvements():
-    assert is_improvement(0.5, 0.5, Direction.MAXIMIZE) is False
-    assert is_improvement(0.5, 0.5, Direction.MINIMIZE) is False
+    assert History(Direction.MAXIMIZE).improves(0.5, 0.5) is False
+    assert History(Direction.MINIMIZE).improves(0.5, 0.5) is False
 
 
 def test_minimize_improvement_uses_lower_is_better():
     # predicted-activity style values: 17.5 beats 22.0 when minimizing
-    assert is_improvement(17.5, 22.0, Direction.MINIMIZE) is True
-    assert is_improvement(22.0, 17.5, Direction.MINIMIZE) is False
+    assert History(Direction.MINIMIZE).improves(17.5, 22.0) is True
+    assert History(Direction.MINIMIZE).improves(22.0, 17.5) is False
 
 
 def test_maximize_improvement():
-    assert is_improvement(0.606, 0.421, Direction.MAXIMIZE) is True
-    assert is_improvement(0.421, 0.606, Direction.MAXIMIZE) is False
+    assert History(Direction.MAXIMIZE).improves(0.606, 0.421) is True
+    assert History(Direction.MAXIMIZE).improves(0.421, 0.606) is False
 
 
 # -- History -----------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_history_assigns_contiguous_eval_indices():
 
 
 def test_history_rejects_canonical_duplicates():
-    history = History()
+    history = History(Direction.MAXIMIZE)
     history.append(cand("AAA"), 1.0, "init")
     with pytest.raises(DuplicateCandidate):
         history.append(cand(" AAA "), 2.0, "explorer")
@@ -103,29 +102,36 @@ def test_history_contains_evaluated_canonical_texts():
 
 
 def test_best_record_tie_break_is_earliest():
-    history = History()
+    history = History(Direction.MAXIMIZE)
     history.append(cand("A1"), 1.0, "init")
     history.append(cand("B1"), 1.0, "init")
-    assert history.best_record(Direction.MAXIMIZE).candidate.canonical == "A1"
+    assert history.best_record().candidate.canonical == "A1"
 
 
 def test_best_record_minimize():
-    history = History()
+    history = History(Direction.MINIMIZE)
     history.append(cand("A1"), 3.0, "init")
     history.append(cand("B1"), 5.0, "init")
-    assert history.best_record(Direction.MINIMIZE).candidate.canonical == "A1"
+    assert history.best_record().candidate.canonical == "A1"
 
 
 def test_best_record_empty_history_raises():
     with pytest.raises(EmptyHistory):
-        History().best_record(Direction.MAXIMIZE)
+        History(Direction.MAXIMIZE).best_record()
+
+
+def test_best_record_takes_only_its_own_direction():
+    history = make_history([3.0, 5.0], direction=Direction.MINIMIZE)
+    assert history.best_record(Direction.MINIMIZE) is history.best_record()
+    with pytest.raises(ValueError):
+        history.best_record(Direction.MAXIMIZE)
 
 
 def test_best_record_matches_exhaustive_scan_oracle():
     rng = random.Random(7)
     scores = [rng.uniform(-50, 50) for _ in range(100)]
-    history = make_history(scores)
     for direction in Direction:
+        history = make_history(scores, direction=direction)
         # independent oracle: linear scan over (score, index) tuples
         if direction == Direction.MAXIMIZE:
             expected = min(
@@ -133,47 +139,34 @@ def test_best_record_matches_exhaustive_scan_oracle():
             )[1]
         else:
             expected = min(((s, i) for i, s in enumerate(scores, start=1)))[1]
-        assert history.best_record(direction).eval_index == expected
+        assert history.best_record().eval_index == expected
 
 
 @given(
-    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=60),
-    st.integers(min_value=1, max_value=61),
-    st.integers(min_value=1, max_value=61),
+    st.sampled_from(list(Direction)),
+    st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0]), min_size=1, max_size=60),
 )
-def test_ranked_index_matches_sorted_under_ties(scores, first_max, first_min):
-    # few distinct scores, so most appends land among equal-score records;
-    # each direction is first asked for after its own number of appends
-    # (or only after the last one), and no ranking exists before that
-    first_ask = {Direction.MAXIMIZE: first_max, Direction.MINIMIZE: first_min}
-    history = History()
-
-    def check(direction, sign):
-        expected = sorted(history.records, key=lambda r: (sign * r.score, r.eval_index))
-        if first_ask[direction] % 2:  # odd: the first ask is best_record's
-            assert history.best_record(direction) is expected[0]
-        assert history.ranked(direction) == expected
-        assert history.best_record(direction) is history.ranked(direction)[0]
-
-    directions = ((Direction.MAXIMIZE, -1.0), (Direction.MINIMIZE, 1.0))
+def test_ranked_index_matches_sorted_under_ties(direction, scores):
+    # few distinct scores, 0.0 and -0.0 among them, so most appends land among
+    # equal-score records; the reference is the plain ranking rule
+    sign = -1.0 if direction == Direction.MAXIMIZE else 1.0
+    history = History(direction)
     for i, score in enumerate(scores, start=1):
-        history.append(cand(f"T{i}"), float(score), "init")
-        for direction, sign in directions:
-            if i >= first_ask[direction]:
-                check(direction, sign)
-            else:
-                assert direction not in history._ranked
-    for direction, sign in directions:
-        check(direction, sign)
+        history.append(cand(f"T{i}"), score, "init")
+        expected = sorted(history.records, key=lambda r: (sign * r.score, r.eval_index))
+        assert history.ranked() == expected
+        assert history.best_record() is expected[0]
+        assert [history.rank(r) for r in expected] == list(range(i))
+        assert history.ranked(1, None, 2) == expected[1::2]
 
 
 def test_best_never_worsens_as_records_append():
     rng = random.Random(3)
-    history = History()
+    history = History(Direction.MAXIMIZE)
     best_so_far = None
     for i in range(200):
         history.append(cand(f"X{i}"), rng.uniform(0, 1), "init")
-        best = history.best_record(Direction.MAXIMIZE).score
+        best = history.best_record().score
         if best_so_far is not None:
             assert best >= best_so_far
         best_so_far = best

@@ -22,7 +22,7 @@ DIST = normalized_edit_distance
 
 
 def history_of(pairs: list[tuple[str, float]]) -> History:
-    history = History()
+    history = History(Direction.MAXIMIZE)
     for text, score in pairs:
         history.append(cand(text), score, "init")
     return history
@@ -60,7 +60,7 @@ def test_identical_candidates_yield_single_seed():
     # same canonical can only appear once in a history, so "identical" here
     # means distance-zero variants are impossible; use near-zero instead
     history = history_of([("AAAA", 5.0), ("AAAB", 4.0), ("AABA", 3.0)])
-    seeds = select_diverse_seeds(history, 3, 0.75, EditDistanceIndex(), Direction.MAXIMIZE)
+    seeds = select_diverse_seeds(history, 3, 0.75, EditDistanceIndex())
     assert texts(seeds) == ["AAAA"]
 
 
@@ -68,7 +68,7 @@ def test_greedy_skips_near_duplicate_of_best():
     history = history_of(
         [("KLWRKLLR", 9.0), ("KLWRKLLK", 8.0), ("DDDDDDDD", 7.0)]
     )
-    seeds = select_diverse_seeds(history, 2, 0.75, EditDistanceIndex(), Direction.MAXIMIZE)
+    seeds = select_diverse_seeds(history, 2, 0.75, EditDistanceIndex())
     assert texts(seeds) == ["KLWRKLLR", "DDDDDDDD"]
 
 
@@ -76,9 +76,7 @@ def test_seed_selection_matches_reference_greedy():
     rng = random.Random(23)
     for _ in range(40):
         history = random_history(rng, 30)
-        seeds = select_diverse_seeds(
-            history, 3, 0.6, EditDistanceIndex(), Direction.MAXIMIZE
-        )
+        seeds = select_diverse_seeds(history, 3, 0.6, EditDistanceIndex())
         assert seeds.members == reference_greedy(history, 3, 0.6, Direction.MAXIMIZE)
         for a, b in itertools.combinations(texts(seeds), 2):
             assert DIST(a, b) >= 0.6
@@ -88,23 +86,21 @@ def test_seeds_always_include_global_best():
     rng = random.Random(29)
     for _ in range(20):
         history = random_history(rng, 25)
-        best = history.best_record(Direction.MAXIMIZE)
-        seeds = select_diverse_seeds(
-            history, 2, 0.75, EditDistanceIndex(), Direction.MAXIMIZE
-        )
+        best = history.best_record()
+        seeds = select_diverse_seeds(history, 2, 0.75, EditDistanceIndex())
         assert seeds.members[0] == best
 
 
 def test_seeds_empty_history_raises():
     with pytest.raises(EmptyHistory):
-        select_diverse_seeds(History(), 2, 0.75, EditDistanceIndex(), Direction.MAXIMIZE)
+        select_diverse_seeds(History(Direction.MAXIMIZE), 2, 0.75, EditDistanceIndex())
 
 
 def test_seeds_are_deterministic():
     rng = random.Random(31)
-    history = random_history(rng, 40)
-    a = select_diverse_seeds(history, 4, 0.5, EditDistanceIndex(), Direction.MINIMIZE)
-    b = select_diverse_seeds(history, 4, 0.5, EditDistanceIndex(), Direction.MINIMIZE)
+    history = random_history(rng, 40, direction=Direction.MINIMIZE)
+    a = select_diverse_seeds(history, 4, 0.5, EditDistanceIndex())
+    b = select_diverse_seeds(history, 4, 0.5, EditDistanceIndex())
     assert texts(a) == texts(b)
 
 
@@ -116,7 +112,7 @@ def test_portfolio_unconstrained_takes_top_m():
         [("AAAAA", 5.0), ("DDDDD", 4.0), ("KKKKK", 3.0), ("WWWWW", 2.0)]
     )
     portfolio = best_portfolio_greedy(
-        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex(), Direction.MAXIMIZE
+        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex()
     )
     assert [r.score for r in portfolio.members] == [5.0, 4.0, 3.0]
     assert portfolio.agg_value == 4.0
@@ -128,7 +124,7 @@ def test_portfolio_constraint_skips_second_best():
         [("KLWRKLLR", 9.0), ("KLWRKLLK", 8.0), ("DDDDDDDD", 7.0), ("WWWWWWWW", 6.0)]
     )
     portfolio = best_portfolio_greedy(
-        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex(), Direction.MAXIMIZE
+        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex()
     )
     texts = [r.candidate.canonical for r in portfolio.members]
     assert "KLWRKLLK" not in texts
@@ -138,7 +134,7 @@ def test_portfolio_constraint_skips_second_best():
 def test_portfolio_incomplete_flagged():
     history = history_of([("AAAA", 2.0), ("AAAB", 1.0)])
     portfolio = best_portfolio_greedy(
-        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex(), Direction.MAXIMIZE
+        history, PortfolioSpec(size=3, beta=0.75), EditDistanceIndex()
     )
     assert portfolio.complete is False
     assert len(portfolio.members) == 1
@@ -172,9 +168,7 @@ def test_portfolio_feasibility_and_gap_vs_brute_force():
     gaps = []
     for _ in range(40):
         history = random_history(rng, rng.randint(4, 10), min_len=4, max_len=9)
-        portfolio = best_portfolio_greedy(
-            history, spec, EditDistanceIndex(), Direction.MAXIMIZE
-        )
+        portfolio = best_portfolio_greedy(history, spec, EditDistanceIndex())
         for a, b in itertools.combinations(portfolio.members, 2):
             assert DIST(a.candidate.canonical, b.candidate.canonical) >= spec.beta
         exact = brute_force_best(history, spec, Direction.MAXIMIZE)
@@ -201,7 +195,7 @@ def test_greedy_can_be_suboptimal_and_gap_oracle_sees_it():
         ]
     )
     spec = PortfolioSpec(size=2, beta=0.75)
-    greedy = best_portfolio_greedy(history, spec, EditDistanceIndex(), Direction.MAXIMIZE)
+    greedy = best_portfolio_greedy(history, spec, EditDistanceIndex())
     assert [r.score for r in greedy.members] == [10.0, 1.0]
     assert greedy.complete is True
     exact = brute_force_best(history, spec, Direction.MAXIMIZE)
@@ -213,15 +207,13 @@ def test_portfolio_progress_matches_scratch_recompute():
     rng = random.Random(41)
     history = random_history(rng, 50, min_len=4, max_len=12)
     spec = PortfolioSpec(size=3, beta=0.6)
-    points = portfolio_progress(history, spec, EditDistanceIndex(), Direction.MAXIMIZE)
+    points = portfolio_progress(history, spec, EditDistanceIndex())
     assert len(points) == 50
     for t, point in enumerate(points, start=1):
-        prefix = History()
+        prefix = History(Direction.MAXIMIZE)
         for record in history.records[:t]:
             prefix.append(record.candidate, record.score, record.origin)
-        expected = best_portfolio_greedy(
-            prefix, spec, EditDistanceIndex(), Direction.MAXIMIZE
-        )
+        expected = best_portfolio_greedy(prefix, spec, EditDistanceIndex())
         assert point.seen == t
         assert point.agg_value == pytest.approx(expected.agg_value)
         assert point.complete == expected.complete
@@ -232,10 +224,7 @@ def test_portfolio_progress_full_agg_never_worsens():
     for _ in range(10):
         history = random_history(rng, 40, min_len=4, max_len=10)
         points = portfolio_progress(
-            history,
-            PortfolioSpec(size=3, beta=0.5),
-            EditDistanceIndex(),
-            Direction.MAXIMIZE,
+            history, PortfolioSpec(size=3, beta=0.5), EditDistanceIndex()
         )
         previous = None
         for point in points:
@@ -248,10 +237,7 @@ def test_portfolio_progress_full_agg_never_worsens():
 def test_portfolio_empty_history_raises():
     with pytest.raises(EmptyHistory):
         best_portfolio_greedy(
-            History(),
-            PortfolioSpec(size=3, beta=0.5),
-            EditDistanceIndex(),
-            Direction.MAXIMIZE,
+            History(Direction.MAXIMIZE), PortfolioSpec(size=3, beta=0.5), EditDistanceIndex()
         )
 
 
@@ -288,7 +274,7 @@ BATCHES = st.lists(
 )
 @example(max_size=4, threshold=0.75, batches=[[("AB", 0)], [("AC", 1), ("BC", 1)], [("CC", 2)]])
 def test_incremental_selection_matches_scratch_greedy(direction, max_size, threshold, batches):
-    history = History()
+    history = History(direction)
     seeds = portfolio = None
     distances = EditDistanceIndex()  # one for the whole history, as in the engine
     for batch in batches:
@@ -296,17 +282,13 @@ def test_incremental_selection_matches_scratch_greedy(direction, max_size, thres
             if not history.contains(text):
                 history.append(cand(text), float(score), "init")
         scratch = reference_greedy(history, max_size, threshold, direction)
-        seeds = select_diverse_seeds(
-            history, max_size, threshold, distances, direction, seeds
-        )
+        seeds = select_diverse_seeds(history, max_size, threshold, distances, seeds)
         assert seeds.members == scratch
         assert seeds.seen == len(history)
         if max_size >= 2:
             spec = PortfolioSpec(size=max_size, beta=threshold)
-            portfolio = best_portfolio_greedy(
-                history, spec, distances, direction, portfolio
-            )
-            fresh = best_portfolio_greedy(history, spec, EditDistanceIndex(), direction)
+            portfolio = best_portfolio_greedy(history, spec, distances, portfolio)
+            fresh = best_portfolio_greedy(history, spec, EditDistanceIndex())
             assert portfolio == fresh
             assert portfolio.members == scratch
 
@@ -329,7 +311,7 @@ LONG_BATCHES = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(batches=LONG_BATCHES)
 def test_seeds_and_portfolio_through_one_index_match_scratch_greedy(direction, batches):
-    history = History()
+    history = History(direction)
     distances = EditDistanceIndex()
     spec = PortfolioSpec(size=4, beta=0.5)
     seeds = portfolio = None
@@ -337,7 +319,7 @@ def test_seeds_and_portfolio_through_one_index_match_scratch_greedy(direction, b
         for text, score in batch:
             if not history.contains(text):
                 history.append(cand(text), float(score), "init")
-        seeds = select_diverse_seeds(history, 3, 0.75, distances, direction, seeds)
+        seeds = select_diverse_seeds(history, 3, 0.75, distances, seeds)
         assert seeds.members == reference_greedy(history, 3, 0.75, direction)
-        portfolio = best_portfolio_greedy(history, spec, distances, direction, portfolio)
+        portfolio = best_portfolio_greedy(history, spec, distances, portfolio)
         assert portfolio.members == reference_greedy(history, 4, 0.5, direction)

@@ -165,7 +165,7 @@ def test_budget_truncates_final_batch(tmp_path):
     final_eval = [e for e in events if e["kind"] == "eval_batch"][-1]
     assert final_eval["payload"]["truncated"] == 3
     # the improving candidate arriving on the exhausting batch is recorded
-    assert result.history.best_record(Direction.MAXIMIZE).candidate.canonical == "AA"
+    assert result.history.best_record().candidate.canonical == "AA"
 
 
 def test_init_exactly_consumes_budget(tmp_path):
@@ -388,14 +388,10 @@ def test_seed_selection_reuses_the_engine_distance_memo(tmp_path, kernel_calls):
 
     before = len(kernel_calls)
     args = (engine.history, 3, engine.loop.seed_threshold)
-    seeds = engine_module.select_diverse_seeds(
-        *args, engine._distances, Direction.MAXIMIZE
-    )
+    seeds = engine_module.select_diverse_seeds(*args, engine._distances)
     assert len(kernel_calls) == before
     # the same selection through a fresh index does reach the kernel
-    fresh = engine_module.select_diverse_seeds(
-        *args, EditDistanceIndex(), Direction.MAXIMIZE
-    )
+    fresh = engine_module.select_diverse_seeds(*args, EditDistanceIndex())
     assert fresh == seeds
     assert len(kernel_calls) > before
 
@@ -452,7 +448,6 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path, kernel_calls):
             8,
             engine.loop.seed_threshold,
             counting,
-            Direction.MAXIMIZE,
             previous,
         )
 
@@ -475,17 +470,17 @@ def test_seed_update_looks_up_only_the_new_records(tmp_path, kernel_calls):
 
 
 def test_a_record_whose_witness_is_kept_is_rejected_after_one_lookup(kernel_calls):
-    history = History()
+    history = History(Direction.MAXIMIZE)
     for text, score in [("AAAAAAAA", 9.0), ("DDDDDDDD", 8.0), ("KKKKKKKK", 7.0)]:
         history.append(cand(text), score, "init")
     index = EditDistanceIndex()
-    seeds = select_diverse_seeds(history, 4, 0.5, index, Direction.MAXIMIZE)
+    seeds = select_diverse_seeds(history, 4, 0.5, index)
     assert len(seeds.members) == 3
     # a near-copy of the last seed, already found too close to it
     assert index.fits("KKKKKKKW", ["KKKKKKKK"], 0.5) is False
     history.append(cand("KKKKKKKW"), 6.0, "explorer")
     before = len(kernel_calls)
-    update = select_diverse_seeds(history, 4, 0.5, index, Direction.MAXIMIZE, seeds)
+    update = select_diverse_seeds(history, 4, 0.5, index, seeds)
     # the witness alone, from the memo: not AAAAAAAA and DDDDDDDD ranked
     # above it, which only the kernel can tell apart from it
     assert kernel_calls[before:] == []
@@ -578,7 +573,7 @@ def test_minimize_direction_full_round(tmp_path):
     )
     result = engine.run()
     engine.close()
-    best = result.history.best_record(Direction.MINIMIZE)
+    best = result.history.best_record()
     assert best.candidate.canonical == "DDDDDDDDDDD"
     assert best.score == 0.0
     similar = result.registry.get("SIMILAR")
@@ -635,9 +630,9 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(
     rewalked: list[bool] = []
     update = engine_module.best_portfolio_greedy
 
-    def classify(history, spec, dist, direction, previous=None):
+    def classify(history, spec, dist, previous=None):
         before = len(walks)
-        portfolio = update(history, spec, dist, direction, previous)
+        portfolio = update(history, spec, dist, previous)
         if previous is not None:
             rewalked.append(len(walks) > before)
             if not rewalked[-1]:
@@ -683,10 +678,7 @@ def test_run_result_portfolio_matches_scratch_after_run_and_resume(
     assert len(outcomes[1][1].history) == 400
     for run_config, result in outcomes:
         expected = best_portfolio_greedy(
-            result.history,
-            run_config.objective.portfolio,
-            EditDistanceIndex(),
-            run_config.objective.direction,
+            result.history, run_config.objective.portfolio, EditDistanceIndex()
         )
         assert result.portfolio == expected
         assert result.portfolio.complete

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentopt.core import Candidate, DomainKind, ScoredRecord, canonicalize
+from agentopt.core import Candidate, Direction, DomainKind, ScoredRecord, canonicalize
 from agentopt.errors import CorruptCheckpoint
 from agentopt.events import (
     Checkpoint,
@@ -128,12 +128,12 @@ def test_history_log_and_load(tmp_path):
     log = HistoryLog(path)
     from agentopt.core import History
 
-    history = History()
+    history = History(Direction.MAXIMIZE)
     for i, text in enumerate(["AAA", "BBB", "CCC"]):
         record = history.append(canonicalize(text, DomainKind.GENERIC), float(i), "init")
         log.write_record(record)
     log.close()
-    loaded = load_history(path)
+    loaded = load_history(path, Direction.MAXIMIZE)
     assert loaded.evals_used == 3
     assert [(r.candidate.canonical, r.score) for r in loaded] == [
         ("AAA", 0.0), ("BBB", 1.0), ("CCC", 2.0)

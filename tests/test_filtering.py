@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agentopt.core import Candidate, DomainKind, History
+from agentopt.core import Candidate, Direction, DomainKind, History
 from agentopt.errors import OracleFailure, OracleTimeout
 from agentopt.filtering import (
     NO_CONSTRAINT,
@@ -191,13 +191,13 @@ def test_template_constraint_validates_params():
 
 
 def test_filter_batch_dedups_within_batch(generic_domain):
-    report = filter_batch(["CCO", "CCO"], History(), NO_CONSTRAINT, generic_domain)
+    report = filter_batch(["CCO", "CCO"], History(Direction.MAXIMIZE), NO_CONSTRAINT, generic_domain)
     assert [c.canonical for c in report.accepted] == ["CCO"]
     assert [r.reason for r in report.rejected] == [REASON_DUP_BATCH]
 
 
 def test_filter_batch_memoizes_history_duplicates(generic_domain):
-    history = History()
+    history = History(Direction.MAXIMIZE)
     history.append(cand("SEEN"), 0.41, "init")
     report = filter_batch(["SEEN", "NEW"], history, NO_CONSTRAINT, generic_domain)
     assert [c.canonical for c in report.accepted] == ["NEW"]
@@ -206,7 +206,7 @@ def test_filter_batch_memoizes_history_duplicates(generic_domain):
 
 def test_filter_batch_orders_checks_validity_first(peptide_domain):
     report = filter_batch(
-        ["klxz", "klwrk", "KLWRK", "  "], History(), NO_CONSTRAINT, peptide_domain
+        ["klxz", "klwrk", "KLWRK", "  "], History(Direction.MAXIMIZE), NO_CONSTRAINT, peptide_domain
     )
     assert [c.canonical for c in report.accepted] == ["KLWRK"]
     reasons = [r.reason for r in report.rejected]
@@ -216,7 +216,7 @@ def test_filter_batch_orders_checks_validity_first(peptide_domain):
 def test_filter_batch_constraint_rejection(peptide_domain):
     constraint = TemplateSimilarityConstraint([cand("KLWRKLLRW")], 0.75)
     report = filter_batch(
-        ["KLWRKLLRW", "DDDDDDDDD"], History(), constraint, peptide_domain
+        ["KLWRKLLRW", "DDDDDDDDD"], History(Direction.MAXIMIZE), constraint, peptide_domain
     )
     assert [c.canonical for c in report.accepted] == ["KLWRKLLRW"]
     assert report.rejected[0].reason == REASON_CONSTRAINT
@@ -226,27 +226,27 @@ def test_filter_batch_canonicalizes_or_rejects_invalid(
     peptide_domain, smiles_domain, generic_domain
 ):
     report = filter_batch(
-        ["klwrk", "KLXZ!", "   "], History(), NO_CONSTRAINT, peptide_domain
+        ["klwrk", "KLXZ!", "   "], History(Direction.MAXIMIZE), NO_CONSTRAINT, peptide_domain
     )
     assert [c.canonical for c in report.accepted] == ["KLWRK"]
     assert [r.reason for r in report.rejected] == [REASON_INVALID, REASON_INVALID]
-    report = filter_batch(["CC(C"], History(), NO_CONSTRAINT, smiles_domain)
+    report = filter_batch(["CC(C"], History(Direction.MAXIMIZE), NO_CONSTRAINT, smiles_domain)
     assert report.accepted == []
     assert [r.reason for r in report.rejected] == [REASON_INVALID]
     # a line break would make a line-protocol oracle or validator miscount
-    report = filter_batch(["AB\nCD", "XYZ"], History(), NO_CONSTRAINT, generic_domain)
+    report = filter_batch(["AB\nCD", "XYZ"], History(Direction.MAXIMIZE), NO_CONSTRAINT, generic_domain)
     assert [c.canonical for c in report.accepted] == ["XYZ"]
     assert [r.reason for r in report.rejected] == [REASON_INVALID]
     all_valid = ExternalLineValidator([sys.executable, "-c", ECHO_VALID])
     external = dataclasses.replace(smiles_domain, validator=all_valid)
-    report = filter_batch(["C\nC", "CC"], History(), NO_CONSTRAINT, external)
+    report = filter_batch(["C\nC", "CC"], History(Direction.MAXIMIZE), NO_CONSTRAINT, external)
     assert [c.canonical for c in report.accepted] == ["CC"]
     assert [r.reason for r in report.rejected] == [REASON_INVALID]
 
 
 def test_filter_report_partitions_input(generic_domain):
     batch = ["A", "B", "A", "", "C"]
-    report = filter_batch(batch, History(), NO_CONSTRAINT, generic_domain)
+    report = filter_batch(batch, History(Direction.MAXIMIZE), NO_CONSTRAINT, generic_domain)
     assert report.n_input == len(batch)
 
 
@@ -256,7 +256,7 @@ def test_filter_report_partitions_input(generic_domain):
     st.lists(st.text(alphabet="ABC", min_size=1, max_size=4), max_size=10),
 )
 def test_filter_never_accepts_history_duplicates(generic_domain, batch, history_texts):
-    history = History()
+    history = History(Direction.MAXIMIZE)
     for text in dict.fromkeys(history_texts):
         history.append(cand(text), 1.0, "init")
     report = filter_batch(batch, history, NO_CONSTRAINT, generic_domain)
@@ -270,7 +270,7 @@ def test_filter_never_accepts_history_duplicates(generic_domain, batch, history_
 def test_template_feasibility_of_accepted(generic_domain, batch):
     templates = [cand("KLWRKLLR")]
     constraint = TemplateSimilarityConstraint(templates, 0.75)
-    report = filter_batch(batch, History(), constraint, generic_domain)
+    report = filter_batch(batch, History(Direction.MAXIMIZE), constraint, generic_domain)
     for accepted in report.accepted:
         text = accepted.canonical
         assert max(reference_similarity(text, t.canonical) for t in templates) >= 0.75
